@@ -122,17 +122,26 @@ fn chrome_trace_json_matches_schema() {
     assert_eq!(kernel_complete, trace.kernels().len());
 }
 
+/// Compares `signature` with the committed `tests/golden/{file}` (passed
+/// in as `golden`), or rewrites that file when `TRACE_GOLDEN_REGEN` is set.
+fn check_golden(signature: &str, file: &str, golden: &str) {
+    if std::env::var_os("TRACE_GOLDEN_REGEN").is_some() {
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(path, signature).expect("write golden file");
+        return;
+    }
+    assert_eq!(
+        signature, golden,
+        "the deterministic trace signature drifted from tests/golden/{file}; \
+         if the routing behaviour change is intended, regenerate with \
+         `TRACE_GOLDEN_REGEN=1 cargo test --test telemetry_trace` and \
+         review the diff"
+    );
+}
+
 #[test]
 fn deterministic_signature_matches_golden_file() {
     let signature = traced_signature(2);
-    if std::env::var_os("TRACE_GOLDEN_REGEN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/trace_signature.txt"
-        );
-        std::fs::write(path, &signature).expect("write golden file");
-        return;
-    }
     // The incremental overflow detector must publish its counter pair into
     // the deterministic signature on every routed run.
     assert!(signature.contains("counter rrr.dirty_edges ="), "{signature}");
@@ -140,14 +149,25 @@ fn deterministic_signature_matches_golden_file() {
         signature.contains("counter rrr.full_rescan_avoided ="),
         "{signature}"
     );
-    let golden = include_str!("golden/trace_signature.txt");
-    assert_eq!(
-        signature, golden,
-        "the deterministic trace signature drifted from \
-         tests/golden/trace_signature.txt; if the routing behaviour change \
-         is intended, regenerate with \
-         `TRACE_GOLDEN_REGEN=1 cargo test --test telemetry_trace` and \
-         review the diff"
+    check_golden(
+        &signature,
+        "trace_signature.txt",
+        include_str!("golden/trace_signature.txt"),
+    );
+}
+
+/// The CUGR baseline: per-net pattern commits (one prober refresh per net)
+/// and batch-barrier RRR, a path the FastGR_H golden never exercises.
+#[test]
+fn cugr_signature_matches_golden_file() {
+    let recorder = Recorder::enabled();
+    let outcome = Router::new(RouterConfig::cugr())
+        .run_with_recorder(&overflowing_design(), &recorder)
+        .expect("routable");
+    check_golden(
+        &outcome.trace.deterministic_signature(),
+        "trace_signature_cugr.txt",
+        include_str!("golden/trace_signature_cugr.txt"),
     );
 }
 
