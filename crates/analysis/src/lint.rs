@@ -649,7 +649,7 @@ pub fn after() { let v = vec![1]; }\n";
     #[test]
     fn rwlock_rule_fires_only_in_rrr_scope() {
         let src = "\
-use parking_lot::RwLock;\n\
+use std::sync::RwLock;\n\
 pub fn share(graph: &RwLock<u32>) -> u32 {\n\
     *graph.read()\n\
 }\n";

@@ -27,9 +27,10 @@
 //! onto one worker by luck — use it to verify launches over independent
 //! sets only).
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use fastgr_gpu::pool::BlockEventTap;
 use fastgr_taskgraph::{ConflictGraph, ExecutionHooks};
-use parking_lot::Mutex;
 
 use crate::diagnostics::{Diagnostic, ValidationReport};
 
@@ -54,6 +55,13 @@ fn clock_join(dst: &mut Clock, src: &Clock) {
             *d = s;
         }
     }
+}
+
+/// Locks a checker's clock table. A panicking hook cannot leave the table
+/// half-updated in a way that matters (the executor re-raises the panic
+/// and the run is abandoned), so a poisoned lock is simply recovered.
+fn lock(table: &Mutex<ClockTable>) -> MutexGuard<'_, ClockTable> {
+    table.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Shared event-recording core for both checkers.
@@ -265,23 +273,21 @@ impl RaceChecker {
     /// Checks the observed execution against `conflicts`; every conflicting
     /// pair must have been strictly ordered.
     pub fn report(&self, conflicts: &ConflictGraph) -> ValidationReport {
-        self.table.lock().report(conflicts, "task-race", "task")
+        lock(&self.table).report(conflicts, "task-race", "task")
     }
 }
 
 impl ExecutionHooks for RaceChecker {
     fn on_task_start(&self, task: u32, worker: usize) {
-        self.table.lock().record_start(task as usize, worker, "task");
+        lock(&self.table).record_start(task as usize, worker, "task");
     }
 
     fn on_task_finish(&self, task: u32, worker: usize) {
-        self.table
-            .lock()
-            .record_finish(task as usize, worker, "task");
+        lock(&self.table).record_finish(task as usize, worker, "task");
     }
 
     fn on_handoff(&self, pred: u32, succ: u32) {
-        self.table.lock().record_handoff(pred as usize, succ as usize);
+        lock(&self.table).record_handoff(pred as usize, succ as usize);
     }
 }
 
@@ -309,17 +315,17 @@ impl BlockChecker {
 
     /// Checks the observed launch against `conflicts` over block indices.
     pub fn report(&self, conflicts: &ConflictGraph) -> ValidationReport {
-        self.table.lock().report(conflicts, "block-race", "block")
+        lock(&self.table).report(conflicts, "block-race", "block")
     }
 }
 
 impl BlockEventTap for BlockChecker {
     fn on_block_start(&self, block: usize, worker: usize) {
-        self.table.lock().record_start(block, worker, "block");
+        lock(&self.table).record_start(block, worker, "block");
     }
 
     fn on_block_end(&self, block: usize, worker: usize) {
-        self.table.lock().record_finish(block, worker, "block");
+        lock(&self.table).record_finish(block, worker, "block");
     }
 }
 

@@ -1,9 +1,10 @@
 //! The pattern routing stage driver (paper Sections III-C/D/E/F, Fig. 7).
 //!
 //! Planning (Steiner trees + net ordering + batch extraction) happens on the
-//! host; each conflict-free batch of multi-pin nets then becomes one kernel
-//! launch with one block per net. The baseline engine instead routes nets
-//! one by one on the CPU, which is what CUGR does.
+//! host; routing is then one loop over *commit groups*. For the GPU engine
+//! a group is a conflict-free batch, launched as one kernel with one block
+//! per net. For the baseline engine a group is a single net in sorted
+//! order, which is CUGR's net-by-net commit.
 //!
 //! Parallel execution is deterministic by construction: every concurrent
 //! phase (Steiner planning, block execution) writes to index-disjoint
@@ -11,10 +12,8 @@
 //! the routed geometry — and the modelled device time — are byte-identical
 //! for every worker count.
 
-use std::sync::OnceLock;
-
 use fastgr_design::Design;
-use fastgr_gpu::{Device, DeviceConfig, HostPool, SyncSlots};
+use fastgr_gpu::{BlockProfile, Device, DeviceConfig, HostPool, SyncSlots};
 use fastgr_grid::{CostProber, GridGraph, Rect, Route};
 use fastgr_steiner::{RouteTree, SteinerBuilder};
 use fastgr_taskgraph::{extract_batches, ConflictGraph};
@@ -34,15 +33,6 @@ pub enum PatternEngine {
     /// Sequential net-by-net dynamic programming on the CPU (the CUGR
     /// baseline); reported PATTERN time is measured wall time.
     SequentialCpu,
-    /// Batch-parallel dynamic programming on CPU worker threads: the nets
-    /// of each conflict-free batch route concurrently through the
-    /// Taskflow-substitute executor (the paper's scheduler applied to the
-    /// pattern stage without a GPU). Reported PATTERN time is measured
-    /// wall time.
-    ParallelCpu {
-        /// Worker thread count (clamped to at least 1).
-        workers: usize,
-    },
 }
 
 /// Outcome of the pattern routing stage.
@@ -132,7 +122,8 @@ impl PatternStage {
     ///
     /// * [`RouteError::TooFewLayers`] if the grid cannot host both routing
     ///   directions;
-    /// * [`RouteError::NoFinitePattern`] if a net admits no finite pattern;
+    /// * [`RouteError::NoFinitePattern`] for the first net, in commit
+    ///   order, that admits no finite pattern;
     /// * [`RouteError::Grid`] on commit failures (internal invariant).
     pub fn run(
         &self,
@@ -162,7 +153,6 @@ impl PatternStage {
         // sequential engine stays fully serial (it is the CUGR baseline).
         let pool = match self.engine {
             PatternEngine::GpuFlow(cfg) => HostPool::resolved(cfg.host_workers),
-            PatternEngine::ParallelCpu { workers } => HostPool::new(workers),
             PatternEngine::SequentialCpu => HostPool::new(1),
         };
 
@@ -196,14 +186,12 @@ impl PatternStage {
         let route_span = recorder.span("pattern", "stage");
         let route_start = Stopwatch::start();
         let mut routes: Vec<Route> = vec![Route::new(); design.nets().len()];
-        let mut modeled_gpu_seconds = None;
 
-        // Prefix-sum cost cache shared by every engine: built once against
-        // the pre-routing congestion (rows summed in parallel on the same
-        // pool), then incrementally refreshed from the grid's dirty bitsets
-        // at each commit boundary — per batch for the batched engines, per
-        // net for the sequential baseline, preserving each engine's
-        // congestion-snapshot semantics exactly.
+        // Prefix-sum cost cache: built once against the pre-routing
+        // congestion (rows summed in parallel on the same pool), then
+        // incrementally refreshed from the grid's dirty bitsets at every
+        // commit boundary, so each group sees exactly the congestion its
+        // engine's semantics prescribe.
         let mut prober = if self.cost_probing {
             graph.clear_dirty();
             Some(CostProber::build_with_pool(graph, &pool))
@@ -211,121 +199,61 @@ impl PatternStage {
             None
         };
 
-        match self.engine {
+        // Commit groups: the conflict-free batches for the GPU engine, one
+        // net per group in sorted order for the CUGR baseline (so each net
+        // sees the previous net's commit).
+        let mut device = match self.engine {
             PatternEngine::GpuFlow(device_config) => {
                 let mut device = Device::new(device_config);
                 device.set_recorder(recorder.clone());
-                for batch in &batches {
-                    // One block per multi-pin net of the batch; blocks run
-                    // concurrently on the device's host pool, each writing
-                    // its own index-disjoint slot. Demand commits after the
-                    // launch in batch order (the batch is conflict-free, so
-                    // order within it is moot).
-                    if let Some(p) = prober.as_mut() {
-                        p.refresh(graph, &pool);
-                    }
-                    let slots = SyncSlots::new(batch.len());
-                    let failed: OnceLock<u32> = OnceLock::new();
-                    {
-                        let dp = match prober.as_ref() {
-                            Some(p) => PatternDp::with_prober(graph, self.mode, p),
-                            None => PatternDp::direct(graph, self.mode),
-                        };
-                        device.launch("pattern", batch.len(), |b| {
-                            let net_id = batch[b];
-                            match dp.route_net(&trees[net_id as usize]) {
-                                Some(result) => {
-                                    slots.set(b, result.route);
-                                    result.profile
-                                }
-                                None => {
-                                    let _ = failed.set(net_id);
-                                    fastgr_gpu::BlockProfile::new(1, 1)
-                                }
-                            }
-                        });
-                    }
-                    if let Some(&net) = failed.get() {
-                        return Err(RouteError::NoFinitePattern { net });
-                    }
-                    for (b, slot) in slots.into_vec().into_iter().enumerate() {
-                        routes[batch[b] as usize] = slot.expect("routed above");
-                    }
-                    for &net_id in batch {
-                        graph.commit(&routes[net_id as usize])?;
-                    }
-                }
-                recorder.accumulate("pattern.kernel_launches", device.stats().launches as f64);
-                modeled_gpu_seconds = Some(device.stats().modeled_seconds);
+                Some(device)
             }
-            PatternEngine::SequentialCpu => {
-                // CUGR-style: net by net in sorted order, committing each
-                // route before the next net is planned. The cache refresh
-                // is incremental — O(rows touched by the previous commit),
-                // never a per-net full rebuild.
-                for &net_id in &order {
-                    if let Some(p) = prober.as_mut() {
-                        p.refresh(graph, &pool);
+            PatternEngine::SequentialCpu => None,
+        };
+        let groups: Vec<&[u32]> = match device {
+            Some(_) => batches.iter().map(Vec::as_slice).collect(),
+            None => order.chunks(1).collect(),
+        };
+        for group in groups {
+            if let Some(p) = prober.as_mut() {
+                p.refresh(graph, &pool);
+            }
+            // One block per net; blocks run concurrently, each writing its
+            // own index-disjoint slot. Demand commits after the group in
+            // group order (the group is conflict-free, so order within it
+            // is moot).
+            let slots = SyncSlots::new(group.len());
+            {
+                let dp = match prober.as_ref() {
+                    Some(p) => PatternDp::with_prober(graph, self.mode, p),
+                    None => PatternDp::direct(graph, self.mode),
+                };
+                let route_block = |b: usize| match dp.route_net(&trees[group[b] as usize]) {
+                    Some(result) => {
+                        slots.set(b, result.route);
+                        result.profile
                     }
-                    let dp = match prober.as_ref() {
-                        Some(p) => PatternDp::with_prober(graph, self.mode, p),
-                        None => PatternDp::direct(graph, self.mode),
-                    };
-                    let result = dp
-                        .route_net(&trees[net_id as usize])
-                        .ok_or(RouteError::NoFinitePattern { net: net_id })?;
-                    routes[net_id as usize] = result.route;
-                    graph.commit(&routes[net_id as usize])?;
+                    None => BlockProfile::new(1, 1),
+                };
+                match device.as_mut() {
+                    Some(device) => {
+                        device.launch("pattern", group.len(), route_block);
+                    }
+                    None => pool.for_each(group.len(), |b| {
+                        route_block(b);
+                    }),
                 }
             }
-            PatternEngine::ParallelCpu { workers } => {
-                use fastgr_taskgraph::{Executor, Schedule};
-                let executor = Executor::new(workers);
-                for batch in &batches {
-                    // All nets of a batch are mutually conflict-free, so an
-                    // edge-free schedule (disjoint unit boxes) lets the
-                    // executor run the whole batch in parallel.
-                    let ids: Vec<u32> = (0..batch.len() as u32).collect();
-                    let disjoint_boxes: Vec<Rect> = (0..batch.len())
-                        .map(|i| {
-                            let p = fastgr_grid::Point2::new((i % 60000) as u16, 0);
-                            Rect::new(p, p)
-                        })
-                        .collect();
-                    let conflicts = ConflictGraph::from_bounding_boxes(&disjoint_boxes);
-                    let schedule = Schedule::build(&ids, &conflicts);
-                    if let Some(p) = prober.as_mut() {
-                        p.refresh(graph, &pool);
-                    }
-                    let slots = SyncSlots::new(batch.len());
-                    let failed: OnceLock<u32> = OnceLock::new();
-                    {
-                        let dp = match prober.as_ref() {
-                            Some(p) => PatternDp::with_prober(graph, self.mode, p),
-                            None => PatternDp::direct(graph, self.mode),
-                        };
-                        executor.run(&schedule, |t| {
-                            let net_id = batch[t as usize];
-                            match dp.route_net(&trees[net_id as usize]) {
-                                Some(result) => {
-                                    slots.set(t as usize, result.route);
-                                }
-                                None => {
-                                    let _ = failed.set(net_id);
-                                }
-                            }
-                        });
-                    }
-                    if let Some(&net) = failed.get() {
-                        return Err(RouteError::NoFinitePattern { net });
-                    }
-                    for (t, slot) in slots.into_vec().into_iter().enumerate() {
-                        routes[batch[t] as usize] = slot.expect("routed above");
-                        graph.commit(&routes[batch[t] as usize])?;
-                    }
-                }
+            for (&net, slot) in group.iter().zip(slots.into_vec()) {
+                let route = slot.ok_or(RouteError::NoFinitePattern { net })?;
+                graph.commit(&route)?;
+                routes[net as usize] = route;
             }
         }
+        let modeled_gpu_seconds = device.map(|device| {
+            recorder.accumulate("pattern.kernel_launches", device.stats().launches as f64);
+            device.stats().modeled_seconds
+        });
 
         if let Some(p) = &prober {
             recorder.accumulate("pattern.cost_cache_builds", p.builds() as f64);
@@ -433,22 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cpu_engine_matches_gpu_engine_routes() {
-        // Both engines route batch-by-batch with batch-level commits, so
-        // the resulting geometry must be identical.
-        let (a, _) = run(
-            PatternEngine::GpuFlow(DeviceConfig::tiny()),
-            PatternMode::LShape,
-        );
-        let (b, _) = run(
-            PatternEngine::ParallelCpu { workers: 4 },
-            PatternMode::LShape,
-        );
-        assert_eq!(a.routes, b.routes);
-        assert!(b.modeled_gpu_seconds.is_none());
-    }
-
-    #[test]
     fn gpu_engine_is_deterministic_across_worker_counts() {
         // Same design, 1 vs 4 host workers: the routed geometry must be
         // byte-identical and the modelled device seconds bit-identical —
@@ -494,8 +406,7 @@ mod tests {
         // cache on or off, for every engine.
         for engine in [
             PatternEngine::SequentialCpu,
-            PatternEngine::GpuFlow(DeviceConfig::tiny()),
-            PatternEngine::ParallelCpu { workers: 2 },
+            PatternEngine::GpuFlow(DeviceConfig::tiny().with_host_workers(2)),
         ] {
             let (probed, gp) = run_probing(engine, PatternMode::HybridAll, true);
             let (direct, gd) = run_probing(engine, PatternMode::HybridAll, false);

@@ -274,17 +274,6 @@ pub struct RoutingOutcome {
     /// `trace.nets_ripped()`, `trace.pattern_shorts()`,
     /// `trace.pattern_batches()` — whether or not telemetry was on.
     pub trace: RunTrace,
-    /// Nets ripped up per RRR iteration.
-    #[deprecated(since = "0.2.0", note = "use `outcome.trace.nets_ripped()`")]
-    pub nets_ripped: Vec<usize>,
-    /// Shorts (overflow) right after the pattern routing stage, before any
-    /// rip-up and reroute — the quantity the pattern kernels directly
-    /// influence.
-    #[deprecated(since = "0.2.0", note = "use `outcome.trace.pattern_shorts()`")]
-    pub pattern_shorts: f64,
-    /// Batches formed in the pattern stage.
-    #[deprecated(since = "0.2.0", note = "use `outcome.trace.pattern_batches()`")]
-    pub pattern_batches: usize,
 }
 
 impl RoutingOutcome {
@@ -378,11 +367,8 @@ impl Router {
         };
         let mut trace = recorder.take_trace();
         trace.set_pattern_summary(pattern.batch_count, pattern_shorts);
-        trace.set_rrr_nets_ripped(rrr.nets_ripped.clone());
+        trace.set_rrr_nets_ripped(rrr.nets_ripped);
         trace.set_rrr_scan_summary(rrr.dirty_edges, rrr.rescans_avoided);
-        // The deprecated fields stay populated for back-compat until
-        // their removal.
-        #[allow(deprecated)]
         Ok(RoutingOutcome {
             routes,
             guides,
@@ -390,9 +376,6 @@ impl Router {
             report,
             timings,
             trace,
-            nets_ripped: rrr.nets_ripped,
-            pattern_shorts,
-            pattern_batches: pattern.batch_count,
         })
     }
 }
@@ -533,7 +516,7 @@ mod tests {
         assert_eq!(built.validate, mutated.validate);
         // The remaining builders cover engine/mode/strategy/cost/maze.
         let cfg = RouterConfig::cugr()
-            .with_engine(crate::PatternEngine::ParallelCpu { workers: 2 })
+            .with_engine(PatternEngine::GpuFlow(DeviceConfig::tiny()))
             .with_pattern_mode(PatternMode::HybridAll)
             .with_rrr_strategy(RrrStrategy::Sequential)
             .with_cost(CostParams::default())
@@ -551,12 +534,6 @@ mod tests {
         assert!(!outcome.trace.nets_ripped().is_empty());
         assert!(outcome.trace.pattern_batches() >= 1);
         assert!(outcome.trace.pattern_shorts() > 0.0);
-        #[allow(deprecated)]
-        {
-            assert_eq!(outcome.trace.nets_ripped(), &outcome.nets_ripped[..]);
-            assert_eq!(outcome.trace.pattern_shorts(), outcome.pattern_shorts);
-            assert_eq!(outcome.trace.pattern_batches(), outcome.pattern_batches);
-        }
     }
 
     #[test]

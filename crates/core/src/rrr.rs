@@ -24,13 +24,14 @@
 //! barrier strategy), which is what Table VIII's MAZE columns compare.
 
 use std::cell::RefCell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fastgr_design::Design;
+use fastgr_gpu::HostPool;
 use fastgr_grid::{GridGraph, Point2, Rect, Route};
 use fastgr_maze::{MazeConfig, MazeError, MazeRouter, MazeScratch};
 use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, HookPair, Schedule, TraceHooks};
 use fastgr_telemetry::{Recorder, Stopwatch};
-use parking_lot::Mutex;
 
 use crate::error::RouteError;
 use crate::ordering::SortingScheme;
@@ -123,6 +124,13 @@ struct RrrScratch {
     maze: MazeScratch,
     pins: Vec<Point2>,
     out: Route,
+}
+
+/// Locks a task slot. A task that panics is re-raised by the executor and
+/// aborts the stage, so a poisoned slot is recovered rather than
+/// propagated (as `fastgr_gpu::SyncSlots` does).
+fn lock(slot: &Mutex<TaskSlot>) -> MutexGuard<'_, TaskSlot> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
@@ -236,7 +244,7 @@ impl RrrStage {
                 let net_id = violating[task as usize];
                 let net = design.net(fastgr_design::NetId(net_id));
                 let mut old = {
-                    let mut slot = slots[task as usize].lock();
+                    let mut slot = lock(&slots[task as usize]);
                     std::mem::take(&mut slot.route)
                 };
                 graph
@@ -255,7 +263,7 @@ impl RrrStage {
                                 &mut scratch.out,
                             )
                         });
-                    let mut slot = slots[task as usize].lock();
+                    let mut slot = lock(&slots[task as usize]);
                     match result {
                         Ok(_) => {
                             // Swap the new geometry out of the scratch; the
@@ -286,14 +294,12 @@ impl RrrStage {
                             .assert_clean("rrr task-graph schedule");
                     }
                     {
-                        // Execute with as many threads as the machine
-                        // actually has (oversubscription would inflate the
-                        // per-task costs the parallel-time model consumes);
+                        // Execute with the host pool's worker count
+                        // (`FASTGR_WORKERS`, else the machine's cores):
+                        // oversubscription would inflate the per-task costs
+                        // the parallel-time model consumes, and
                         // `self.workers` parameterises the *model* only.
-                        let threads = std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(1)
-                            .min(self.workers);
+                        let threads = HostPool::resolve(0).min(self.workers);
                         let shared: &GridGraph = graph;
                         let hooks = TraceHooks::new(recorder.clone());
                         if self.validate {
@@ -320,7 +326,7 @@ impl RrrStage {
                             );
                         }
                     }
-                    let costs: Vec<f64> = slots.iter().map(|s| s.lock().seconds).collect();
+                    let costs: Vec<f64> = slots.iter().map(|s| lock(s).seconds).collect();
                     modeled += schedule.simulate_workers(&costs, self.workers);
                 }
                 RrrStrategy::BatchBarrier => {
@@ -341,7 +347,7 @@ impl RrrStage {
                         // fixed synchronisation cost.
                         let costs: Vec<f64> = batch
                             .iter()
-                            .map(|&t| slots[t as usize].lock().seconds)
+                            .map(|&t| lock(&slots[t as usize]).seconds)
                             .collect();
                         let chunk = costs.len().div_ceil(self.workers).max(1);
                         let slowest = costs
@@ -356,7 +362,7 @@ impl RrrStage {
                     for &task in &order {
                         run_task(shared, task);
                     }
-                    modeled += slots.iter().map(|s| s.lock().seconds).sum::<f64>();
+                    modeled += slots.iter().map(|s| lock(s).seconds).sum::<f64>();
                 }
             }
 
@@ -365,7 +371,7 @@ impl RrrStage {
             // `routes` always matches the grid's committed demand.
             let mut first_error = None;
             for (task, slot) in slots.iter().enumerate() {
-                let mut slot = slot.lock();
+                let mut slot = lock(slot);
                 routes[violating[task] as usize] = std::mem::take(&mut slot.route);
                 if first_error.is_none() {
                     first_error = slot.error.take();

@@ -57,7 +57,6 @@ fn probed_routes_match_direct_routes_across_engines_and_modes() {
     let engines = [
         PatternEngine::SequentialCpu,
         PatternEngine::GpuFlow(DeviceConfig::rtx3090_like()),
-        PatternEngine::ParallelCpu { workers: 2 },
     ];
     let modes = [
         PatternMode::LShape,
@@ -101,17 +100,5 @@ fn probed_routes_identical_across_worker_counts() {
             "worker count {workers} changed the routed output"
         );
         assert_eq!(baseline.1, run.1);
-    }
-    for workers in [1usize, 2, 4] {
-        let run = route_once(
-            &design,
-            PatternEngine::ParallelCpu { workers },
-            PatternMode::HybridAll,
-            true,
-        );
-        assert_eq!(
-            baseline.0, run.0,
-            "ParallelCpu worker count {workers} changed the routed output"
-        );
     }
 }

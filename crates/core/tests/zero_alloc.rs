@@ -4,11 +4,11 @@
 //! the heap at all.
 //!
 //! This lives in its own integration-test binary because it installs a
-//! counting global allocator — unit tests running concurrently in the
-//! library binary would pollute the counter.
+//! counting global allocator. The counter is per thread, so neither the
+//! other test of this binary nor the harness's own threads pollute it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use fastgr_core::{DpScratch, PatternDp, PatternMode};
 use fastgr_design::Generator;
@@ -16,16 +16,28 @@ use fastgr_gpu::HostPool;
 use fastgr_grid::{CostParams, CostProber, Point2, Route, Segment};
 use fastgr_steiner::SteinerBuilder;
 
-/// Counts every allocation and reallocation passed to the system
-/// allocator. Frees are not counted: releasing memory is allowed (and
-/// does not happen on the hot path anyway — buffers are recycled).
+/// Counts every allocation and reallocation the calling thread passes to
+/// the system allocator. Frees are not counted: releasing memory is
+/// allowed (and does not happen on the hot path anyway — buffers are
+/// recycled).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -68,12 +80,12 @@ fn route_net_into_is_allocation_free_in_steady_state() {
 
         // Steady state: routing the whole design again through the same
         // scratch must perform zero heap allocations.
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = allocs();
         for tree in &trees {
             dp.route_net_into(tree, &mut scratch, &mut route)
                 .expect("routable");
         }
-        let steady = ALLOCS.load(Ordering::SeqCst) - before;
+        let steady = allocs() - before;
         assert_eq!(
             steady, 0,
             "{mode:?}: {steady} allocations on the steady-state pass"
@@ -100,10 +112,10 @@ fn prober_refresh_is_allocation_free_in_steady_state() {
 
     // Steady state: the same commit shape must rebuild through the
     // pre-sized scratch without heap traffic.
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     graph.commit(&route).expect("valid route");
     prober.refresh(&mut graph, &pool);
-    let steady = ALLOCS.load(Ordering::SeqCst) - before;
+    let steady = allocs() - before;
     assert_eq!(
         steady, 0,
         "{steady} allocations on the steady-state refresh"

@@ -17,11 +17,7 @@
 //!   costs `d * ceil(t / threads_per_block) * stage_time`. Per-block times
 //!   are reduced in index order, so the modelled time is byte-identical for
 //!   every worker count; the measured wall-clock time is reported
-//!   separately as `host_seconds`;
-//! * the paper's zero-copy host-mapped transfers are modelled by
-//!   [`ZeroCopyBuffer`], which counts mapped bytes at zero marginal time —
-//!   matching the paper's observation that zero-copy keeps transfer time
-//!   under a second.
+//!   separately as `host_seconds`.
 //!
 //! # Example
 //!
@@ -38,11 +34,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
 mod device;
 pub mod flow;
 pub mod pool;
 
-pub use buffer::ZeroCopyBuffer;
 pub use device::{BlockProfile, Device, DeviceConfig, DeviceStats, KernelStats};
 pub use pool::{BlockEventTap, HostPool, NoTap, SyncSlots};

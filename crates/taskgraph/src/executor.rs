@@ -3,14 +3,14 @@
 //! The paper executes its ordered task graph with Taskflow [30], a C++
 //! library that runs a task as soon as all its dependencies completed, using
 //! a pool of CPU workers. This module reimplements that execution semantics
-//! on top of a crossbeam channel work queue with atomic dependency counters.
+//! on top of a mutex-guarded ready queue with atomic dependency counters.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 
-use crossbeam::channel;
 use fastgr_telemetry::{Recorder, Stopwatch, TRACK_WORKER_BASE};
 
 use crate::schedule::Schedule;
@@ -153,10 +153,42 @@ impl fmt::Display for ExecutorStats {
     }
 }
 
+/// FIFO queue of ready task ids shared by the workers; `pop` blocks until a
+/// task is pushed. Task code never runs under the lock, so it cannot be
+/// poisoned by a panicking task; a poisoned lock is recovered regardless.
+#[derive(Default)]
+struct ReadyQueue {
+    tasks: Mutex<VecDeque<u32>>,
+    ready: Condvar,
+}
+
+impl ReadyQueue {
+    fn push(&self, task: u32) {
+        self.tasks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push_back(task);
+        self.ready.notify_one();
+    }
+
+    fn pop(&self) -> u32 {
+        let mut tasks = self.tasks.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(task) = tasks.pop_front() {
+                return task;
+            }
+            tasks = self
+                .ready
+                .wait(tasks)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// A dependency-graph executor with a fixed worker pool.
 ///
 /// Tasks become *ready* when their last predecessor completes; ready tasks
-/// are distributed to workers through an MPMC channel, so independent tasks
+/// are distributed to workers through a shared ready queue, so independent tasks
 /// run with maximum parallelism while every conflict edge of the
 /// [`Schedule`] is honoured.
 ///
@@ -188,14 +220,6 @@ impl Executor {
         Self {
             workers: workers.max(1),
         }
-    }
-
-    /// An executor sized to the machine's available parallelism.
-    pub fn with_available_parallelism() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(workers)
     }
 
     /// Number of worker threads.
@@ -255,56 +279,54 @@ impl Executor {
         let completed = AtomicUsize::new(0);
         // First panic payload of any worker; later panics are dropped.
         let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let (tx, rx) = channel::unbounded::<u32>();
+        let queue = ReadyQueue::default();
         for t in 0..n as u32 {
             if schedule.in_degree(t) == 0 {
-                tx.send(t).expect("queue open");
+                queue.push(t);
             }
         }
 
         std::thread::scope(|scope| {
             for worker in 0..self.workers {
-                let rx = rx.clone();
-                let tx = tx.clone();
+                let queue = &queue;
                 let pending = &pending;
                 let completed = &completed;
                 let panic_slot = &panic_slot;
                 let task_fn = &task_fn;
-                scope.spawn(move || {
-                    while let Ok(t) = rx.recv() {
-                        if t == SHUTDOWN {
-                            break;
+                scope.spawn(move || loop {
+                    let t = queue.pop();
+                    if t == SHUTDOWN {
+                        break;
+                    }
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        hooks.on_task_start(t, worker);
+                        task_fn(t);
+                        hooks.on_task_finish(t, worker);
+                    }));
+                    if let Err(payload) = outcome {
+                        // Keep the first payload, wake every worker
+                        // (including this one's siblings blocked in `pop`)
+                        // and stop making progress: successors of the
+                        // failed task must not run.
+                        let mut slot = panic_slot.lock().unwrap_or_else(PoisonError::into_inner);
+                        if slot.is_none() {
+                            *slot = Some(payload);
                         }
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            hooks.on_task_start(t, worker);
-                            task_fn(t);
-                            hooks.on_task_finish(t, worker);
-                        }));
-                        if let Err(payload) = outcome {
-                            // Keep the first payload, wake every worker
-                            // (including this one's siblings blocked in
-                            // recv) and stop making progress: successors of
-                            // the failed task must not run.
-                            let mut slot = panic_slot.lock().unwrap_or_else(|e| e.into_inner());
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                            drop(slot);
-                            for _ in 0..self.workers {
-                                tx.send(SHUTDOWN).expect("queue open");
-                            }
-                            break;
+                        drop(slot);
+                        for _ in 0..self.workers {
+                            queue.push(SHUTDOWN);
                         }
-                        for &s in schedule.successors(t) {
-                            hooks.on_handoff(t, s);
-                            if pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                tx.send(s).expect("queue open");
-                            }
+                        break;
+                    }
+                    for &s in schedule.successors(t) {
+                        hooks.on_handoff(t, s);
+                        if pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                            queue.push(s);
                         }
-                        if completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                            for _ in 0..self.workers {
-                                tx.send(SHUTDOWN).expect("queue open");
-                            }
+                    }
+                    if completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
+                        for _ in 0..self.workers {
+                            queue.push(SHUTDOWN);
                         }
                     }
                 });
@@ -313,7 +335,7 @@ impl Executor {
 
         if let Some(payload) = panic_slot
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
+            .unwrap_or_else(PoisonError::into_inner)
             .take()
         {
             std::panic::resume_unwind(payload);
@@ -327,18 +349,11 @@ impl Executor {
     }
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        Self::with_available_parallelism()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conflict::ConflictGraph;
     use fastgr_grid::{Point2, Rect};
-    use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
 
     fn rect(x0: u16, y0: u16, x1: u16, y1: u16) -> Rect {
@@ -372,9 +387,9 @@ mod tests {
         let schedule = schedule_of(&boxes);
         let log = Mutex::new(Vec::new());
         Executor::new(4).run(&schedule, |t| {
-            log.lock().push(t);
+            log.lock().unwrap().push(t);
         });
-        assert_eq!(log.into_inner(), vec![0, 1, 2]);
+        assert_eq!(log.into_inner().unwrap(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -396,10 +411,10 @@ mod tests {
             let acc = Mutex::new(vec![0u64; 2]);
             Executor::new(workers).run(&schedule, |t| {
                 let slot = (t % 2) as usize;
-                let mut g = acc.lock();
+                let mut g = acc.lock().unwrap();
                 g[slot] = g[slot] * 31 + t as u64;
             });
-            acc.into_inner()
+            acc.into_inner().unwrap()
         };
         // Within one conflict class execution order is fixed by the
         // schedule, so the fold value must be identical.
@@ -427,7 +442,6 @@ mod tests {
     #[test]
     fn executor_reports_workers() {
         assert_eq!(Executor::new(3).workers(), 3);
-        assert!(Executor::with_available_parallelism().workers() >= 1);
     }
 
     /// Regression (PR 2): a panicking task used to leave the other workers
@@ -462,11 +476,11 @@ mod tests {
                 if t == 0 {
                     panic!("root failed");
                 }
-                ran.lock().push(t);
+                ran.lock().unwrap().push(t);
             });
         }));
         assert!(result.is_err());
-        assert!(ran.into_inner().is_empty(), "successors must be abandoned");
+        assert!(ran.into_inner().unwrap().is_empty(), "successors must be abandoned");
     }
 
     #[test]
@@ -523,7 +537,7 @@ mod tests {
                 self.finishes.fetch_add(1, Ordering::Relaxed);
             }
             fn on_handoff(&self, pred: u32, succ: u32) {
-                self.handoffs.lock().push((pred, succ));
+                self.handoffs.lock().unwrap().push((pred, succ));
             }
         }
         let boxes = vec![rect(0, 0, 4, 4), rect(3, 3, 8, 8), rect(7, 7, 9, 9)];
@@ -536,7 +550,7 @@ mod tests {
         Executor::new(2).run_with_hooks(&schedule, |_| {}, &recorder);
         assert_eq!(recorder.starts.load(Ordering::Relaxed), 3);
         assert_eq!(recorder.finishes.load(Ordering::Relaxed), 3);
-        let mut handoffs = recorder.handoffs.into_inner();
+        let mut handoffs = recorder.handoffs.into_inner().unwrap();
         handoffs.sort_unstable();
         let mut expected: Vec<(u32, u32)> = schedule.edges().collect();
         expected.sort_unstable();

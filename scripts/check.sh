@@ -42,4 +42,10 @@ FASTGR_BENCH_MS=20 cargo bench -q -p fastgr-bench --bench pattern_kernels >/dev/
 echo "== rrr bench smoke =="
 target/release/bench_rrr --workers 2 --iterations 2 --out "$trace_tmp/BENCH_rrr.json" >/dev/null
 
+# The benchmark is a package of its own that calls only the public API, so
+# a public-API change that breaks it fails here rather than in a bench run.
+echo "== end-to-end benchmark build + tests =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "All checks passed."

@@ -1,7 +1,7 @@
 //! Integration tests of the beyond-the-paper extensions: negotiated
-//! congestion, congestion-aware planning, and the CPU-parallel engine.
+//! congestion, congestion-aware planning, layer usage and RUDY estimates.
 
-use fastgr::core::{LayerUsage, PatternEngine, Router, RouterConfig};
+use fastgr::core::{LayerUsage, Router, RouterConfig};
 use fastgr::design::{Generator, GeneratorParams};
 
 fn congested_design(seed: u64) -> fastgr::design::Design {
@@ -67,18 +67,6 @@ fn congestion_aware_planning_routes_cleanly() {
     // Deterministic like every other mode.
     let again = Router::new(config).run(&design).expect("ok");
     assert_eq!(outcome.routes, again.routes);
-}
-
-#[test]
-fn parallel_cpu_engine_runs_through_the_router() {
-    let design = congested_design(44);
-    let config = RouterConfig::fastgr_l().with_engine(PatternEngine::ParallelCpu { workers: 4 });
-    let outcome = Router::new(config).run(&design).expect("ok");
-    assert!(outcome.timings.pattern_gpu_seconds.is_none());
-    assert!(outcome.metrics.wirelength > 0);
-    for route in &outcome.routes {
-        assert!(route.is_connected());
-    }
 }
 
 #[test]

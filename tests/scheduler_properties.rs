@@ -112,13 +112,9 @@ proptest! {
             order.swap(i, j);
         }
         let schedule = Schedule::build(&order, &conflicts);
-        let log = parking_lot_log();
+        let log = std::sync::Mutex::new(Vec::new());
         Executor::new(3).run(&schedule, |t| log.lock().unwrap().push(t));
         let ran = log.lock().unwrap().clone();
         prop_assert_eq!(ran, order);
     }
-}
-
-fn parking_lot_log() -> std::sync::Mutex<Vec<u32>> {
-    std::sync::Mutex::new(Vec::new())
 }
