@@ -151,6 +151,23 @@ fn race_checker_flags_forced_unordered_conflicting_pair() {
     );
 }
 
+/// A cross of a wide and a tall box: the intersection's lower-left corner,
+/// (10, 10), lies in a bucket that holds neither box's `lo` corner, so only
+/// that bucket may emit the pair. Point boxes far away shrink the bucket side
+/// to a few G-cells.
+#[test]
+fn conflict_owned_by_a_bucket_holding_neither_lo_corner() {
+    let mut boxes = vec![
+        Rect::new(Point2::new(0, 10), Point2::new(20, 12)),
+        Rect::new(Point2::new(10, 0), Point2::new(12, 20)),
+    ];
+    boxes.extend((0..10).map(|k| Rect::new(Point2::new(30 + k, 30), Point2::new(30 + k, 30))));
+    let graph = ConflictGraph::from_bounding_boxes(&boxes);
+    assert_eq!(graph.neighbors(0), &[1]);
+    assert_eq!(graph.neighbors(1), &[0]);
+    assert_eq!(graph, ConflictGraph::from_bounding_boxes_naive(&boxes));
+}
+
 proptest! {
     /// Random rectangle sets: batches are always independent sets covering
     /// every task once, and the built schedule always validates clean.
@@ -174,15 +191,25 @@ proptest! {
     }
 
     /// Differential: the bucketised conflict graph equals the naive
-    /// all-pairs reference on random inputs.
+    /// all-pairs reference on random inputs. Coordinates up to ~300 and
+    /// extents up to 40 make pairs span several multi-cell buckets; `kind`
+    /// mixes in point boxes (0) and exact duplicates of the previous box (1).
     #[test]
     fn bucketised_conflict_graph_matches_naive(
-        raw in proptest::collection::vec((0u16..40, 0u16..40, 0u16..15, 0u16..15), 0..50)
+        raw in proptest::collection::vec(
+            (0u16..300, 0u16..300, 0u16..=40, 0u16..=40, 0u8..6),
+            0..80
+        )
     ) {
-        let boxes: Vec<Rect> = raw
-            .iter()
-            .map(|&(x, y, w, h)| Rect::new(Point2::new(x, y), Point2::new(x + w, y + h)))
-            .collect();
+        let mut boxes: Vec<Rect> = Vec::with_capacity(raw.len());
+        for &(x, y, w, h, kind) in &raw {
+            let b = match (kind, boxes.last()) {
+                (0, _) => Rect::new(Point2::new(x, y), Point2::new(x, y)),
+                (1, Some(&prev)) => prev,
+                _ => Rect::new(Point2::new(x, y), Point2::new(x + w, y + h)),
+            };
+            boxes.push(b);
+        }
         prop_assert_eq!(
             ConflictGraph::from_bounding_boxes(&boxes),
             ConflictGraph::from_bounding_boxes_naive(&boxes)

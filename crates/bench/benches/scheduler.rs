@@ -24,8 +24,10 @@ fn random_boxes(n: usize, side: u16, extent: u16, seed: u64) -> Vec<Rect> {
 
 fn bench_conflict_graph(c: &mut Criterion) {
     let mut group = c.benchmark_group("conflict_graph");
-    for n in [500usize, 2000, 8000] {
-        let boxes = random_boxes(n, 140, 6, 42);
+    // The last case is full `s19t9m` scale: 22,400 boxes spanning 2–9
+    // G-cells on its 140×140 grid, about a million conflict edges.
+    for (n, extent) in [(500usize, 6u16), (2000, 6), (8000, 6), (22_400, 8)] {
+        let boxes = random_boxes(n, 140, extent, 42);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| black_box(ConflictGraph::from_bounding_boxes(&boxes)));
         });

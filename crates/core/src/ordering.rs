@@ -77,14 +77,17 @@ impl SortingScheme {
     /// ```
     pub fn sorted_ids(&self, nets: &[Net]) -> Vec<u32> {
         let mut ids: Vec<u32> = (0..nets.len() as u32).collect();
-        ids.sort_by_key(|&i| (self.key(&nets[i as usize]), i));
+        self.sort_subset(&mut ids, nets);
         ids
     }
 
     /// Sorts an arbitrary subset of net ids (used by the RRR stage, which
     /// only re-sorts the violating nets).
+    ///
+    /// Each net's key (a walk over its pins) is computed once, not once per
+    /// comparison.
     pub fn sort_subset(&self, ids: &mut [u32], nets: &[Net]) {
-        ids.sort_by_key(|&i| (self.key(&nets[i as usize]), i));
+        ids.sort_by_cached_key(|&i| (self.key(&nets[i as usize]), i));
     }
 }
 
@@ -179,6 +182,39 @@ mod tests {
         let mut subset = vec![1u32, 2];
         SortingScheme::HpwlAscending.sort_subset(&mut subset, &nets);
         assert_eq!(subset, vec![2, 1]);
+    }
+
+    /// The cached-key sort yields exactly the order of the per-comparison
+    /// key sort it replaced, on nets with many tied keys.
+    #[test]
+    fn cached_keys_match_per_comparison_sort() {
+        let mut state = 7u32;
+        let mut next = move || {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            (state >> 16) as u16 % 12
+        };
+        let nets: Vec<Net> = (0..200)
+            .map(|id| {
+                let pins: Vec<(u16, u16)> = (0..2 + next() % 4).map(|_| (next(), next())).collect();
+                net(id, &pins)
+            })
+            .collect();
+        let subset: Vec<u32> = (0..200).rev().step_by(3).collect();
+        for scheme in SortingScheme::ALL {
+            let per_comparison = |ids: &mut [u32]| {
+                ids.sort_by(|&a, &b| {
+                    (scheme.key(&nets[a as usize]), a).cmp(&(scheme.key(&nets[b as usize]), b))
+                })
+            };
+            let mut expect: Vec<u32> = (0..200).collect();
+            per_comparison(&mut expect);
+            assert_eq!(scheme.sorted_ids(&nets), expect, "scheme {scheme}");
+
+            let (mut got, mut expect) = (subset.clone(), subset.clone());
+            scheme.sort_subset(&mut got, &nets);
+            per_comparison(&mut expect);
+            assert_eq!(got, expect, "scheme {scheme} subset");
+        }
     }
 
     #[test]

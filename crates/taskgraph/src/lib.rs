@@ -5,8 +5,12 @@
 //! they would mutate the same routing resources, so they must not run
 //! concurrently. This crate provides the full scheduling pipeline:
 //!
-//! * [`ConflictGraph`] — bounding-box conflict detection (bucketised so it
-//!   does not degenerate to all-pairs on big designs);
+//! * [`ConflictGraph`] — bounding-box conflict detection, stored as a flat
+//!   CSR graph (`first_out`/`head` arrays, sorted rows). A bucket grid sized
+//!   to the mean box extent keeps construction near-linear; each pair is
+//!   emitted only from the bucket holding its intersection's lower-left
+//!   corner, so no dedup set is needed; and count-then-fill passes keep the
+//!   construction's peak heap within 1.5× of the finished graph;
 //! * [`extract_batches`] — **Algorithm 1**: greedy maximal independent-set
 //!   batch extraction following a caller-provided net order;
 //! * [`Schedule`] — the **two-stage task graph scheduler**: extract one root

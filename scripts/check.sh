@@ -39,6 +39,9 @@ cargo build --release -p fastgr-bench
 target/release/bench_pattern --workers 2 --out "$trace_tmp/BENCH_pattern.json" >/dev/null
 FASTGR_BENCH_MS=20 cargo bench -q -p fastgr-bench --bench pattern_kernels >/dev/null
 
+echo "== scheduler bench smoke =="
+FASTGR_BENCH_MS=20 cargo bench -q -p fastgr-bench --bench scheduler >/dev/null
+
 echo "== rrr bench smoke =="
 target/release/bench_rrr --workers 2 --iterations 2 --out "$trace_tmp/BENCH_rrr.json" >/dev/null
 

@@ -5,10 +5,11 @@
 //! * `cargo xtask lint` — the `fastgr-analysis` workspace lint pass
 //!   (forbid-unsafe everywhere, no hot-path `unwrap`/`expect`, zero-alloc
 //!   DP bodies) against `lint-allow.txt`;
-//! * `cargo xtask validate` — builds schedules over the design-suite nets
-//!   and proves them sound with the static validator, replays them under
-//!   the happens-before race checker, and routes one design end to end
-//!   with `RouterConfig::validate` on;
+//! * `cargo xtask validate` — checks the bucketised conflict graph against
+//!   the all-pairs oracle on real net boxes, builds schedules over the
+//!   design-suite nets and proves them sound with the static validator,
+//!   replays them under the happens-before race checker, and routes one
+//!   design end to end with `RouterConfig::validate` on;
 //! * `cargo xtask mutation` — corrupts real schedules (reversed conflict
 //!   edge, merged conflicting batch, forced unordered execution) and
 //!   demands the checkers reject every corruption;
@@ -31,7 +32,7 @@ use fastgr_analysis::{
     Rules, ScheduleView, ValidationReport,
 };
 use fastgr_core::{Router, RouterConfig};
-use fastgr_design::{Design, Generator, GeneratorParams};
+use fastgr_design::{BenchmarkSpec, Design, Generator, GeneratorParams};
 use fastgr_grid::Rect;
 use fastgr_taskgraph::{extract_batches, ConflictGraph, ExecutionHooks, Executor, Schedule};
 
@@ -103,7 +104,7 @@ fn design_suite() -> Vec<Design> {
 
 /// Conflict graph + identity order, as the pattern stage derives them.
 fn conflicts_of(design: &Design) -> (ConflictGraph, Vec<u32>) {
-    let bboxes: Vec<Rect> = design.nets().iter().map(|n| n.bounding_box()).collect();
+    let bboxes = net_boxes(design, 0);
     let order: Vec<u32> = (0..bboxes.len() as u32).collect();
     (ConflictGraph::from_bounding_boxes(&bboxes), order)
 }
@@ -248,8 +249,57 @@ fn validate_trace(path: Option<&str>) -> bool {
     ok
 }
 
-fn validate() -> bool {
+/// Differential check: `ConflictGraph::from_bounding_boxes` must equal the
+/// all-pairs `from_bounding_boxes_naive` oracle on every design-suite
+/// design and on the full-size `s19t9m` nets, both plain and inflated by one
+/// G-cell as the RRR stage builds its conflict boxes.
+fn conflict_oracle() -> bool {
+    let mut cases: Vec<(String, Vec<Rect>)> = design_suite()
+        .iter()
+        .map(|d| (d.name().to_string(), net_boxes(d, 0)))
+        .collect();
+    match BenchmarkSpec::find("s19t9m") {
+        Some(spec) => {
+            let design = spec.generate();
+            cases.push(("s19t9m".to_string(), net_boxes(&design, 0)));
+            cases.push(("s19t9m inflated by 1".to_string(), net_boxes(&design, 1)));
+        }
+        None => {
+            eprintln!("conflict-oracle: suite benchmark s19t9m is missing");
+            return false;
+        }
+    }
     let mut ok = true;
+    for (name, boxes) in &cases {
+        let graph = ConflictGraph::from_bounding_boxes(boxes);
+        if graph == ConflictGraph::from_bounding_boxes_naive(boxes) {
+            println!(
+                "conflict-oracle {name}: {} boxes, {} edges, equal to all-pairs",
+                boxes.len(),
+                graph.edge_count()
+            );
+        } else {
+            eprintln!("conflict-oracle {name}: bucketised graph differs from all-pairs");
+            ok = false;
+        }
+    }
+    ok
+}
+
+/// The nets' bounding boxes, inflated by `margin` G-cells within the die.
+fn net_boxes(design: &Design, margin: u16) -> Vec<Rect> {
+    design
+        .nets()
+        .iter()
+        .map(|n| {
+            n.bounding_box()
+                .inflated(margin, design.width(), design.height())
+        })
+        .collect()
+}
+
+fn validate() -> bool {
+    let mut ok = conflict_oracle();
     for design in design_suite() {
         let (conflicts, order) = conflicts_of(&design);
         let schedule = Schedule::build(&order, &conflicts);
