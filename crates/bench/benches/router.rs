@@ -40,7 +40,7 @@ fn bench_presets(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pattern_stage(c: &mut Criterion) {
+fn bench_host_pattern_stage(c: &mut Criterion) {
     let design = small_congested();
     let mut group = c.benchmark_group("pattern_stage_host");
     group.sample_size(20);
@@ -67,20 +67,6 @@ fn bench_pattern_stage(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_two_d_flow(c: &mut Criterion) {
-    let design = small_congested();
-    c.bench_function("two_d_flow", |b| {
-        b.iter(|| {
-            let mut graph = design.build_graph(CostParams::default()).expect("valid");
-            black_box(
-                fastgr_assign::TwoDFlow::new()
-                    .run(&design, &mut graph)
-                    .expect("assignable"),
-            )
-        });
-    });
-}
-
 fn bench_congestion_estimate(c: &mut Criterion) {
     let design = small_congested();
     c.bench_function("estimate_congestion", |b| {
@@ -91,8 +77,7 @@ fn bench_congestion_estimate(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_presets,
-    bench_pattern_stage,
-    bench_two_d_flow,
+    bench_host_pattern_stage,
     bench_congestion_estimate
 );
 criterion_main!(benches);

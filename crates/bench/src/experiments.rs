@@ -585,50 +585,6 @@ pub fn ablations() -> String {
             .with_rrr_iterations(8),
     );
 
-    // The classic 2-D + layer-assignment flow (fastgr-assign) as the
-    // pattern stage, followed by the same RRR iterations — measures what
-    // FastGR's direct-3-D pattern routing buys.
-    {
-        use fastgr_assign::TwoDFlow;
-        use fastgr_core::{RrrStage, RrrStrategy};
-        use fastgr_grid::CostParams;
-        let t0 = fastgr_telemetry::Stopwatch::start();
-        let mut graph = design.build_graph(CostParams::default()).expect("valid");
-        let mut routes = TwoDFlow::new()
-            .run(&design, &mut graph)
-            .expect("assignable");
-        let pattern_secs = t0.elapsed_seconds();
-        let rrr = RrrStage {
-            iterations: 3,
-            strategy: RrrStrategy::TaskGraph,
-            sorting: SortingScheme::HpwlAscending,
-            maze: fastgr_maze::MazeConfig::default(),
-            workers: 8,
-            history_increment: 0.0,
-            validate: false,
-        }
-        .run(&design, &mut graph, &mut routes)
-        .expect("reroutable");
-        let report = graph.report();
-        let wl: u64 = routes.iter().map(|r| r.wirelength()).sum();
-        let vias: u64 = routes.iter().map(|r| r.via_count()).sum();
-        let metrics = fastgr_core::QualityMetrics {
-            wirelength: wl,
-            vias,
-            shorts: report.shorts(),
-        };
-        rows.push(vec![
-            "2d + layer assign".to_string(),
-            secs(pattern_secs + rrr.modeled_parallel_seconds),
-            secs(pattern_secs),
-            secs(rrr.modeled_parallel_seconds),
-            wl.to_string(),
-            vias.to_string(),
-            format!("{:.1}", metrics.shorts),
-            format!("{:.0}", metrics.score()),
-        ]);
-    }
-
     format!(
         "Ablations on s18t5m (design-choice studies beyond the paper)\n{}",
         format_table(

@@ -485,30 +485,32 @@ mod tests {
     fn all_strategies_keep_demand_consistent() {
         // Every strategy now commits/uncommits through the atomic path;
         // this asserts the fixed-point ledger stays exact under all three
-        // schedules.
+        // schedules at every worker count.
         for strategy in [
             RrrStrategy::TaskGraph,
             RrrStrategy::BatchBarrier,
             RrrStrategy::Sequential,
         ] {
-            let (design, mut graph, mut routes) = congested();
-            stage(strategy)
-                .run(&design, &mut graph, &mut routes)
-                .expect("ok");
-            // Total demand equals the demand of the stored routes: uncommit
-            // everything and the grid must be empty.
-            for r in &routes {
-                graph.uncommit(r).expect("consistent");
+            for workers in [1usize, 2, 4, 8] {
+                let (design, mut graph, mut routes) = congested();
+                let mut s = stage(strategy);
+                s.workers = workers;
+                s.run(&design, &mut graph, &mut routes).expect("ok");
+                // Total demand equals the demand of the stored routes:
+                // uncommit everything and the grid must be empty.
+                for r in &routes {
+                    graph.uncommit(r).expect("consistent");
+                }
+                let report = graph.report();
+                assert_eq!(
+                    report.total_wire_demand, 0.0,
+                    "{strategy:?} leaked wire demand at workers={workers}"
+                );
+                assert_eq!(
+                    report.total_via_demand, 0.0,
+                    "{strategy:?} leaked via demand at workers={workers}"
+                );
             }
-            let report = graph.report();
-            assert_eq!(
-                report.total_wire_demand, 0.0,
-                "{strategy:?} leaked wire demand"
-            );
-            assert_eq!(
-                report.total_via_demand, 0.0,
-                "{strategy:?} leaked via demand"
-            );
         }
     }
 

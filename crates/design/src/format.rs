@@ -14,11 +14,19 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::str::FromStr;
 
 use fastgr_grid::{Point2, Rect};
 
 use crate::error::ParseDesignError;
 use crate::net::{Blockage, Design, Net, NetId, Pin};
+
+/// Parses the next whitespace-separated token as a `T`. `None` if the token
+/// is missing or does not parse; for an integer `T` that includes fractions,
+/// negative values and values outside `T`'s range.
+pub(crate) fn next_parsed<'a, T: FromStr>(it: &mut impl Iterator<Item = &'a str>) -> Option<T> {
+    it.next()?.parse().ok()
+}
 
 impl Design {
     /// Serialises the design to the text format.
@@ -98,15 +106,13 @@ impl Design {
             .next()
             .ok_or_else(|| bad(no, "design name", design_line))?
             .to_owned();
-        let mut num = |expected: &'static str| -> Result<f64, ParseDesignError> {
-            it.next()
-                .and_then(|t| t.parse::<f64>().ok())
-                .ok_or_else(|| bad(no, expected, design_line))
-        };
-        let width = num("width")? as u16;
-        let height = num("height")? as u16;
-        let layers = num("layers")? as u8;
-        let capacity = num("capacity")?;
+        let width: u16 = next_parsed(&mut it)
+            .ok_or_else(|| bad(no, "width: an integer in 0..=65535", design_line))?;
+        let height: u16 = next_parsed(&mut it)
+            .ok_or_else(|| bad(no, "height: an integer in 0..=65535", design_line))?;
+        let layers: u8 = next_parsed(&mut it)
+            .ok_or_else(|| bad(no, "layers: an integer in 0..=255", design_line))?;
+        let capacity: f64 = next_parsed(&mut it).ok_or_else(|| bad(no, "capacity", design_line))?;
 
         let mut blockages = Vec::new();
         let mut nets: Vec<Net> = Vec::new();
@@ -235,6 +241,29 @@ mod tests {
             Design::from_text(text),
             Err(ParseDesignError::BadLine { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_out_of_range_design_header() {
+        // One case per grid field: out of range, negative, fractional.
+        for (design_line, field) in [
+            ("design x 65537 16 5 8", "width"),
+            ("design x 16 -3 5 8", "height"),
+            ("design x 16 16 5.5 8", "layers"),
+        ] {
+            let text = format!("fastgr 1\n{design_line}\nend\n");
+            match Design::from_text(&text) {
+                Err(ParseDesignError::BadLine {
+                    line_no: 2,
+                    expected,
+                    content,
+                }) => {
+                    assert!(expected.starts_with(field), "{design_line}: {expected}");
+                    assert_eq!(content, design_line);
+                }
+                other => panic!("{design_line}: expected a bad {field}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 use fastgr_grid::{Point2, Rect};
 
 use crate::error::ParseDesignError;
+use crate::format::next_parsed;
 use crate::net::{Blockage, Design, Net, NetId, Pin};
 
 /// Internal line cursor with 1-based positions for error messages.
@@ -106,11 +107,15 @@ impl Design {
         if it.next() != Some("grid") {
             return Err(bad(no, "grid <x> <y> <layers>", line));
         }
-        let dims = numbers(line, 1);
-        if dims.len() != 3 {
+        let gx: u16 =
+            next_parsed(&mut it).ok_or_else(|| bad(no, "grid x: an integer in 0..=65535", line))?;
+        let gy: u16 =
+            next_parsed(&mut it).ok_or_else(|| bad(no, "grid y: an integer in 0..=65535", line))?;
+        let file_layers: usize = next_parsed(&mut it)
+            .ok_or_else(|| bad(no, "grid layers: a non-negative integer", line))?;
+        if it.next().is_some() {
             return Err(bad(no, "grid <x> <y> <layers>", line));
         }
-        let (gx, gy, file_layers) = (dims[0] as u16, dims[1] as u16, dims[2] as usize);
         if gx < 2 || gy < 2 || file_layers == 0 || file_layers > 254 {
             return Err(ParseDesignError::Invalid {
                 line_no: no,
@@ -325,6 +330,29 @@ mod tests {
             Design::from_ispd2008("x", "hello world\n"),
             Err(ParseDesignError::BadLine { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_out_of_range_grid_line() {
+        // One case per grid field: out of range, negative, fractional.
+        for (grid_line, field) in [
+            ("grid 65537 4 2", "grid x"),
+            ("grid 4 -3 2", "grid y"),
+            ("grid 4 4 2.5", "grid layers"),
+        ] {
+            let text = sample().replacen("grid 4 4 2", grid_line, 1);
+            match Design::from_ispd2008("x", &text) {
+                Err(ParseDesignError::BadLine {
+                    line_no: 1,
+                    expected,
+                    content,
+                }) => {
+                    assert!(expected.starts_with(field), "{grid_line}: {expected}");
+                    assert_eq!(content, grid_line);
+                }
+                other => panic!("{grid_line}: expected a bad {field}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

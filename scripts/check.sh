@@ -34,16 +34,18 @@ cargo xtask validate-trace "$trace_tmp/trace.json"
 echo "== probe equivalence =="
 cargo test -q -p fastgr-core --test probe_equivalence
 
-echo "== pattern bench smoke =="
-cargo build --release -p fastgr-bench
-target/release/bench_pattern --workers 2 --out "$trace_tmp/BENCH_pattern.json" >/dev/null
+echo "== suite design route + trace smoke =="
+target/release/fastgr route s18t5m --preset fastgr-l --trace "$trace_tmp/suite_trace.json" >/dev/null
+cargo xtask validate-trace "$trace_tmp/suite_trace.json"
+
+echo "== pattern kernel bench smoke =="
 FASTGR_BENCH_MS=20 cargo bench -q -p fastgr-bench --bench pattern_kernels >/dev/null
 
 echo "== scheduler bench smoke =="
 FASTGR_BENCH_MS=20 cargo bench -q -p fastgr-bench --bench scheduler >/dev/null
 
-echo "== rrr bench smoke =="
-target/release/bench_rrr --workers 2 --iterations 2 --out "$trace_tmp/BENCH_rrr.json" >/dev/null
+echo "== end-to-end bench script smoke =="
+scripts/bench_e2e.sh --seconds 1 --out "$trace_tmp/BENCH_e2e.json"
 
 # The benchmark is a package of its own that calls only the public API, so
 # a public-API change that breaks it fails here rather than in a bench run.

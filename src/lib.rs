@@ -12,7 +12,6 @@
 //! * [`core`] — the FastGR router itself (pattern stage + RRR + scoring),
 //! * [`dr`] — the Dr.CU-substitute detailed router used for evaluation,
 //! * [`viz`] — SVG rendering of routes and congestion maps,
-//! * [`assign`] — the classic 2-D + layer-assignment alternative flow,
 //! * [`analysis`] — schedule soundness validator, happens-before race
 //!   checker and the workspace lint pass (`cargo xtask check`),
 //! * [`telemetry`] — the run-trace recorder: stage spans, counters and
@@ -37,7 +36,6 @@
 #![forbid(unsafe_code)]
 
 pub use fastgr_analysis as analysis;
-pub use fastgr_assign as assign;
 pub use fastgr_core as core;
 pub use fastgr_design as design;
 pub use fastgr_dr as dr;
