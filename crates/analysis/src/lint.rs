@@ -345,7 +345,7 @@ pub fn lint_file(
                     format!(
                         "{rel}:{line_no}: `wire_edge_cost` in the pattern DP \
                          (probe through `CostProber::wire_run_cost` or \
-                         `GridGraph::wire_run_cost_fixed` instead)"
+                         `GridGraph::wire_run_cost` instead)"
                     ),
                 ),
                 rel,

@@ -8,6 +8,7 @@
 use fastgr_core::{Router, RouterConfig, RoutingOutcome, SelectionThresholds, SortingScheme};
 use fastgr_design::{BenchmarkSpec, Design};
 use fastgr_dr::{DetailedRouter, DrConfig};
+use fastgr_telemetry::Recorder;
 
 use crate::tables::{format_table, geomean, ratio, secs};
 
@@ -23,13 +24,58 @@ pub fn subset(quick: bool) -> Vec<BenchmarkSpec> {
     }
 }
 
+/// Routes `design` under `config` with an enabled recorder, so the trace
+/// carries what [`PaperSeconds`] reads. Recording does not move those
+/// numbers: GPU PATTERN time is modelled, MAZE task costs are timed inside
+/// the task body, and the CPU baseline emits no per-net events.
+pub fn route(design: &Design, config: RouterConfig) -> RoutingOutcome {
+    Router::new(config)
+        .run_with_recorder(design, &Recorder::enabled())
+        .unwrap_or_else(|e| panic!("routing {} failed: {e}", design.name()))
+}
+
 /// Routes one suite benchmark under `config`.
 pub fn run(spec: &BenchmarkSpec, config: RouterConfig) -> (Design, RoutingOutcome) {
     let design = spec.generate();
-    let outcome = Router::new(config)
-        .run(&design)
-        .unwrap_or_else(|e| panic!("routing {} failed: {e}", spec.name));
+    let outcome = route(&design, config);
     (design, outcome)
+}
+
+/// The paper's runtime accounting of one run, read from its trace. The
+/// only place where measured and modelled seconds are added, as the
+/// paper's tables do.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PaperSeconds {
+    /// The measured `planning` span.
+    pub planning: f64,
+    /// PATTERN: modelled device seconds for the GPU engines, the measured
+    /// `pattern` span for the CPU baseline.
+    pub pattern: f64,
+    /// MAZE: the modelled parallel seconds (`rrr.modeled_parallel_s`).
+    pub maze: f64,
+}
+
+impl PaperSeconds {
+    /// Reads an outcome routed by [`route`]. Only the GPU engines count
+    /// `pattern.kernel_launches`, so that counter picks the PATTERN clock.
+    pub fn of(outcome: &RoutingOutcome) -> Self {
+        let trace = &outcome.trace;
+        let pattern = if trace.counter("pattern.kernel_launches").is_some() {
+            trace.modeled_device_seconds()
+        } else {
+            trace.span_seconds("pattern")
+        };
+        Self {
+            planning: trace.span_seconds("planning"),
+            pattern,
+            maze: trace.sample_total("rrr.modeled_parallel_s"),
+        }
+    }
+
+    /// The reported total: planning + PATTERN + MAZE.
+    pub fn total(&self) -> f64 {
+        self.planning + self.pattern + self.maze
+    }
 }
 
 /// All three router variants on one benchmark (shared by Tables VII–X).
@@ -47,20 +93,22 @@ pub struct VariantOutcomes {
     pub fastgr_h: RoutingOutcome,
 }
 
+impl VariantOutcomes {
+    /// The paper's runtime accounting of CUGR, FastGR_L and FastGR_H.
+    pub fn seconds(&self) -> [PaperSeconds; 3] {
+        [&self.cugr, &self.fastgr_l, &self.fastgr_h].map(PaperSeconds::of)
+    }
+}
+
 /// Runs CUGR / FastGR_L / FastGR_H on the whole subset.
 pub fn run_overall(quick: bool) -> Vec<VariantOutcomes> {
     subset(quick)
         .into_iter()
         .map(|spec| {
             let design = spec.generate();
-            let route = |config: RouterConfig| {
-                Router::new(config)
-                    .run(&design)
-                    .unwrap_or_else(|e| panic!("routing {} failed: {e}", spec.name))
-            };
-            let cugr = route(RouterConfig::cugr());
-            let fastgr_l = route(RouterConfig::fastgr_l());
-            let fastgr_h = route(RouterConfig::fastgr_h());
+            let cugr = route(&design, RouterConfig::cugr());
+            let fastgr_l = route(&design, RouterConfig::fastgr_l());
+            let fastgr_h = route(&design, RouterConfig::fastgr_h());
             VariantOutcomes {
                 spec,
                 design,
@@ -85,8 +133,7 @@ pub fn fig3(quick: bool) -> String {
     for name in names {
         let spec = BenchmarkSpec::find(name).expect("suite benchmark");
         let (_, o) = run(&spec, RouterConfig::cugr());
-        let pattern = o.timings.pattern_seconds;
-        let maze = o.timings.maze_seconds;
+        let PaperSeconds { pattern, maze, .. } = PaperSeconds::of(&o);
         let total = pattern + maze;
         rows.push(vec![
             name.to_string(),
@@ -150,13 +197,14 @@ pub fn table5(quick: bool) -> String {
             // Scheme swapped in the RRR stage only: route the pattern stage
             // with the default, then re-sort the rip-up set.
             let config = RouterConfig::fastgr_l().with_rrr_sorting(scheme);
-            let o = Router::new(config).run(&design).expect("routable");
+            let o = route(&design, config);
+            let t = PaperSeconds::of(&o);
             rows.push(vec![
                 name.to_string(),
                 scheme.to_string(),
-                secs(o.timings.total_seconds()),
-                secs(o.timings.pattern_seconds),
-                secs(o.timings.maze_seconds),
+                secs(t.total()),
+                secs(t.pattern),
+                secs(t.maze),
                 format!("{:.0}", o.metrics.score()),
             ]);
         }
@@ -175,25 +223,23 @@ pub fn table5(quick: bool) -> String {
 pub fn fig12() -> String {
     let spec = BenchmarkSpec::find("s18t5m").expect("suite benchmark");
     let design = spec.generate();
-    let baseline = Router::new(RouterConfig::cugr())
-        .run(&design)
-        .expect("routable");
+    let baseline = route(&design, RouterConfig::cugr());
 
     let mut rows = Vec::new();
     for t2 in (10..=100).step_by(10) {
         let config = RouterConfig::fastgr_h()
             .with_pattern_mode(fastgr_core::PatternMode::Hybrid(SelectionThresholds::new(4, t2)));
-        let o = Router::new(config).run(&design).expect("routable");
+        let o = route(&design, config);
         rows.push(vec![
             t2.to_string(),
-            secs(o.timings.pattern_seconds),
+            secs(PaperSeconds::of(&o).pattern),
             format!("{:.0}", o.metrics.score()),
         ]);
     }
     format!(
         "Fig. 12 — t2 sweep on s18t5m (t1 = 4)\n{}\nbaseline CUGR: PATTERN {} score {:.0}\n",
         format_table(&["t2", "PATTERN", "score"], &rows),
-        secs(baseline.timings.pattern_seconds),
+        secs(PaperSeconds::of(&baseline).pattern),
         baseline.metrics.score(),
     )
 }
@@ -208,18 +254,13 @@ pub fn table6(quick: bool) -> String {
     let mut rip_increase = Vec::new();
     for spec in subset(quick) {
         let design = spec.generate();
-        let with = Router::new(RouterConfig::fastgr_h())
-            .run(&design)
-            .expect("routable");
-        let without = Router::new(RouterConfig::fastgr_h_no_selection())
-            .run(&design)
-            .expect("routable");
+        let with = route(&design, RouterConfig::fastgr_h());
+        let without = route(&design, RouterConfig::fastgr_h_no_selection());
         let rip_with = *with.trace.nets_ripped().first().unwrap_or(&0) as f64;
         let rip_without = *without.trace.nets_ripped().first().unwrap_or(&0) as f64;
-        pattern_speedups
-            .push(without.timings.pattern_seconds / with.timings.pattern_seconds.max(1e-12));
-        total_speedups
-            .push(without.timings.total_seconds() / with.timings.total_seconds().max(1e-12));
+        let (t_with, t_without) = (PaperSeconds::of(&with), PaperSeconds::of(&without));
+        pattern_speedups.push(t_without.pattern / t_with.pattern.max(1e-12));
+        total_speedups.push(t_without.total() / t_with.total().max(1e-12));
         if without.metrics.shorts > 0.0 {
             shorts_improvements.push(1.0 - with.metrics.shorts / without.metrics.shorts);
         }
@@ -228,10 +269,10 @@ pub fn table6(quick: bool) -> String {
         }
         rows.push(vec![
             spec.name.to_string(),
-            secs(without.timings.pattern_seconds),
-            secs(with.timings.pattern_seconds),
-            secs(without.timings.total_seconds()),
-            secs(with.timings.total_seconds()),
+            secs(t_without.pattern),
+            secs(t_with.pattern),
+            secs(t_without.total()),
+            secs(t_with.total()),
             format!("{:.1}", without.metrics.shorts),
             format!("{:.1}", with.metrics.shorts),
         ]);
@@ -276,9 +317,7 @@ pub fn table7_from(results: &[VariantOutcomes]) -> String {
     let mut l_speedups = Vec::new();
     let mut h_speedups = Vec::new();
     for r in results {
-        let tc = r.cugr.timings.total_seconds();
-        let tl = r.fastgr_l.timings.total_seconds();
-        let th = r.fastgr_h.timings.total_seconds();
+        let [tc, tl, th] = r.seconds().map(|t| t.total());
         l_speedups.push(tc / tl.max(1e-12));
         h_speedups.push(tc / th.max(1e-12));
         rows.push(vec![
@@ -315,12 +354,11 @@ pub fn table8_from(results: &[VariantOutcomes]) -> String {
     let mut h_rip_change = Vec::new();
     for r in results {
         let rip = |o: &RoutingOutcome| *o.trace.nets_ripped().first().unwrap_or(&0);
-        l_kernel
-            .push(r.cugr.timings.pattern_seconds / r.fastgr_l.timings.pattern_seconds.max(1e-12));
-        h_kernel
-            .push(r.cugr.timings.pattern_seconds / r.fastgr_h.timings.pattern_seconds.max(1e-12));
-        if r.cugr.timings.maze_seconds > 1e-9 && r.fastgr_l.timings.maze_seconds > 1e-9 {
-            maze_speedup.push(r.cugr.timings.maze_seconds / r.fastgr_l.timings.maze_seconds);
+        let [c, l, h] = r.seconds();
+        l_kernel.push(c.pattern / l.pattern.max(1e-12));
+        h_kernel.push(c.pattern / h.pattern.max(1e-12));
+        if c.maze > 1e-9 && l.maze > 1e-9 {
+            maze_speedup.push(c.maze / l.maze);
         }
         let base_rip = rip(&r.cugr) as f64;
         // Tiny rip counts (a handful of nets) turn into meaningless
@@ -331,15 +369,15 @@ pub fn table8_from(results: &[VariantOutcomes]) -> String {
         }
         rows.push(vec![
             r.spec.name.to_string(),
-            secs(r.cugr.timings.pattern_seconds),
-            secs(r.fastgr_l.timings.pattern_seconds),
-            secs(r.fastgr_h.timings.pattern_seconds),
+            secs(c.pattern),
+            secs(l.pattern),
+            secs(h.pattern),
             rip(&r.cugr).to_string(),
             rip(&r.fastgr_l).to_string(),
             rip(&r.fastgr_h).to_string(),
-            secs(r.cugr.timings.maze_seconds),
-            secs(r.fastgr_l.timings.maze_seconds),
-            secs(r.fastgr_h.timings.maze_seconds),
+            secs(c.maze),
+            secs(l.maze),
+            secs(h.maze),
         ]);
     }
     format!(
@@ -476,19 +514,17 @@ pub fn table10_from(results: &[VariantOutcomes]) -> String {
 
 /// The headline-number summary (Section IV / abstract).
 pub fn summary_from(results: &[VariantOutcomes]) -> String {
-    let g = |f: &dyn Fn(&VariantOutcomes) -> f64| -> f64 {
-        geomean(&results.iter().map(f).collect::<Vec<_>>())
+    let seconds: Vec<[PaperSeconds; 3]> = results.iter().map(VariantOutcomes::seconds).collect();
+    let g = |f: &dyn Fn(&[PaperSeconds; 3]) -> f64| -> f64 {
+        geomean(&seconds.iter().map(f).collect::<Vec<_>>())
     };
-    let overall_l =
-        g(&|r| r.cugr.timings.total_seconds() / r.fastgr_l.timings.total_seconds().max(1e-12));
-    let overall_h =
-        g(&|r| r.cugr.timings.total_seconds() / r.fastgr_h.timings.total_seconds().max(1e-12));
-    let kernel_l =
-        g(&|r| r.cugr.timings.pattern_seconds / r.fastgr_l.timings.pattern_seconds.max(1e-12));
-    let maze_ratios: Vec<f64> = results
+    let overall_l = g(&|[c, l, _]| c.total() / l.total().max(1e-12));
+    let overall_h = g(&|[c, _, h]| c.total() / h.total().max(1e-12));
+    let kernel_l = g(&|[c, l, _]| c.pattern / l.pattern.max(1e-12));
+    let maze_ratios: Vec<f64> = seconds
         .iter()
-        .filter(|r| r.cugr.timings.maze_seconds > 1e-9 && r.fastgr_l.timings.maze_seconds > 1e-9)
-        .map(|r| r.cugr.timings.maze_seconds / r.fastgr_l.timings.maze_seconds)
+        .filter(|[c, l, _]| c.maze > 1e-9 && l.maze > 1e-9)
+        .map(|[c, l, _]| c.maze / l.maze)
         .collect();
     let maze = geomean(&maze_ratios);
     let shorts: Vec<f64> = results
@@ -530,12 +566,13 @@ pub fn ablations() -> String {
     let design = spec.generate();
     let mut rows = Vec::new();
     let mut run_cfg = |label: &str, config: RouterConfig| {
-        let o = Router::new(config).run(&design).expect("routable");
+        let o = route(&design, config);
+        let t = PaperSeconds::of(&o);
         rows.push(vec![
             label.to_string(),
-            secs(o.timings.total_seconds()),
-            secs(o.timings.pattern_seconds),
-            secs(o.timings.maze_seconds),
+            secs(t.total()),
+            secs(t.pattern),
+            secs(t.maze),
             o.metrics.wirelength.to_string(),
             o.metrics.vias.to_string(),
             format!("{:.1}", o.metrics.shorts),
@@ -625,6 +662,18 @@ mod tests {
         for spec in fastgr_design::suite() {
             assert!(t.contains(spec.name), "missing {}", spec.name);
         }
+    }
+
+    #[test]
+    fn paper_seconds_pick_the_clock_per_engine() {
+        let design = fastgr_design::Generator::tiny(4).generate();
+        let gpu = route(&design, RouterConfig::fastgr_l());
+        let cpu = route(&design, RouterConfig::cugr());
+        let (g, c) = (PaperSeconds::of(&gpu), PaperSeconds::of(&cpu));
+        assert!(g.pattern > 0.0 && c.planning > 0.0);
+        assert_eq!(g.pattern, gpu.trace.modeled_device_seconds());
+        assert_eq!(c.pattern, cpu.trace.span_seconds("pattern"));
+        assert_eq!(g.maze, gpu.trace.sample_total("rrr.modeled_parallel_s"));
     }
 
     #[test]

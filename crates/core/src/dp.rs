@@ -308,7 +308,7 @@ impl<'g> PatternDp<'g> {
         match &self.costs {
             CostSource::Owned(p) => p.wire_run_cost(l, a, b),
             CostSource::Borrowed(p) => p.wire_run_cost(l, a, b),
-            CostSource::Direct => self.graph.wire_run_cost_fixed(l, a, b),
+            CostSource::Direct => self.graph.wire_run_cost(l, a, b),
         }
     }
 
@@ -318,7 +318,7 @@ impl<'g> PatternDp<'g> {
         match &self.costs {
             CostSource::Owned(pr) => pr.via_stack_cost(p, l1, l2),
             CostSource::Borrowed(pr) => pr.via_stack_cost(p, l1, l2),
-            CostSource::Direct => self.graph.via_stack_cost_fixed(p, l1, l2),
+            CostSource::Direct => self.graph.via_stack_cost(p, l1, l2),
         }
     }
 
@@ -908,11 +908,11 @@ fn brute_force_two_pin_l(graph: &GridGraph, ps: Point2, pt: Point2) -> f64 {
         for ls in 1..l {
             for lt in 1..l {
                 // Pin access: stack 0 -> ls at Ps, 0 -> lt at Pt.
-                let c = graph.via_stack_cost_fixed(ps, 0, ls)
-                    + graph.wire_run_cost_fixed(ls, ps, bend)
-                    + graph.via_stack_cost_fixed(bend, ls, lt)
-                    + graph.wire_run_cost_fixed(lt, bend, pt)
-                    + graph.via_stack_cost_fixed(pt, 0, lt);
+                let c = graph.via_stack_cost(ps, 0, ls)
+                    + graph.wire_run_cost(ls, ps, bend)
+                    + graph.via_stack_cost(bend, ls, lt)
+                    + graph.wire_run_cost(lt, bend, pt)
+                    + graph.via_stack_cost(pt, 0, lt);
                 if c < best {
                     best = c;
                 }
@@ -977,10 +977,9 @@ mod tests {
         ] {
             let r = route_with(&g, mode, &[(1, 1), (14, 3), (7, 16), (3, 9)]);
             // The DP prices tree legs independently; normalised geometry
-            // costs at most that (equality when no legs overlap). The DP
-            // cost is a Q44.20-quantised sum while `route_cost` is raw
-            // f64, so the bound carries the quantisation slack (< 2^-21
-            // per edge).
+            // costs at most that (equality when no legs overlap). Both are
+            // Q44.20-quantised sums; the bound keeps the slack of the
+            // quantisation (< 2^-21 per edge).
             let recost = g.route_cost(&r.route);
             assert!(
                 recost <= r.cost + 1e-3,
@@ -1211,7 +1210,7 @@ mod tests {
             let r = PatternDp::new(&g, mode).route_net(&tree).expect("routable");
             prop_assert!(r.route.is_connected());
             // DP cost upper-bounds the normalised geometry cost (modulo
-            // Q44.20 quantisation slack vs the raw-f64 `route_cost`).
+            // Q44.20 quantisation slack).
             prop_assert!(g.route_cost(&r.route) <= r.cost + 1e-3);
         }
 

@@ -47,6 +47,6 @@ pub use guides::{GuideBox, RouteGuides};
 pub use metrics::{LayerUsage, QualityMetrics, ScoreWeights};
 pub use ordering::SortingScheme;
 pub use pattern::{PatternEngine, PatternOutcome, PatternStage};
-pub use router::{Router, RouterConfig, RoutingOutcome, StageTimings};
+pub use router::{Router, RouterConfig, RoutingOutcome};
 pub use rrr::{RrrOutcome, RrrStage, RrrStrategy};
 pub use selection::{NetClass, SelectionThresholds};

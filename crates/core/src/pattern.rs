@@ -17,7 +17,7 @@ use fastgr_gpu::{BlockProfile, Device, DeviceConfig, HostPool, SyncSlots};
 use fastgr_grid::{CostProber, GridGraph, Rect, Route};
 use fastgr_steiner::{RouteTree, SteinerBuilder};
 use fastgr_taskgraph::{extract_batches, ConflictGraph};
-use fastgr_telemetry::{Recorder, Stopwatch};
+use fastgr_telemetry::Recorder;
 
 use crate::dp::{PatternDp, PatternMode};
 use crate::error::RouteError;
@@ -44,15 +44,6 @@ pub struct PatternOutcome {
     pub trees: Vec<RouteTree>,
     /// Number of conflict-free batches the scheduler produced.
     pub batch_count: usize,
-    /// Host seconds spent planning (Steiner trees, sorting, batching).
-    pub planning_seconds: f64,
-    /// Measured host seconds of the routing work itself.
-    pub host_seconds: f64,
-    /// Modelled device seconds (GPU engine only).
-    pub modeled_gpu_seconds: Option<f64>,
-    /// The PATTERN runtime this engine reports: modelled device time for
-    /// the GPU engine, measured wall time for the sequential engine.
-    pub reported_seconds: f64,
 }
 
 /// The pattern routing stage.
@@ -158,7 +149,6 @@ impl PatternStage {
 
         // --- Planning: Steiner trees, ordering, batch extraction. ---
         let plan_span = recorder.span("planning", "stage");
-        let plan_start = Stopwatch::start();
         let mut builder = SteinerBuilder::new().with_passes(self.steiner_passes);
         if self.congestion_aware_planning {
             builder = builder.with_density(
@@ -177,14 +167,12 @@ impl PatternStage {
             fastgr_analysis::validate_batches(&batches, &conflicts)
                 .assert_clean("pattern stage batch extraction");
         }
-        let planning_seconds = plan_start.elapsed_seconds();
         plan_span.finish();
         recorder.accumulate("pattern.nets", nets.len() as f64);
         recorder.accumulate("pattern.batches", batches.len() as f64);
 
         // --- Routing. ---
         let route_span = recorder.span("pattern", "stage");
-        let route_start = Stopwatch::start();
         let mut routes: Vec<Route> = vec![Route::new(); design.nets().len()];
 
         // Prefix-sum cost cache: built once against the pre-routing
@@ -250,27 +238,21 @@ impl PatternStage {
                 routes[net as usize] = route;
             }
         }
-        let modeled_gpu_seconds = device.map(|device| {
-            recorder.accumulate("pattern.kernel_launches", device.stats().launches as f64);
-            device.stats().modeled_seconds
-        });
+        if device.is_some() {
+            // One kernel launch per batch.
+            recorder.accumulate("pattern.kernel_launches", batches.len() as f64);
+        }
 
         if let Some(p) = &prober {
             recorder.accumulate("pattern.cost_cache_builds", p.builds() as f64);
             recorder.accumulate("pattern.cost_cache_rows_rebuilt", p.rows_rebuilt() as f64);
             recorder.accumulate("pattern.cost_probes", p.probes() as f64);
         }
-        let host_seconds = route_start.elapsed_seconds();
         route_span.finish();
-        let reported_seconds = modeled_gpu_seconds.unwrap_or(host_seconds);
         Ok(PatternOutcome {
             routes,
             trees,
             batch_count: batches.len(),
-            planning_seconds,
-            host_seconds,
-            modeled_gpu_seconds,
-            reported_seconds,
         })
     }
 }
@@ -280,16 +262,18 @@ mod tests {
     use super::*;
     use fastgr_design::Generator;
     use fastgr_grid::CostParams;
+    use fastgr_telemetry::RunTrace;
 
-    fn run(engine: PatternEngine, mode: PatternMode) -> (PatternOutcome, GridGraph) {
+    fn run(engine: PatternEngine, mode: PatternMode) -> (PatternOutcome, GridGraph, RunTrace) {
         run_probing(engine, mode, true)
     }
 
+    /// Routes `Generator::tiny(11)` with an enabled recorder.
     fn run_probing(
         engine: PatternEngine,
         mode: PatternMode,
         cost_probing: bool,
-    ) -> (PatternOutcome, GridGraph) {
+    ) -> (PatternOutcome, GridGraph, RunTrace) {
         let design = Generator::tiny(11).generate();
         let mut graph = design.build_graph(CostParams::default()).expect("valid");
         let stage = PatternStage {
@@ -301,8 +285,11 @@ mod tests {
             cost_probing,
             validate: true,
         };
-        let outcome = stage.run(&design, &mut graph).expect("routable");
-        (outcome, graph)
+        let recorder = Recorder::enabled();
+        let outcome = stage
+            .run_traced(&design, &mut graph, &recorder)
+            .expect("routable");
+        (outcome, graph, recorder.take_trace())
     }
 
     #[test]
@@ -311,7 +298,7 @@ mod tests {
             PatternEngine::SequentialCpu,
             PatternEngine::GpuFlow(DeviceConfig::tiny()),
         ] {
-            let (outcome, graph) = run(engine, PatternMode::LShape);
+            let (outcome, graph, _) = run(engine, PatternMode::LShape);
             assert_eq!(outcome.routes.len(), 64);
             // Multi-G-cell nets have geometry.
             let routed = outcome.routes.iter().filter(|r| !r.is_empty()).count();
@@ -323,21 +310,20 @@ mod tests {
     }
 
     #[test]
-    fn gpu_engine_reports_modeled_time() {
-        let (outcome, _) = run(
-            PatternEngine::GpuFlow(DeviceConfig::rtx3090_like()),
-            PatternMode::LShape,
+    fn engines_report_pattern_time_through_the_trace() {
+        // One kernel event, with modelled device time, per GPU batch; none
+        // for the sequential engine, whose PATTERN clock is its span.
+        let gpu = PatternEngine::GpuFlow(DeviceConfig::rtx3090_like());
+        let (outcome, _, trace) = run(gpu, PatternMode::LShape);
+        assert_eq!(trace.kernels().len(), outcome.batch_count);
+        assert_eq!(
+            trace.counter("pattern.kernel_launches"),
+            Some(outcome.batch_count as f64)
         );
-        let modeled = outcome.modeled_gpu_seconds.expect("gpu engine models time");
-        assert!(modeled > 0.0);
-        assert_eq!(outcome.reported_seconds, modeled);
-    }
-
-    #[test]
-    fn cpu_engine_reports_wall_time() {
-        let (outcome, _) = run(PatternEngine::SequentialCpu, PatternMode::LShape);
-        assert!(outcome.modeled_gpu_seconds.is_none());
-        assert_eq!(outcome.reported_seconds, outcome.host_seconds);
+        assert!(trace.modeled_device_seconds() > 0.0);
+        let (_, _, cpu) = run(PatternEngine::SequentialCpu, PatternMode::LShape);
+        assert!(cpu.kernels().is_empty() && cpu.counter("pattern.kernel_launches").is_none());
+        assert!(cpu.span_seconds("pattern") > 0.0);
     }
 
     #[test]
@@ -345,8 +331,8 @@ mod tests {
         // The engines share the DP, so routing the same design with the
         // same ordering yields identical geometry (the GPU engine commits
         // per batch, but batches are conflict-free, so results agree).
-        let (a, ga) = run(PatternEngine::SequentialCpu, PatternMode::LShape);
-        let (b, gb) = run(
+        let (a, ga, _) = run(PatternEngine::SequentialCpu, PatternMode::LShape);
+        let (b, gb, _) = run(
             PatternEngine::GpuFlow(DeviceConfig::tiny()),
             PatternMode::LShape,
         );
@@ -371,12 +357,12 @@ mod tests {
                 PatternMode::HybridAll,
             )
         };
-        let (serial, _) = run_with(1);
-        let (parallel, _) = run_with(4);
+        let (serial, _, serial_trace) = run_with(1);
+        let (parallel, _, parallel_trace) = run_with(4);
         assert_eq!(serial.routes, parallel.routes);
         assert_eq!(serial.trees, parallel.trees);
-        let a = serial.modeled_gpu_seconds.expect("modelled");
-        let b = parallel.modeled_gpu_seconds.expect("modelled");
+        let a = serial_trace.modeled_device_seconds();
+        let b = parallel_trace.modeled_device_seconds();
         assert_eq!(a.to_bits(), b.to_bits(), "modelled time diverged: {a} vs {b}");
     }
 
@@ -408,8 +394,8 @@ mod tests {
             PatternEngine::SequentialCpu,
             PatternEngine::GpuFlow(DeviceConfig::tiny().with_host_workers(2)),
         ] {
-            let (probed, gp) = run_probing(engine, PatternMode::HybridAll, true);
-            let (direct, gd) = run_probing(engine, PatternMode::HybridAll, false);
+            let (probed, gp, _) = run_probing(engine, PatternMode::HybridAll, true);
+            let (direct, gd, _) = run_probing(engine, PatternMode::HybridAll, false);
             assert_eq!(probed.routes, direct.routes, "{engine:?}: routes diverge");
             assert_eq!(
                 gp.report().total_wire_demand,
@@ -420,7 +406,7 @@ mod tests {
 
     #[test]
     fn hybrid_mode_runs_end_to_end() {
-        let (outcome, graph) = run(
+        let (outcome, graph, _) = run(
             PatternEngine::GpuFlow(DeviceConfig::tiny()),
             PatternMode::Hybrid(crate::SelectionThresholds::default()),
         );

@@ -1,7 +1,5 @@
 //! The top-level FastGR router: pattern stage + RRR + scoring (Fig. 5).
 
-use std::fmt;
-
 use fastgr_design::Design;
 use fastgr_gpu::DeviceConfig;
 use fastgr_grid::{CongestionReport, CostParams, Route};
@@ -212,49 +210,6 @@ impl RouterConfig {
     }
 }
 
-/// Stage timing breakdown of one routing run.
-///
-/// "Reported" times follow the paper's accounting: PATTERN is modelled
-/// device time for GPU engines and measured wall time for the CPU engine;
-/// MAZE is the modelled parallel runtime of the chosen strategy on
-/// [`RouterConfig::workers`] workers (plus measured host time for
-/// reference).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StageTimings {
-    /// Host seconds for planning (Steiner + sorting + batching).
-    pub planning_seconds: f64,
-    /// Reported PATTERN seconds.
-    pub pattern_seconds: f64,
-    /// Measured host seconds of the pattern stage's routing work.
-    pub pattern_host_seconds: f64,
-    /// Modelled device seconds (GPU engines only).
-    pub pattern_gpu_seconds: Option<f64>,
-    /// Reported MAZE seconds (modelled parallel).
-    pub maze_seconds: f64,
-    /// Measured host seconds of the RRR stage.
-    pub maze_host_seconds: f64,
-}
-
-impl StageTimings {
-    /// Reported total: planning + PATTERN + MAZE.
-    pub fn total_seconds(&self) -> f64 {
-        self.planning_seconds + self.pattern_seconds + self.maze_seconds
-    }
-}
-
-impl fmt::Display for StageTimings {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "planning {:.3}s, pattern {:.3}s, maze {:.3}s (total {:.3}s)",
-            self.planning_seconds,
-            self.pattern_seconds,
-            self.maze_seconds,
-            self.total_seconds()
-        )
-    }
-}
-
 /// Everything a routing run produces.
 #[derive(Debug, Clone)]
 pub struct RoutingOutcome {
@@ -266,12 +221,11 @@ pub struct RoutingOutcome {
     pub metrics: QualityMetrics,
     /// Final congestion statistics.
     pub report: CongestionReport,
-    /// Stage timings.
-    pub timings: StageTimings,
-    /// The run trace: deterministic counters plus (when routed through
-    /// [`Router::run_with_recorder`] with an enabled recorder) the full
-    /// span/kernel/task timeline. Always carries the run summary —
-    /// `trace.nets_ripped()`, `trace.pattern_shorts()`,
+    /// The run trace, the one store of run metrics: deterministic counters
+    /// plus (when routed through [`Router::run_with_recorder`] with an
+    /// enabled recorder) the span/kernel/sample/task timeline that every
+    /// measured and modelled second is read from. Always carries the run
+    /// summary counters — `trace.nets_ripped()`, `trace.pattern_shorts()`,
     /// `trace.pattern_batches()` — whether or not telemetry was on.
     pub trace: RunTrace,
 }
@@ -357,24 +311,21 @@ impl Router {
         let report = graph.report();
         let metrics = RoutingOutcome::metrics_from(&routes, &report);
         let guides = RouteGuides::from_routes(design, &routes);
-        let timings = StageTimings {
-            planning_seconds: pattern.planning_seconds,
-            pattern_seconds: pattern.reported_seconds,
-            pattern_host_seconds: pattern.host_seconds,
-            pattern_gpu_seconds: pattern.modeled_gpu_seconds,
-            maze_seconds: rrr.modeled_parallel_seconds,
-            maze_host_seconds: rrr.host_seconds,
-        };
+        // The run summary, written whether or not the recorder is enabled.
         let mut trace = recorder.take_trace();
-        trace.set_pattern_summary(pattern.batch_count, pattern_shorts);
-        trace.set_rrr_nets_ripped(rrr.nets_ripped);
-        trace.set_rrr_scan_summary(rrr.dirty_edges, rrr.rescans_avoided);
+        trace.set_counter("pattern.batches", pattern.batch_count as f64);
+        trace.set_counter("pattern.shorts_after", pattern_shorts);
+        trace.set_counter("rrr.iterations", rrr.nets_ripped.len() as f64);
+        for (i, &n) in rrr.nets_ripped.iter().enumerate() {
+            trace.set_counter(&format!("rrr.iter{i}.nets_ripped"), n as f64);
+        }
+        trace.set_counter("rrr.dirty_edges", rrr.dirty_edges as f64);
+        trace.set_counter("rrr.full_rescan_avoided", rrr.rescans_avoided as f64);
         Ok(RoutingOutcome {
             routes,
             guides,
             metrics,
             report,
-            timings,
             trace,
         })
     }
@@ -418,19 +369,17 @@ mod tests {
             assert!(outcome.metrics.wirelength > 0);
             assert!(outcome.metrics.score() > 0.0);
             assert!(outcome.guides.covers_pins(&design));
-            assert!(outcome.timings.total_seconds() > 0.0);
         }
     }
 
     #[test]
     fn fastgr_l_reports_gpu_time_cugr_does_not() {
         let design = Generator::tiny(4).generate();
-        let l = Router::new(RouterConfig::fastgr_l())
-            .run(&design)
-            .expect("ok");
-        let c = Router::new(RouterConfig::cugr()).run(&design).expect("ok");
-        assert!(l.timings.pattern_gpu_seconds.is_some());
-        assert!(c.timings.pattern_gpu_seconds.is_none());
+        let run = |config| Router::new(config).run_with_recorder(&design, &Recorder::enabled());
+        let l = run(RouterConfig::fastgr_l()).expect("ok").trace;
+        let c = run(RouterConfig::cugr()).expect("ok").trace;
+        assert!(l.modeled_device_seconds() > 0.0);
+        assert!(c.kernels().is_empty());
     }
 
     #[test]

@@ -55,8 +55,6 @@ pub enum RrrStrategy {
 pub struct RrrOutcome {
     /// Number of nets ripped up in each iteration.
     pub nets_ripped: Vec<usize>,
-    /// Measured host seconds of all iterations.
-    pub host_seconds: f64,
     /// Modelled parallel seconds on `workers` workers under this strategy.
     pub modeled_parallel_seconds: f64,
     /// Total wire edges whose demand changed, summed over iterations (the
@@ -155,11 +153,11 @@ impl RrrStage {
     }
 
     /// [`RrrStage::run`] reporting into a telemetry recorder: one
-    /// `rrr.iterN` span, a `rrr.nets_ripped` counter sample and a
-    /// `rrr.dirty_edges` / `rrr.full_rescan_avoided` counter pair per
-    /// iteration, plus per-task events from the executor (task-graph
-    /// strategy). With a disabled recorder this is exactly
-    /// [`RrrStage::run`].
+    /// `rrr.iterN` span and one sample each of `rrr.nets_ripped`,
+    /// `rrr.dirty_edges`, `rrr.full_rescan_avoided` and
+    /// `rrr.modeled_parallel_s` per iteration, plus per-task events from
+    /// the executor (task-graph strategy). With a disabled recorder this
+    /// is exactly [`RrrStage::run`].
     pub fn run_traced(
         &self,
         design: &Design,
@@ -168,7 +166,6 @@ impl RrrStage {
         recorder: &Recorder,
     ) -> Result<RrrOutcome, RouteError> {
         assert_eq!(routes.len(), design.nets().len(), "one route slot per net");
-        let start = Stopwatch::start();
         let mut nets_ripped = Vec::new();
         let mut modeled = 0.0;
         let mut total_dirty = 0u64;
@@ -286,7 +283,7 @@ impl RrrStage {
                 });
             };
 
-            match self.strategy {
+            let iter_modeled = match self.strategy {
                 RrrStrategy::TaskGraph => {
                     let schedule = Schedule::build(&order, &conflicts);
                     if self.validate {
@@ -327,7 +324,7 @@ impl RrrStage {
                         }
                     }
                     let costs: Vec<f64> = slots.iter().map(|s| lock(s).seconds).collect();
-                    modeled += schedule.simulate_workers(&costs, self.workers);
+                    schedule.simulate_workers(&costs, self.workers)
                 }
                 RrrStrategy::BatchBarrier => {
                     let batches = extract_batches(&order, &conflicts);
@@ -336,6 +333,7 @@ impl RrrStage {
                             .assert_clean("rrr batch extraction");
                     }
                     let shared: &GridGraph = graph;
+                    let mut makespan = 0.0;
                     for batch in &batches {
                         for &task in batch {
                             run_task(shared, task);
@@ -354,17 +352,20 @@ impl RrrStage {
                             .chunks(chunk)
                             .map(|ch| ch.iter().sum::<f64>())
                             .fold(0.0f64, f64::max);
-                        modeled += slowest + BARRIER_SYNC_SECONDS;
+                        makespan += slowest + BARRIER_SYNC_SECONDS;
                     }
+                    makespan
                 }
                 RrrStrategy::Sequential => {
                     let shared: &GridGraph = graph;
                     for &task in &order {
                         run_task(shared, task);
                     }
-                    modeled += slots.iter().map(|s| lock(s).seconds).sum::<f64>();
+                    slots.iter().map(|s| lock(s).seconds).sum::<f64>()
                 }
-            }
+            };
+            modeled += iter_modeled;
+            recorder.counter_sample("rrr.modeled_parallel_s", iter_modeled);
 
             // Collect results. Every slot's route is moved back into the
             // route table *before* the first error (if any) is surfaced, so
@@ -411,7 +412,6 @@ impl RrrStage {
 
         Ok(RrrOutcome {
             nets_ripped,
-            host_seconds: start.elapsed_seconds(),
             modeled_parallel_seconds: modeled,
             dirty_edges: total_dirty,
             rescans_avoided: total_avoided,
@@ -580,7 +580,7 @@ mod tests {
         // ...and most untouched routes skipped their rescan entirely.
         assert!(
             outcome.rescans_avoided > 0,
-            "expected the dirty-rect prefilter to skip some rescans"
+            "expected the dirty-edge filter to skip some rescans"
         );
         // Cached flags must agree with a ground-truth full rescan.
         for r in &routes {
@@ -635,12 +635,21 @@ mod tests {
     #[test]
     fn modeled_parallel_time_is_at_most_sequential_work() {
         let (design, mut graph, mut routes) = congested();
+        let recorder = Recorder::enabled();
         let outcome = stage(RrrStrategy::TaskGraph)
-            .run(&design, &mut graph, &mut routes)
+            .run_traced(&design, &mut graph, &mut routes, &recorder)
             .expect("ok");
+        let trace = recorder.take_trace();
+        let iterations = 0..outcome.nets_ripped.len();
+        let wall: f64 = iterations
+            .map(|i| trace.span_seconds(&format!("rrr.iter{i}")))
+            .sum();
         // The modelled parallel time can never exceed measured wall time by
         // more than scheduling noise (it models the same work spread over
         // workers).
-        assert!(outcome.modeled_parallel_seconds <= outcome.host_seconds * 1.5 + 0.01);
+        assert!(outcome.modeled_parallel_seconds <= wall * 1.5 + 0.01);
+        // The per-iteration samples sum to the stage total.
+        let total = trace.sample_total("rrr.modeled_parallel_s");
+        assert_eq!(total, outcome.modeled_parallel_seconds);
     }
 }

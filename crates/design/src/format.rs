@@ -28,6 +28,18 @@ pub(crate) fn next_parsed<'a, T: FromStr>(it: &mut impl Iterator<Item = &'a str>
     it.next()?.parse().ok()
 }
 
+/// Initial capacity for `count` items a file declares: capped, since the
+/// count is untrusted; a larger count grows as its lines actually arrive.
+pub(crate) fn reserve_for(count: usize) -> usize {
+    count.min(1 << 10)
+}
+
+/// Whether `v` is a usable capacity or capacity factor (`nan` and `inf`
+/// parse as `f64`, but are not).
+pub(crate) fn is_capacity(v: f64) -> bool {
+    v.is_finite() && v >= 0.0
+}
+
 impl Design {
     /// Serialises the design to the text format.
     pub fn to_text(&self) -> String {
@@ -112,7 +124,9 @@ impl Design {
             .ok_or_else(|| bad(no, "height: an integer in 0..=65535", design_line))?;
         let layers: u8 = next_parsed(&mut it)
             .ok_or_else(|| bad(no, "layers: an integer in 0..=255", design_line))?;
-        let capacity: f64 = next_parsed(&mut it).ok_or_else(|| bad(no, "capacity", design_line))?;
+        let capacity: f64 = next_parsed(&mut it)
+            .filter(|&c| is_capacity(c))
+            .ok_or_else(|| bad(no, "capacity: a finite non-negative number", design_line))?;
 
         let mut blockages = Vec::new();
         let mut nets: Vec<Net> = Vec::new();
@@ -128,8 +142,12 @@ impl Design {
             match it.next() {
                 Some("layercap") => {
                     let caps: Vec<f64> = it.map(|t| t.parse().unwrap_or(f64::NAN)).collect();
-                    if caps.len() != layers as usize || caps.iter().any(|c| c.is_nan()) {
-                        return Err(bad(no, "layercap <c0> .. <cL-1>", line));
+                    if caps.len() != layers as usize || !caps.iter().all(|&c| is_capacity(c)) {
+                        return Err(bad(
+                            no,
+                            "layercap <c0> .. <cL-1>, each finite and non-negative",
+                            line,
+                        ));
                     }
                     layer_capacities = caps;
                 }
@@ -141,6 +159,15 @@ impl Design {
                             "blockage <layer> <x0> <y0> <x1> <y1> <factor>",
                             line,
                         ));
+                    }
+                    if !(0.0..layers as f64).contains(&vals[0]) || !is_capacity(vals[5]) {
+                        return Err(ParseDesignError::Invalid {
+                            line_no: no + 1,
+                            reason: format!(
+                                "a blockage needs a layer below {layers} and a finite \
+                                 non-negative factor"
+                            ),
+                        });
                     }
                     blockages.push(Blockage {
                         layer: vals[0] as u8,
@@ -166,7 +193,7 @@ impl Design {
                             reason: format!("net {net_name} declares zero pins"),
                         });
                     }
-                    let mut pins = Vec::with_capacity(count);
+                    let mut pins = Vec::with_capacity(reserve_for(count));
                     for _ in 0..count {
                         let (pno, pline) = lines.next().ok_or(ParseDesignError::UnexpectedEof {
                             expected: "pin line",
@@ -326,5 +353,45 @@ mod tests {
     fn empty_lines_are_tolerated() {
         let text = "fastgr 1\ndesign d 8 8 4 2\n\nnet a 1\npin 0 0 0\n\nend\n";
         assert!(Design::from_text(text).is_ok());
+    }
+
+    /// The line a malformed `text` is rejected at.
+    fn error_line(text: &str) -> usize {
+        match Design::from_text(text) {
+            Err(ParseDesignError::BadLine { line_no, .. })
+            | Err(ParseDesignError::Invalid { line_no, .. }) => line_no,
+            other => panic!("expected a line error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_huge_pin_counts_without_reserving() {
+        // `usize::MAX` pins overflowed the reservation; 1e11 aborted the
+        // process trying to allocate 600 GB.
+        for count in ["18446744073709551615", "100000000000"] {
+            let text = format!("fastgr 1\ndesign d 8 8 4 2\nnet n0 {count}\npin 0 0 0\nend\n");
+            assert_eq!(error_line(&text), 5, "{count}");
+        }
+    }
+
+    #[test]
+    fn rejects_blockage_layer_outside_the_grid() {
+        let text = "fastgr 1\ndesign d 8 8 4 2\nblockage 9 0 0 7 7 0.5\nend\n";
+        assert_eq!(error_line(text), 3);
+    }
+
+    #[test]
+    fn rejects_non_finite_or_negative_capacities() {
+        for line in ["design d 8 8 4 nan", "design d 8 8 4 -1"] {
+            assert_eq!(error_line(&format!("fastgr 1\n{line}\nend\n")), 2, "{line}");
+        }
+        for line in [
+            "layercap 0 2 inf 2",
+            "layercap 0 -2 2 2",
+            "blockage 1 0 0 7 7 inf",
+        ] {
+            let text = format!("fastgr 1\ndesign d 8 8 4 2\n{line}\nend\n");
+            assert_eq!(error_line(&text), 3, "{line}");
+        }
     }
 }

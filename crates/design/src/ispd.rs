@@ -34,7 +34,7 @@
 use fastgr_grid::{Point2, Rect};
 
 use crate::error::ParseDesignError;
-use crate::format::next_parsed;
+use crate::format::{is_capacity, next_parsed, reserve_for};
 use crate::net::{Blockage, Design, Net, NetId, Pin};
 
 /// Internal line cursor with 1-based positions for error messages.
@@ -131,7 +131,7 @@ impl Design {
                     return Err(bad(no, head, line));
                 }
                 let v = numbers(line, words);
-                if v.len() != file_layers {
+                if v.len() != file_layers || !v.iter().all(|&x| is_capacity(x)) {
                     return Err(bad(no, head, line));
                 }
                 Ok(v)
@@ -149,10 +149,10 @@ impl Design {
             return Err(bad(no, "<llx> <lly> <tile_w> <tile_h>", line));
         }
         let (llx, lly, tile_w, tile_h) = (geo[0], geo[1], geo[2], geo[3]);
-        if tile_w <= 0.0 || tile_h <= 0.0 {
+        if !geo.iter().all(|v| v.is_finite()) || tile_w <= 0.0 || tile_h <= 0.0 {
             return Err(ParseDesignError::Invalid {
                 line_no: no,
-                reason: "tile dimensions must be positive".to_owned(),
+                reason: "tile geometry must be finite, tile dimensions positive".to_owned(),
             });
         }
 
@@ -188,7 +188,7 @@ impl Design {
             Point2::new(cx as u16, cy as u16)
         };
 
-        let mut nets = Vec::with_capacity(net_count);
+        let mut nets = Vec::with_capacity(reserve_for(net_count));
         for _ in 0..net_count {
             let (no, line) = cur.next("net header")?;
             let mut it = line.split_whitespace();
@@ -207,7 +207,7 @@ impl Design {
                     reason: format!("net {net_name} declares zero pins"),
                 });
             }
-            let mut pins = Vec::with_capacity(pin_count);
+            let mut pins = Vec::with_capacity(reserve_for(pin_count));
             for _ in 0..pin_count {
                 let (no, line) = cur.next("pin line")?;
                 let v = numbers(line, 0);
@@ -242,6 +242,13 @@ impl Design {
                         reason: "capacity adjustment outside the grid".to_owned(),
                     });
                 }
+                if !is_capacity(v[6]) {
+                    let reason = format!("adjusted capacity {} is not finite and >= 0", v[6]);
+                    return Err(ParseDesignError::Invalid {
+                        line_no: no,
+                        reason,
+                    });
+                }
                 let layer = l1 as u8; // our layer index (file layer k -> k)
                 let pitch = (min_width[l1 - 1] + min_spacing[l1 - 1]).max(1.0);
                 let new_tracks = v[6] / pitch;
@@ -270,35 +277,35 @@ impl Design {
     }
 }
 
+/// A tiny hand-written ISPD2008-style benchmark (test fixture).
+#[cfg(test)]
+pub(crate) const SAMPLE: &str = "grid 4 4 2
+vertical capacity 0 20
+horizontal capacity 20 0
+minimum width 1 1
+minimum spacing 1 1
+via spacing 1 1
+0 0 10 10
+num net 2
+netA 0 2 1
+5 5 1
+35 25 1
+netB 1 3 1
+5 35 1
+15 35 1
+35 35 1
+1
+1 1 1 2 1 1 10
+";
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fastgr_grid::CostParams;
 
-    /// A tiny hand-written ISPD2008-style benchmark.
-    fn sample() -> &'static str {
-        "grid 4 4 2\n\
-         vertical capacity 0 20\n\
-         horizontal capacity 20 0\n\
-         minimum width 1 1\n\
-         minimum spacing 1 1\n\
-         via spacing 1 1\n\
-         0 0 10 10\n\
-         num net 2\n\
-         netA 0 2 1\n\
-         5 5 1\n\
-         35 25 1\n\
-         netB 1 3 1\n\
-         5 35 1\n\
-         15 35 1\n\
-         35 35 1\n\
-         1\n\
-         1 1 1 2 1 1 10\n"
-    }
-
     #[test]
     fn parses_the_sample() {
-        let d = Design::from_ispd2008("sample", sample()).expect("valid ispd text");
+        let d = Design::from_ispd2008("sample", SAMPLE).expect("valid ispd text");
         assert_eq!(d.width(), 4);
         assert_eq!(d.height(), 4);
         assert_eq!(d.layers(), 3); // 2 file layers + pin layer
@@ -315,7 +322,7 @@ mod tests {
 
     #[test]
     fn imported_design_builds_a_graph() {
-        let d = Design::from_ispd2008("sample", sample()).expect("valid");
+        let d = Design::from_ispd2008("sample", SAMPLE).expect("valid");
         let g = d.build_graph(CostParams::default()).expect("valid dims");
         // M1 horizontal capacity 10 tracks, scaled by the adjustment at (1,1).
         assert_eq!(g.wire_capacity(1, Point2::new(0, 0)), Some(10.0));
@@ -340,7 +347,7 @@ mod tests {
             ("grid 4 -3 2", "grid y"),
             ("grid 4 4 2.5", "grid layers"),
         ] {
-            let text = sample().replacen("grid 4 4 2", grid_line, 1);
+            let text = SAMPLE.replacen("grid 4 4 2", grid_line, 1);
             match Design::from_ispd2008("x", &text) {
                 Err(ParseDesignError::BadLine {
                     line_no: 1,
@@ -387,10 +394,34 @@ mod tests {
     #[test]
     fn imported_design_routes_end_to_end() {
         // The importer's output must be routable by the full router.
-        let d = Design::from_ispd2008("sample", sample()).expect("valid");
+        let d = Design::from_ispd2008("sample", SAMPLE).expect("valid");
         // (Routing itself is exercised in the facade integration tests; at
         // this crate level we check the graph + netlist invariants.)
         assert!(d.nets().iter().all(|n| n.pin_count() >= 2));
         assert_eq!(d.pin_count(), 5);
+    }
+
+    #[test]
+    fn rejects_huge_counts_without_reserving() {
+        for (from, to) in [
+            ("num net 2", "num net 18446744073709551615"),
+            ("num net 2", "num net 100000000000"),
+            ("netA 0 2 1", "netA 0 18446744073709551615 1"),
+        ] {
+            let text = SAMPLE.replacen(from, to, 1);
+            assert!(Design::from_ispd2008("x", &text).is_err(), "{to}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_or_negative_capacities() {
+        for (from, to) in [
+            ("vertical capacity 0 20", "vertical capacity 0 nan"),
+            ("horizontal capacity 20 0", "horizontal capacity -20 0"),
+            ("1 1 1 2 1 1 10", "1 1 1 2 1 1 inf"),
+        ] {
+            let text = SAMPLE.replacen(from, to, 1);
+            assert!(Design::from_ispd2008("x", &text).is_err(), "{to}");
+        }
     }
 }

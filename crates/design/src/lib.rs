@@ -38,6 +38,7 @@ mod format;
 mod generate;
 mod ispd;
 mod net;
+mod proptests;
 mod rng;
 mod suite;
 

@@ -1,7 +1,5 @@
 //! The simulated device and its calibrated performance model.
 
-use std::fmt;
-
 use fastgr_telemetry::{Recorder, Stopwatch, TRACK_WORKER_BASE};
 
 use crate::pool::{BlockEventTap, HostPool, SyncSlots};
@@ -122,32 +120,6 @@ pub struct KernelStats {
     pub host_seconds: f64,
 }
 
-/// Cumulative statistics of a device.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DeviceStats {
-    /// Total number of kernel launches.
-    pub launches: usize,
-    /// Total number of blocks across launches.
-    pub blocks: usize,
-    /// Total modelled device time in seconds.
-    pub modeled_seconds: f64,
-    /// Total wall-clock host time spent executing blocks, in seconds.
-    pub host_seconds: f64,
-}
-
-impl fmt::Display for DeviceStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} launches, {} blocks, {:.3} ms modelled, {:.3} ms host",
-            self.launches,
-            self.blocks,
-            self.modeled_seconds * 1e3,
-            self.host_seconds * 1e3
-        )
-    }
-}
-
 /// The simulated CUDA-like device.
 ///
 /// Executes kernels block by block on a host worker pool while charging
@@ -156,7 +128,6 @@ impl fmt::Display for DeviceStats {
 #[derive(Debug, Clone)]
 pub struct Device {
     config: DeviceConfig,
-    stats: DeviceStats,
     pool: HostPool,
     recorder: Recorder,
 }
@@ -169,7 +140,6 @@ impl Device {
     pub fn new(config: DeviceConfig) -> Self {
         Self {
             config,
-            stats: DeviceStats::default(),
             pool: HostPool::resolved(config.host_workers),
             recorder: Recorder::disabled(),
         }
@@ -197,16 +167,6 @@ impl Device {
     /// Resolved number of host worker threads.
     pub fn workers(&self) -> usize {
         self.pool.workers()
-    }
-
-    /// Cumulative statistics since creation or the last reset.
-    pub fn stats(&self) -> &DeviceStats {
-        &self.stats
-    }
-
-    /// Clears the cumulative statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = DeviceStats::default();
     }
 
     /// Launches a kernel of `blocks` blocks. `run_block` is invoked once
@@ -278,10 +238,6 @@ impl Device {
             + max_block_time.max(total_block_time / self.config.sm_count as f64);
         let host_seconds = host_start.elapsed_seconds();
         self.recorder.kernel(name, blocks, modeled_seconds, host_seconds);
-        self.stats.launches += 1;
-        self.stats.blocks += blocks;
-        self.stats.modeled_seconds += modeled_seconds;
-        self.stats.host_seconds += host_seconds;
         KernelStats {
             name: name.to_owned(),
             blocks,
@@ -391,19 +347,6 @@ mod tests {
         let s = d.launch("k", 2, |b| BlockProfile::new(1, if b == 0 { 1 } else { 10 }));
         let body = s.modeled_seconds - cfg.launch_overhead_seconds;
         assert!((body - 10.0 * cfg.stage_seconds).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stats_accumulate_and_reset() {
-        let mut d = Device::new(DeviceConfig::tiny());
-        d.launch("a", 3, |_| BlockProfile::new(1, 1));
-        d.launch("b", 5, |_| BlockProfile::new(1, 1));
-        assert_eq!(d.stats().launches, 2);
-        assert_eq!(d.stats().blocks, 8);
-        assert!(d.stats().modeled_seconds > 0.0);
-        assert!(d.stats().host_seconds >= 0.0);
-        d.reset_stats();
-        assert_eq!(d.stats(), &DeviceStats::default());
     }
 
     #[test]

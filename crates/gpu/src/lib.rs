@@ -38,5 +38,5 @@ mod device;
 pub mod flow;
 pub mod pool;
 
-pub use device::{BlockProfile, Device, DeviceConfig, DeviceStats, KernelStats};
+pub use device::{BlockProfile, Device, DeviceConfig, KernelStats};
 pub use pool::{BlockEventTap, HostPool, NoTap, SyncSlots};

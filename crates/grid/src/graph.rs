@@ -6,7 +6,7 @@
 //! [`GridGraph::commit_atomic`] for the exact contract.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::congestion::CongestionReport;
 use crate::cost::CostParams;
@@ -38,7 +38,7 @@ fn fixed_to_demand(raw: u64) -> f64 {
 }
 
 /// Number of fractional bits in the fixed-point (Q44.20) *cost* domain
-/// shared by [`GridGraph::wire_run_cost_fixed`] and the prefix-sum
+/// shared by [`GridGraph::wire_run_cost`] and the prefix-sum
 /// [`crate::CostProber`].
 ///
 /// Edge costs are nonnegative and bounded (the logistic congestion model
@@ -105,21 +105,16 @@ fn zeroed_atomics(n: usize) -> Vec<AtomicU64> {
 /// Lock-free tracker of the wire edges whose demand changed since the last
 /// [`GridGraph::clear_dirty`].
 ///
-/// One bit per wire edge (planes concatenated in layer order) plus a
-/// conservative bounding rectangle over the lower endpoints of dirtied
-/// edges, used as a cheap prefilter before per-edge bit tests. Everything is
-/// updated with relaxed atomics; the tracker is only *read* between RRR
-/// iterations, after the executor has joined its workers, so the thread join
-/// supplies the happens-before edge the relaxed stores rely on.
+/// One bit per wire edge (planes concatenated in layer order) plus a count
+/// of the set bits. Both are updated with relaxed atomics; the tracker is
+/// only *read* between RRR iterations, after the executor has joined its
+/// workers, so the thread join supplies the happens-before edge the relaxed
+/// stores rely on.
 #[derive(Debug)]
 struct DirtyTracker {
     words: Vec<AtomicU64>,
     /// Number of distinct edges dirtied since the last clear.
     count: AtomicU64,
-    min_x: AtomicU32,
-    min_y: AtomicU32,
-    max_x: AtomicU32,
-    max_y: AtomicU32,
 }
 
 impl DirtyTracker {
@@ -127,23 +122,15 @@ impl DirtyTracker {
         Self {
             words: zeroed_atomics(bits.div_ceil(64)),
             count: AtomicU64::new(0),
-            min_x: AtomicU32::new(u32::MAX),
-            min_y: AtomicU32::new(u32::MAX),
-            max_x: AtomicU32::new(0),
-            max_y: AtomicU32::new(0),
         }
     }
 
-    /// Marks edge bit `bit` dirty; `p` is the edge's lower endpoint.
-    fn mark(&self, bit: usize, p: Point2) {
+    /// Marks bit `bit` dirty.
+    fn mark(&self, bit: usize) {
         let mask = 1u64 << (bit & 63);
         if self.words[bit >> 6].fetch_or(mask, Ordering::Relaxed) & mask == 0 {
             self.count.fetch_add(1, Ordering::Relaxed);
         }
-        self.min_x.fetch_min(p.x as u32, Ordering::Relaxed);
-        self.min_y.fetch_min(p.y as u32, Ordering::Relaxed);
-        self.max_x.fetch_max(p.x as u32, Ordering::Relaxed);
-        self.max_y.fetch_max(p.y as u32, Ordering::Relaxed);
     }
 
     fn is_set(&self, bit: usize) -> bool {
@@ -155,27 +142,6 @@ impl DirtyTracker {
             *w.get_mut() = 0;
         }
         *self.count.get_mut() = 0;
-        *self.min_x.get_mut() = u32::MAX;
-        *self.min_y.get_mut() = u32::MAX;
-        *self.max_x.get_mut() = 0;
-        *self.max_y.get_mut() = 0;
-    }
-
-    /// Bounding rectangle of all dirty edge endpoints, `None` when clean.
-    fn rect(&self) -> Option<Rect> {
-        if self.count.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        Some(Rect::new(
-            Point2::new(
-                self.min_x.load(Ordering::Relaxed) as u16,
-                self.min_y.load(Ordering::Relaxed) as u16,
-            ),
-            Point2::new(
-                self.max_x.load(Ordering::Relaxed) as u16,
-                self.max_y.load(Ordering::Relaxed) as u16,
-            ),
-        ))
     }
 }
 
@@ -188,10 +154,6 @@ impl Clone for DirtyTracker {
                 .map(|w| AtomicU64::new(w.load(Ordering::Relaxed)))
                 .collect(),
             count: AtomicU64::new(self.count.load(Ordering::Relaxed)),
-            min_x: AtomicU32::new(self.min_x.load(Ordering::Relaxed)),
-            min_y: AtomicU32::new(self.min_y.load(Ordering::Relaxed)),
-            max_x: AtomicU32::new(self.max_x.load(Ordering::Relaxed)),
-            max_y: AtomicU32::new(self.max_y.load(Ordering::Relaxed)),
         }
     }
 }
@@ -531,82 +493,19 @@ impl GridGraph {
     }
 
     /// Cost `cw(a, b, l)` of a straight run on layer `l` between aligned
-    /// G-cells `a` and `b`.
+    /// G-cells `a` and `b`, in the Q44.20 quantised cost domain: each unit
+    /// edge is quantised with `cost_to_fixed` *before* summation and the
+    /// integer total converted back to `f64` (exact below 2^53).
     ///
     /// Returns 0 for `a == b`; returns `f64::INFINITY` when the run does not
     /// follow the layer's preferred direction, leaves the grid, or `l` is
     /// out of range — so the value can be fed to the pattern-routing DP
     /// directly, where illegal candidates simply never win the `min`.
+    ///
+    /// This is the naive walk the prefix-sum [`crate::CostProber`] matches
+    /// bit-for-bit, and the arithmetic the pattern DP uses in its direct
+    /// (prober-off) mode, so probed and direct routing agree exactly.
     pub fn wire_run_cost(&self, l: u8, a: Point2, b: Point2) -> f64 {
-        if a == b {
-            return 0.0;
-        }
-        if (l as usize) >= self.layers.len() || !self.contains(a) || !self.contains(b) {
-            return f64::INFINITY;
-        }
-        let dir = self.layers[l as usize].direction;
-        let run_dir = if a.y == b.y {
-            Direction::Horizontal
-        } else if a.x == b.x {
-            Direction::Vertical
-        } else {
-            return f64::INFINITY;
-        };
-        if dir != run_dir {
-            return f64::INFINITY;
-        }
-        let plane = &self.planes[l as usize];
-        let mut total = 0.0;
-        match dir {
-            Direction::Horizontal => {
-                let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
-                let base = a.y as usize * (self.width as usize - 1);
-                for x in x0..x1 {
-                    let i = base + x as usize;
-                    total += self
-                        .params
-                        .wire_edge_cost(plane.demand_at(i), plane.capacity[i])
-                        + plane.history[i];
-                }
-            }
-            Direction::Vertical => {
-                let (y0, y1) = (a.y.min(b.y), a.y.max(b.y));
-                let base = a.x as usize * (self.height as usize - 1);
-                for y in y0..y1 {
-                    let i = base + y as usize;
-                    total += self
-                        .params
-                        .wire_edge_cost(plane.demand_at(i), plane.capacity[i])
-                        + plane.history[i];
-                }
-            }
-        }
-        total
-    }
-
-    /// Cost `cv(p, l1, l2)` of a via stack at `p` from layer `l1` to `l2`.
-    ///
-    /// Returns 0 when `l1 == l2`; `f64::INFINITY` when out of range.
-    pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
-        let (lo, hi) = (l1.min(l2), l1.max(l2));
-        if hi as usize >= self.layers.len() || !self.contains(p) {
-            return f64::INFINITY;
-        }
-        let mut total = 0.0;
-        for l in lo..hi {
-            total += self.via_edge_cost(l, p);
-        }
-        total
-    }
-
-    /// [`GridGraph::wire_run_cost`] in the Q44.20 quantised cost domain:
-    /// each unit edge is quantised with `cost_to_fixed` *before* summation
-    /// and the integer total converted back to `f64` (exact below 2^53).
-    ///
-    /// This is the naive reference the prefix-sum [`crate::CostProber`]
-    /// matches bit-for-bit, and the arithmetic the pattern DP uses in its
-    /// direct (prober-off) mode so probed and direct routing agree exactly.
-    pub fn wire_run_cost_fixed(&self, l: u8, a: Point2, b: Point2) -> f64 {
         if a == b {
             return 0.0;
         }
@@ -644,9 +543,12 @@ impl GridGraph {
         fixed_cost_to_f64(total)
     }
 
-    /// [`GridGraph::via_stack_cost`] in the Q44.20 quantised cost domain;
-    /// the naive reference for [`crate::CostProber::via_stack_cost`].
-    pub fn via_stack_cost_fixed(&self, p: Point2, l1: u8, l2: u8) -> f64 {
+    /// Cost `cv(p, l1, l2)` of a via stack at `p` from layer `l1` to `l2`,
+    /// in the Q44.20 quantised cost domain; the naive walk
+    /// [`crate::CostProber::via_stack_cost`] matches bit-for-bit.
+    ///
+    /// Returns 0 when `l1 == l2`; `f64::INFINITY` when out of range.
+    pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
         let (lo, hi) = (l1.min(l2), l1.max(l2));
         if hi as usize >= self.layers.len() || !self.contains(p) {
             return f64::INFINITY;
@@ -660,28 +562,9 @@ impl GridGraph {
     }
 
     /// Adds `amount` demand (may be negative) to every unit wire edge of the
-    /// straight run `a -> b` on layer `l`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects out-of-bounds coordinates and wrong-direction runs.
-    pub fn add_wire_demand(
-        &mut self,
-        l: u8,
-        a: Point2,
-        b: Point2,
-        amount: f64,
-    ) -> Result<(), GridError> {
-        self.add_wire_demand_shared(l, a, b, amount)
-    }
-
-    fn add_wire_demand_shared(
-        &self,
-        l: u8,
-        a: Point2,
-        b: Point2,
-        amount: f64,
-    ) -> Result<(), GridError> {
+    /// straight run `a -> b` on layer `l`. Rejects out-of-bounds coordinates
+    /// and wrong-direction runs.
+    fn add_wire_demand(&self, l: u8, a: Point2, b: Point2, amount: f64) -> Result<(), GridError> {
         if a == b {
             return Ok(());
         }
@@ -707,33 +590,14 @@ impl GridGraph {
         for (from, _to) in seg.unit_edges() {
             let idx = self.edge_index(l, from).expect("validated in-bounds");
             plane.demand[idx].fetch_add(fx, Ordering::Relaxed);
-            self.dirty.mark(offset + idx, from);
+            self.dirty.mark(offset + idx);
         }
         Ok(())
     }
 
     /// Adds `amount` via demand for every hop of the stack `l1..l2` at `p`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects out-of-bounds coordinates and inverted/out-of-range spans.
-    pub fn add_via_demand(
-        &mut self,
-        p: Point2,
-        l1: u8,
-        l2: u8,
-        amount: f64,
-    ) -> Result<(), GridError> {
-        self.add_via_demand_shared(p, l1, l2, amount)
-    }
-
-    fn add_via_demand_shared(
-        &self,
-        p: Point2,
-        l1: u8,
-        l2: u8,
-        amount: f64,
-    ) -> Result<(), GridError> {
+    /// Rejects out-of-bounds coordinates and out-of-range spans.
+    fn add_via_demand(&self, p: Point2, l1: u8, l2: u8, amount: f64) -> Result<(), GridError> {
         let (lo, hi) = (l1.min(l2), l1.max(l2));
         if !self.contains(p) {
             return Err(GridError::OutOfBounds {
@@ -748,7 +612,7 @@ impl GridGraph {
         for l in lo..hi {
             let i = self.via_index(l, p).expect("validated in-bounds");
             self.via_demand[i].fetch_add(fx, Ordering::Relaxed);
-            self.via_dirty.mark(i, p);
+            self.via_dirty.mark(i);
         }
         Ok(())
     }
@@ -811,10 +675,10 @@ impl GridGraph {
 
     fn apply_shared(&self, route: &Route, amount: f64) -> Result<(), GridError> {
         for s in route.segments() {
-            self.add_wire_demand_shared(s.layer, s.from, s.to, amount)?;
+            self.add_wire_demand(s.layer, s.from, s.to, amount)?;
         }
         for v in route.vias() {
-            self.add_via_demand_shared(v.at, v.lo, v.hi, amount)?;
+            self.add_via_demand(v.at, v.lo, v.hi, amount)?;
         }
         Ok(())
     }
@@ -838,18 +702,11 @@ impl GridGraph {
     /// dirty set — i.e. whether the route's overflow status may have
     /// changed since [`GridGraph::clear_dirty`].
     ///
-    /// A bounding-rectangle prefilter rejects routes far from the dirtied
-    /// region before any per-edge bit tests run. Conservative: may return
-    /// `true` for a route whose overflow status is unchanged, never `false`
-    /// for one whose status changed (every demand update marks its edge).
+    /// Conservative: may return `true` for a route whose overflow status is
+    /// unchanged, never `false` for one whose status changed (every demand
+    /// update marks its edge).
     pub fn route_touches_dirty(&self, route: &Route) -> bool {
-        let Some(rect) = self.dirty.rect() else {
-            return false;
-        };
         for s in route.segments() {
-            if !Rect::new(s.from, s.to).intersects(&rect) {
-                continue;
-            }
             let offset = self.edge_offsets[s.layer as usize];
             for (from, _to) in s.unit_edges() {
                 if let Some(i) = self.edge_index(s.layer, from) {
@@ -863,7 +720,8 @@ impl GridGraph {
     }
 
     /// Evaluates the current cost of `route` against the present demand
-    /// state (counting the route's own demand if committed).
+    /// state (counting the route's own demand if committed): the sum of its
+    /// quantised wire-run and via-stack walks.
     pub fn route_cost(&self, route: &Route) -> f64 {
         let mut total = 0.0;
         for s in route.segments() {
@@ -1037,7 +895,11 @@ mod tests {
         let g = graph();
         let c1 = g.wire_run_cost(1, Point2::new(0, 0), Point2::new(1, 0));
         let c5 = g.wire_run_cost(1, Point2::new(0, 0), Point2::new(5, 0));
-        assert!((c5 - 5.0 * c1).abs() < 1e-9);
+        // Equal edges quantise identically, so the sum is exact.
+        assert_eq!(c5, 5.0 * c1);
+        // The walk sums the per-edge quantised costs.
+        let quantised = fixed_cost_to_f64(cost_to_fixed(g.wire_edge_cost(1, Point2::new(0, 0))));
+        assert_eq!(c1, quantised);
     }
 
     #[test]
@@ -1112,12 +974,12 @@ mod tests {
         g.commit(&route).expect("valid");
         assert_eq!(g.dirty_edges(), 3);
 
-        // A distant route is rejected by the rect prefilter.
+        // A distant route covers no dirty edge.
         let mut far = Route::new();
         far.push_segment(Segment::new(2, Point2::new(9, 6), Point2::new(9, 9)));
         assert!(!g.route_touches_dirty(&far));
 
-        // A route overlapping the dirty rect but covering only clean edges.
+        // A route crossing the dirty run but covering only clean edges.
         let mut near = Route::new();
         near.push_segment(Segment::new(2, Point2::new(3, 1), Point2::new(3, 4)));
         assert!(!g.route_touches_dirty(&near));
@@ -1192,7 +1054,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_demand_is_rejected() {
-        let mut g = graph();
+        let g = graph();
         assert!(g
             .add_wire_demand(1, Point2::new(0, 0), Point2::new(50, 0), 1.0)
             .is_err());
@@ -1209,7 +1071,7 @@ mod tests {
         let p = Point2::new(4, 4);
         let one = g.via_stack_cost(p, 1, 2);
         let three = g.via_stack_cost(p, 1, 4);
-        assert!((three - 3.0 * one).abs() < 1e-9);
+        assert_eq!(three, 3.0 * one);
         assert_eq!(g.via_stack_cost(p, 2, 2), 0.0);
         assert!(g.via_stack_cost(p, 1, 9).is_infinite());
     }

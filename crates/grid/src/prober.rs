@@ -15,7 +15,7 @@
 //!
 //! Because each edge cost is quantised *before* summation, a prefix
 //! difference is an exact integer subtraction — bit-identical to the naive
-//! quantised walk ([`GridGraph::wire_run_cost_fixed`]) and independent of
+//! quantised walk ([`GridGraph::wire_run_cost`]) and independent of
 //! evaluation order, so determinism across worker counts holds by
 //! construction rather than by floating-point luck.
 //!
@@ -77,7 +77,7 @@ struct RebuildScratch {
 /// let b = Point2::new(5, 2);
 /// // A probe is an O(1) prefix difference, bit-identical to the naive
 /// // quantised walk.
-/// assert_eq!(prober.wire_run_cost(1, a, b), g.wire_run_cost_fixed(1, a, b));
+/// assert_eq!(prober.wire_run_cost(1, a, b), g.wire_run_cost(1, a, b));
 /// # Ok(())
 /// # }
 /// ```
@@ -294,7 +294,7 @@ impl CostProber {
 
     /// O(1) probe of the cached cost `cw(a, b, l)` of a straight run on
     /// layer `l` — the prefix-difference equivalent of
-    /// [`GridGraph::wire_run_cost_fixed`], bit-identical to it whenever the
+    /// [`GridGraph::wire_run_cost`], bit-identical to it whenever the
     /// cache is fresh.
     ///
     /// Returns 0 for `a == b` and `f64::INFINITY` for runs that leave the
@@ -343,7 +343,7 @@ impl CostProber {
     }
 
     /// O(1) probe of the cached via-stack cost `cv(p, l1, l2)` — the
-    /// prefix-difference equivalent of [`GridGraph::via_stack_cost_fixed`].
+    /// prefix-difference equivalent of [`GridGraph::via_stack_cost`].
     ///
     /// Returns 0 when `l1 == l2`; `f64::INFINITY` when out of range.
     pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
@@ -394,7 +394,7 @@ mod tests {
             for y in 0..8u16 {
                 let a = Point2::new(1, y);
                 let b = Point2::new(7, y);
-                assert_eq!(prober.wire_run_cost(l, a, b), g.wire_run_cost_fixed(l, a, b));
+                assert_eq!(prober.wire_run_cost(l, a, b), g.wire_run_cost(l, a, b));
             }
         }
         let p = Point2::new(3, 4);
@@ -402,7 +402,7 @@ mod tests {
             for hi in lo..5u8 {
                 assert_eq!(
                     prober.via_stack_cost(p, lo, hi),
-                    g.via_stack_cost_fixed(p, lo, hi)
+                    g.via_stack_cost(p, lo, hi)
                 );
             }
         }
@@ -455,10 +455,10 @@ mod tests {
 
         let a = Point2::new(0, 2);
         let b = Point2::new(9, 2);
-        assert_eq!(prober.wire_run_cost(1, a, b), g.wire_run_cost_fixed(1, a, b));
+        assert_eq!(prober.wire_run_cost(1, a, b), g.wire_run_cost(1, a, b));
         assert_eq!(
             prober.via_stack_cost(Point2::new(6, 2), 0, 4),
-            g.via_stack_cost_fixed(Point2::new(6, 2), 0, 4)
+            g.via_stack_cost(Point2::new(6, 2), 0, 4)
         );
 
         // A refresh with nothing dirty rebuilds nothing.

@@ -1,6 +1,6 @@
 //! Exactness contract of the prefix-sum cost prober: an O(1) prefix
 //! difference is *bit-for-bit equal* to the naive fixed-point gcell walk
-//! ([`GridGraph::wire_run_cost_fixed`] / [`GridGraph::via_stack_cost_fixed`])
+//! ([`GridGraph::wire_run_cost`] / [`GridGraph::via_stack_cost`])
 //! for arbitrary demand and history states. Costs are quantised per edge
 //! before summation, so both sides are exact integer sums — these are
 //! equality tests, not epsilon tests.
@@ -58,7 +58,7 @@ fn assert_probes_match(prober: &CostProber, g: &GridGraph) {
                 for x0 in 0..W {
                     let a = Point2::new(x0, y);
                     let b = Point2::new(W - 1, y);
-                    assert_eq!(prober.wire_run_cost(l, a, b), g.wire_run_cost_fixed(l, a, b));
+                    assert_eq!(prober.wire_run_cost(l, a, b), g.wire_run_cost(l, a, b));
                 }
             }
         } else {
@@ -66,7 +66,7 @@ fn assert_probes_match(prober: &CostProber, g: &GridGraph) {
                 for y0 in 0..H {
                     let a = Point2::new(x, y0);
                     let b = Point2::new(x, H - 1);
-                    assert_eq!(prober.wire_run_cost(l, a, b), g.wire_run_cost_fixed(l, a, b));
+                    assert_eq!(prober.wire_run_cost(l, a, b), g.wire_run_cost(l, a, b));
                 }
             }
         }
@@ -78,7 +78,7 @@ fn assert_probes_match(prober: &CostProber, g: &GridGraph) {
                 for hi in lo..LAYERS {
                     assert_eq!(
                         prober.via_stack_cost(p, lo, hi),
-                        g.via_stack_cost_fixed(p, lo, hi)
+                        g.via_stack_cost(p, lo, hi)
                     );
                 }
             }

@@ -143,7 +143,8 @@ mod tests {
         r.kernel("pattern", 8, 1.5e-4, 2e-3);
         r.counter_sample("rrr.nets_ripped", 12.0);
         let mut trace = r.take_trace();
-        trace.set_pattern_summary(2, 0.0);
+        trace.set_counter("pattern.batches", 2.0);
+        trace.set_counter("pattern.shorts_after", 0.0);
         trace.to_chrome_trace_json()
     }
 

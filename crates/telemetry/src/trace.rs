@@ -87,9 +87,9 @@ pub struct TimelineEvent {
 ///
 /// A `RunTrace` is attached to every `RoutingOutcome`; with a disabled
 /// [`Recorder`](crate::Recorder) it still carries the deterministic run
-/// summary (batches, pattern shorts, per-iteration rip-up counts) — only
-/// the timeline detail (spans, kernel events, worker events) requires an
-/// enabled recorder.
+/// summary counters (batches, pattern shorts, per-iteration rip-up counts)
+/// — only the timeline detail (spans, kernel events, counter samples,
+/// worker events) requires an enabled recorder.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTrace {
     spans: Vec<Span>,
@@ -97,14 +97,10 @@ pub struct RunTrace {
     counter_samples: Vec<CounterSample>,
     kernels: Vec<KernelEvent>,
     events: Vec<TimelineEvent>,
-    nets_ripped: Vec<usize>,
-    pattern_shorts: f64,
-    pattern_batches: usize,
 }
 
 impl RunTrace {
     /// Builds a trace from recorder parts (crate-internal).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         spans: Vec<Span>,
         counters: BTreeMap<String, f64>,
@@ -118,67 +114,59 @@ impl RunTrace {
             counter_samples,
             kernels,
             events,
-            nets_ripped: Vec::new(),
-            pattern_shorts: 0.0,
-            pattern_batches: 0,
         }
     }
 
-    // --- Run-summary accessors (always populated by the router). ---
+    // --- Run summary, read from the counters the router always sets. ---
 
-    /// Nets ripped up per rip-up-and-reroute iteration.
-    pub fn nets_ripped(&self) -> &[usize] {
-        &self.nets_ripped
+    /// Nets ripped up per rip-up-and-reroute iteration (the
+    /// `rrr.iterN.nets_ripped` counters, `rrr.iterations` of them).
+    pub fn nets_ripped(&self) -> Vec<usize> {
+        let iterations = self.counter("rrr.iterations").unwrap_or(0.0) as usize;
+        let ripped = |i| {
+            self.counter(&format!("rrr.iter{i}.nets_ripped"))
+                .unwrap_or(0.0)
+        };
+        (0..iterations).map(|i| ripped(i) as usize).collect()
     }
 
     /// Shorts (overflow) right after the pattern stage, before any rip-up
-    /// and reroute.
+    /// and reroute (the `pattern.shorts_after` counter).
     pub fn pattern_shorts(&self) -> f64 {
-        self.pattern_shorts
+        self.counter("pattern.shorts_after").unwrap_or(0.0)
     }
 
-    /// Conflict-free batches formed in the pattern stage.
+    /// Conflict-free batches formed in the pattern stage (the
+    /// `pattern.batches` counter).
     pub fn pattern_batches(&self) -> usize {
-        self.pattern_batches
-    }
-
-    /// Records the pattern-stage summary (also mirrored into counters so
-    /// `counter("pattern.batches")` works uniformly).
-    pub fn set_pattern_summary(&mut self, batches: usize, shorts_after: f64) {
-        self.pattern_batches = batches;
-        self.pattern_shorts = shorts_after;
-        self.counters
-            .insert("pattern.batches".to_owned(), batches as f64);
-        self.counters
-            .insert("pattern.shorts_after".to_owned(), shorts_after);
-    }
-
-    /// Records the per-iteration rip-up counts (also mirrored into
-    /// counters, one `rrr.iterN.nets_ripped` entry per iteration).
-    pub fn set_rrr_nets_ripped(&mut self, nets_ripped: Vec<usize>) {
-        self.counters
-            .insert("rrr.iterations".to_owned(), nets_ripped.len() as f64);
-        for (i, &n) in nets_ripped.iter().enumerate() {
-            self.counters
-                .insert(format!("rrr.iter{i}.nets_ripped"), n as f64);
-        }
-        self.nets_ripped = nets_ripped;
-    }
-
-    /// Records the incremental overflow-scan summary (mirrored into the
-    /// `rrr.dirty_edges` / `rrr.full_rescan_avoided` counter pair): how
-    /// many wire edges changed demand across the RRR iterations and how
-    /// many per-route overflow rescans the dirty-edge filter skipped.
-    pub fn set_rrr_scan_summary(&mut self, dirty_edges: u64, rescans_avoided: u64) {
-        self.counters
-            .insert("rrr.dirty_edges".to_owned(), dirty_edges as f64);
-        self.counters
-            .insert("rrr.full_rescan_avoided".to_owned(), rescans_avoided as f64);
+        self.counter("pattern.batches").unwrap_or(0.0) as usize
     }
 
     /// Sets (or overwrites) a named counter.
     pub fn set_counter(&mut self, name: &str, value: f64) {
         self.counters.insert(name.to_owned(), value);
+    }
+
+    // --- Seconds. Sums fold from +0.0: an empty `Iterator::sum` is -0.0. ---
+
+    /// Measured wall seconds of every span named exactly `name`.
+    pub fn span_seconds(&self, name: &str) -> f64 {
+        let spans = self.spans.iter().filter(|s| s.name == name);
+        spans.fold(0.0, |total, s| total + s.duration_seconds)
+    }
+
+    /// Sum of every sample of the counter `name`.
+    pub fn sample_total(&self, name: &str) -> f64 {
+        let samples = self.counter_samples.iter().filter(|s| s.name == name);
+        samples.fold(0.0, |total, s| total + s.value)
+    }
+
+    /// Modelled device seconds of every kernel launch, summed in launch
+    /// order (deterministic for a fixed configuration).
+    pub fn modeled_device_seconds(&self) -> f64 {
+        self.kernels
+            .iter()
+            .fold(0.0, |total, k| total + k.modeled_seconds)
     }
 
     // --- Telemetry accessors. ---
@@ -231,9 +219,9 @@ impl RunTrace {
     /// interleaving) never appear in it.
     pub fn deterministic_signature(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "pattern.batches = {}", self.pattern_batches);
-        let _ = writeln!(out, "pattern.shorts = {}", self.pattern_shorts);
-        let _ = writeln!(out, "rrr.nets_ripped = {:?}", self.nets_ripped);
+        let _ = writeln!(out, "pattern.batches = {}", self.pattern_batches());
+        let _ = writeln!(out, "pattern.shorts = {}", self.pattern_shorts());
+        let _ = writeln!(out, "rrr.nets_ripped = {:?}", self.nets_ripped());
         for (name, value) in &self.counters {
             if name.starts_with("sched.") {
                 continue;
@@ -331,8 +319,11 @@ mod tests {
                 track: 1,
             }],
         );
-        trace.set_pattern_summary(3, 7.5);
-        trace.set_rrr_nets_ripped(vec![12, 4]);
+        trace.set_counter("pattern.batches", 3.0);
+        trace.set_counter("pattern.shorts_after", 7.5);
+        trace.set_counter("rrr.iterations", 2.0);
+        trace.set_counter("rrr.iter0.nets_ripped", 12.0);
+        trace.set_counter("rrr.iter1.nets_ripped", 4.0);
         trace.set_counter("pattern.kernel_launches", 3.0);
         trace
     }
@@ -342,22 +333,21 @@ mod tests {
         let trace = sample_trace();
         assert_eq!(trace.pattern_batches(), 3);
         assert_eq!(trace.pattern_shorts(), 7.5);
-        assert_eq!(trace.nets_ripped(), &[12, 4]);
-        assert_eq!(trace.counter("pattern.batches"), Some(3.0));
-        assert_eq!(trace.counter("rrr.iter0.nets_ripped"), Some(12.0));
-        assert_eq!(trace.counter("rrr.iterations"), Some(2.0));
+        assert_eq!(trace.nets_ripped(), [12, 4]);
         assert!(trace.has_timeline());
+        let header = "pattern.batches = 3\npattern.shorts = 7.5\nrrr.nets_ripped = [12, 4]\n";
+        assert!(trace.deterministic_signature().starts_with(header));
     }
 
     #[test]
-    fn scan_summary_mirrors_counter_pair() {
-        let mut trace = sample_trace();
-        trace.set_rrr_scan_summary(120, 340);
-        assert_eq!(trace.counter("rrr.dirty_edges"), Some(120.0));
-        assert_eq!(trace.counter("rrr.full_rescan_avoided"), Some(340.0));
-        let sig = trace.deterministic_signature();
-        assert!(sig.contains("counter rrr.dirty_edges = 120"), "{sig}");
-        assert!(sig.contains("counter rrr.full_rescan_avoided = 340"), "{sig}");
+    fn second_totals_start_at_positive_zero() {
+        let (trace, empty) = (sample_trace(), RunTrace::default());
+        assert_eq!(trace.span_seconds("pattern"), 0.5);
+        assert_eq!(trace.sample_total("rrr.nets_ripped"), 12.0);
+        assert_eq!(trace.modeled_device_seconds(), 1e-4);
+        // Nothing recorded reads as +0.0, never the -0.0 of an empty sum.
+        let (a, b) = (empty.span_seconds("a"), empty.sample_total("b"));
+        assert!([a, b, empty.modeled_device_seconds()].iter().all(|z| z.to_bits() == 0));
     }
 
     #[test]
@@ -410,6 +400,6 @@ mod tests {
         let trace = RunTrace::default();
         assert!(!trace.has_timeline());
         assert!(trace.summary_table().contains("telemetry was disabled"));
-        assert_eq!(trace.nets_ripped(), &[] as &[usize]);
+        assert!(trace.nets_ripped().is_empty());
     }
 }

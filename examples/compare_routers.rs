@@ -7,6 +7,8 @@
 
 use fastgr::core::{Router, RouterConfig};
 use fastgr::design::BenchmarkSpec;
+use fastgr::telemetry::Stopwatch;
+use fastgr::Recorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args()
@@ -23,19 +25,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("FastGR_H", RouterConfig::fastgr_h()),
     ];
 
-    let mut baseline_total = None;
+    let mut baseline_wall = None;
     for (label, config) in variants {
-        let outcome = Router::new(config).run(&design)?;
-        let total = outcome.timings.total_seconds();
-        let speedup = baseline_total
-            .map(|b: f64| format!("{:.2}x", b / total))
+        let clock = Stopwatch::start();
+        let outcome = Router::new(config).run_with_recorder(&design, &Recorder::enabled())?;
+        let wall = clock.elapsed_seconds();
+        let speedup = baseline_wall
+            .map(|b: f64| format!("{:.2}x", b / wall))
             .unwrap_or_else(|| "1.00x".to_owned());
-        baseline_total.get_or_insert(total);
+        baseline_wall.get_or_insert(wall);
+        let trace = &outcome.trace;
         println!("{label}");
         println!("  quality:  {}", outcome.metrics);
-        println!("  timings:  {}", outcome.timings);
-        println!("  speedup:  {speedup} over the baseline");
-        println!("  ripped:   {:?}", outcome.trace.nets_ripped());
+        println!("  measured: {wall:.3} s wall, {speedup} over the baseline");
+        let device_ms = trace.modeled_device_seconds() * 1e3;
+        let rrr_ms = trace.sample_total("rrr.modeled_parallel_s") * 1e3;
+        println!("  modelled: device {device_ms:.3} ms, rrr parallel {rrr_ms:.3} ms");
+        println!("  ripped:   {:?}", trace.nets_ripped());
         println!();
     }
     Ok(())

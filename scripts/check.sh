@@ -38,6 +38,12 @@ echo "== suite design route + trace smoke =="
 target/release/fastgr route s18t5m --preset fastgr-l --trace "$trace_tmp/suite_trace.json" >/dev/null
 cargo xtask validate-trace "$trace_tmp/suite_trace.json"
 
+echo "== stress smoke (10 random designs x 3 presets, one worker) =="
+FASTGR_WORKERS=1 cargo run --release --offline -q -p fastgr-bench --bin stress -- 10 >/dev/null
+
+echo "== table VIII smoke (paper accounting read from the run trace) =="
+cargo run --release --offline -q -p fastgr-bench --bin reproduce -- table8 >/dev/null
+
 echo "== pattern kernel bench smoke =="
 FASTGR_BENCH_MS=20 cargo bench -q -p fastgr-bench --bench pattern_kernels >/dev/null
 

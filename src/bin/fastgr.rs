@@ -14,9 +14,10 @@
 //!        [--preset cugr|fastgr-l|fastgr-h] [--guides out.guide]
 //!        [--sort pins-asc|pins-desc|hpwl-asc|hpwl-desc|area-asc|area-desc]
 //!        [--iterations N] [--svg out.svg] [--trace out.json]
-//!     Route the design and print quality metrics and stage timings;
-//!     optionally write ISPD-style routing guides, an SVG rendering, or a
-//!     Chrome `trace_event` profile (load in Perfetto / chrome://tracing).
+//!     Route the design and print quality metrics, measured stage times and
+//!     (on their own line) modelled seconds; optionally write ISPD-style
+//!     routing guides, an SVG rendering, or a Chrome `trace_event` profile
+//!     (load in Perfetto / chrome://tracing).
 //! ```
 
 use std::fs;
@@ -202,33 +203,36 @@ fn cmd_route(args: &[String]) -> ExitCode {
         }
     }
     let trace_path = flag_value(args, "--trace");
-    let recorder = if trace_path.is_some() {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
 
     println!("{design}");
-    let outcome = match Router::new(config).run_with_recorder(&design, &recorder) {
+    let outcome = match Router::new(config).run_with_recorder(&design, &Recorder::enabled()) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("routing failed: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let trace = &outcome.trace;
+    let ripped = trace.nets_ripped();
+    let ms = |span: &str| trace.span_seconds(span) * 1e3;
+    let rrr = (0..ripped.len()).fold(0.0, |total, i| total + ms(&format!("rrr.iter{i}")));
+    let (planning, pattern) = (ms("planning"), ms("pattern"));
+    let device = trace.modeled_device_seconds() * 1e3;
+    let parallel = trace.sample_total("rrr.modeled_parallel_s") * 1e3;
     println!("quality:  {}", outcome.metrics);
-    println!("timings:  {}", outcome.timings);
-    println!("batches:  {}", outcome.trace.pattern_batches());
-    println!("ripped:   {:?}", outcome.trace.nets_ripped());
+    println!("measured: planning {planning:.3} ms, pattern {pattern:.3} ms, rrr {rrr:.3} ms");
+    println!("modelled: device {device:.3} ms, rrr parallel {parallel:.3} ms");
+    println!("batches:  {}", trace.pattern_batches());
+    println!("ripped:   {ripped:?}");
     println!("congestion: {}", outcome.report);
     if let Some(path) = trace_path {
-        let json = outcome.trace.to_chrome_trace_json();
+        let json = trace.to_chrome_trace_json();
         if let Err(e) = fs::write(path, &json) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote trace to {path} ({} bytes)", json.len());
-        print!("{}", outcome.trace.summary_table());
+        print!("{}", trace.summary_table());
     }
 
     if let Some(path) = flag_value(args, "--svg") {

@@ -3,11 +3,13 @@
 //! a two-pin net can never cost more than the pattern route (it searches a
 //! superset of the pattern paths), and both must connect the same pins.
 //!
-//! Tolerances: the pattern DP evaluates costs in the Q44.20 fixed-point
-//! domain of the prefix-sum cost prober (each edge rounds by at most
-//! 2^-21), while `GridGraph::route_cost` sums raw f64 — so pattern-vs-maze
-//! comparisons allow 1e-3 of quantisation drift. Pattern-vs-pattern
-//! comparisons are quantised on both sides and stay at 1e-9.
+//! Tolerances: the pattern DP and `GridGraph::route_cost` both price edges
+//! in the Q44.20 fixed-point domain of the prefix-sum cost prober (each
+//! edge rounds by at most 2^-21), while the maze search minimises its own
+//! quantisation of the per-edge costs — so its optimum under the Q44.20
+//! walk may differ by rounding, and pattern-vs-maze comparisons allow 1e-3
+//! of quantisation drift. Pattern-vs-pattern comparisons are quantised
+//! identically on both sides and stay at 1e-9.
 
 use fastgr::core::{PatternDp, PatternMode};
 use fastgr::design::{Net, NetId, Pin};
