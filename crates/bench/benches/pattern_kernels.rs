@@ -126,7 +126,10 @@ fn bench_parallel_launch(c: &mut Criterion) {
             &workers,
             |b, &w| {
                 let dp = PatternDp::new(&g, PatternMode::HybridAll);
-                let mut device = Device::new(DeviceConfig::rtx3090_like().with_host_workers(w));
+                let mut device = Device::new(DeviceConfig {
+                    host_workers: w,
+                    ..DeviceConfig::rtx3090_like()
+                });
                 b.iter(|| {
                     device.launch("pattern", trees.len(), |t| {
                         black_box(dp.route_net(&trees[t]).expect("routable")).profile

@@ -48,7 +48,6 @@ fn bench_strategies(c: &mut Criterion) {
     for (strategy, name) in [
         (RrrStrategy::TaskGraph, "task_graph"),
         (RrrStrategy::BatchBarrier, "batch_barrier"),
-        (RrrStrategy::Sequential, "sequential"),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &strategy, |b, &s| {
             let stage = RrrStage {

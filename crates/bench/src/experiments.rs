@@ -196,7 +196,10 @@ pub fn table5(quick: bool) -> String {
         for scheme in SortingScheme::ALL {
             // Scheme swapped in the RRR stage only: route the pattern stage
             // with the default, then re-sort the rip-up set.
-            let config = RouterConfig::fastgr_l().with_rrr_sorting(scheme);
+            let config = RouterConfig {
+                rrr_sorting: Some(scheme),
+                ..RouterConfig::fastgr_l()
+            };
             let o = route(&design, config);
             let t = PaperSeconds::of(&o);
             rows.push(vec![
@@ -227,8 +230,10 @@ pub fn fig12() -> String {
 
     let mut rows = Vec::new();
     for t2 in (10..=100).step_by(10) {
-        let config = RouterConfig::fastgr_h()
-            .with_pattern_mode(fastgr_core::PatternMode::Hybrid(SelectionThresholds::new(4, t2)));
+        let config = RouterConfig {
+            pattern_mode: fastgr_core::PatternMode::Hybrid(SelectionThresholds::new(4, t2)),
+            ..RouterConfig::fastgr_h()
+        };
         let o = route(&design, config);
         rows.push(vec![
             t2.to_string(),
@@ -584,7 +589,10 @@ pub fn ablations() -> String {
     run_cfg("l-shape", RouterConfig::fastgr_l());
     run_cfg(
         "z-shape only",
-        RouterConfig::fastgr_l().with_pattern_mode(PatternMode::ZShape),
+        RouterConfig {
+            pattern_mode: PatternMode::ZShape,
+            ..RouterConfig::fastgr_l()
+        },
     );
     run_cfg("hybrid+selection", RouterConfig::fastgr_h());
     run_cfg("hybrid all", RouterConfig::fastgr_h_no_selection());
@@ -592,34 +600,48 @@ pub fn ablations() -> String {
     // Edge shifting / Steinerisation off (raw MST trees).
     run_cfg(
         "no edge shifting",
-        RouterConfig::fastgr_l().with_steiner_passes(0),
+        RouterConfig {
+            steiner_passes: 0,
+            ..RouterConfig::fastgr_l()
+        },
     );
 
     // Plain Dijkstra in the rip-up-and-reroute maze.
     run_cfg(
         "maze dijkstra",
-        RouterConfig::fastgr_l().with_maze(MazeConfig {
-            astar: false,
-            ..MazeConfig::default()
-        }),
+        RouterConfig {
+            maze: MazeConfig {
+                astar: false,
+                ..MazeConfig::default()
+            },
+            ..RouterConfig::fastgr_l()
+        },
     );
 
     // RUDY-guided congestion-aware edge shifting in planning.
     run_cfg(
         "rudy planning",
-        RouterConfig::fastgr_l().with_congestion_aware_planning(true),
+        RouterConfig {
+            congestion_aware_planning: true,
+            ..RouterConfig::fastgr_l()
+        },
     );
 
     // Negotiated congestion (history cost), an extension beyond the paper.
     run_cfg(
         "history cost",
-        RouterConfig::fastgr_l().with_history_increment(4.0),
+        RouterConfig {
+            history_increment: 4.0,
+            ..RouterConfig::fastgr_l()
+        },
     );
     run_cfg(
         "history + 8 iters",
-        RouterConfig::fastgr_l()
-            .with_history_increment(4.0)
-            .with_rrr_iterations(8),
+        RouterConfig {
+            history_increment: 4.0,
+            rrr_iterations: 8,
+            ..RouterConfig::fastgr_l()
+        },
     );
 
     format!(

@@ -771,7 +771,7 @@ impl<'g> PatternDp<'g> {
             }
             // c*(i)(lt) = min_{ls, lb} (w1 + w2 + w3)          (Eq. 14):
             // stage 1 reduces sources per bridge, stage 2 bridges per
-            // target — together the chain min-plus of `chain_min_plus`.
+            // target.
             vec_mat_min_plus_into(
                 &scratch.w1,
                 &scratch.w2,

@@ -44,7 +44,7 @@ pub use analysis::{estimate_congestion, rudy_map, CongestionEstimate};
 pub use dp::{DpScratch, DpSummary, NetDpResult, PatternDp, PatternMode};
 pub use error::RouteError;
 pub use guides::{GuideBox, RouteGuides};
-pub use metrics::{LayerUsage, QualityMetrics, ScoreWeights};
+pub use metrics::{LayerUsage, QualityMetrics};
 pub use ordering::SortingScheme;
 pub use pattern::{PatternEngine, PatternOutcome, PatternStage};
 pub use router::{Router, RouterConfig, RoutingOutcome};

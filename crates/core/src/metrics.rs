@@ -2,41 +2,16 @@
 
 use std::fmt;
 
-/// Weights of the global-routing score `s = αW + βV + γS`.
-///
-/// The paper sets `α = 0.5`, `β = 4`, `γ = 500` "considering the order of
-/// magnitude of different metrics" (Section IV-C).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoreWeights {
-    /// Wirelength weight `α`.
-    pub alpha: f64,
-    /// Via-count weight `β`.
-    pub beta: f64,
-    /// Shorts weight `γ`.
-    pub gamma: f64,
-}
-
-impl Default for ScoreWeights {
-    fn default() -> Self {
-        Self {
-            alpha: 0.5,
-            beta: 4.0,
-            gamma: 500.0,
-        }
-    }
-}
-
 /// Quality of one global-routing solution.
 ///
 /// # Example
 ///
 /// ```
-/// use fastgr_core::{QualityMetrics, ScoreWeights};
+/// use fastgr_core::QualityMetrics;
 ///
 /// let m = QualityMetrics { wirelength: 1000, vias: 200, shorts: 3.0 };
 /// // s = 0.5*1000 + 4*200 + 500*3 = 2800
 /// assert_eq!(m.score(), 2800.0);
-/// assert_eq!(m.score_with(ScoreWeights { gamma: 0.0, ..Default::default() }), 1300.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QualityMetrics {
@@ -49,14 +24,14 @@ pub struct QualityMetrics {
 }
 
 impl QualityMetrics {
-    /// The score under the paper's default weights.
+    /// The score `s = αW + βV + γS` with the paper's weights `α = 0.5`,
+    /// `β = 4`, `γ = 500`, chosen "considering the order of magnitude of
+    /// different metrics" (Section IV-C).
     pub fn score(&self) -> f64 {
-        self.score_with(ScoreWeights::default())
-    }
-
-    /// The score under explicit weights.
-    pub fn score_with(&self, w: ScoreWeights) -> f64 {
-        w.alpha * self.wirelength as f64 + w.beta * self.vias as f64 + w.gamma * self.shorts
+        const ALPHA: f64 = 0.5;
+        const BETA: f64 = 4.0;
+        const GAMMA: f64 = 500.0;
+        ALPHA * self.wirelength as f64 + BETA * self.vias as f64 + GAMMA * self.shorts
     }
 }
 
@@ -118,11 +93,6 @@ impl LayerUsage {
         Self { wirelength, vias }
     }
 
-    /// Number of layers covered.
-    pub fn layer_count(&self) -> u8 {
-        self.wirelength.len() as u8
-    }
-
     /// Wirelength routed on layer `l`.
     ///
     /// # Panics
@@ -170,8 +140,18 @@ mod tests {
 
     #[test]
     fn default_weights_match_paper() {
-        let w = ScoreWeights::default();
-        assert_eq!((w.alpha, w.beta, w.gamma), (0.5, 4.0, 500.0));
+        let unit = |wirelength, vias, shorts| {
+            QualityMetrics {
+                wirelength,
+                vias,
+                shorts,
+            }
+            .score()
+        };
+        assert_eq!(
+            (unit(1, 0, 0.0), unit(0, 1, 0.0), unit(0, 0, 1.0)),
+            (0.5, 4.0, 500.0)
+        );
     }
 
     #[test]

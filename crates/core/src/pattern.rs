@@ -353,7 +353,10 @@ mod tests {
         // host parallelism only changes wall-clock.
         let run_with = |workers: usize| {
             run(
-                PatternEngine::GpuFlow(DeviceConfig::rtx3090_like().with_host_workers(workers)),
+                PatternEngine::GpuFlow(DeviceConfig {
+                    host_workers: workers,
+                    ..DeviceConfig::rtx3090_like()
+                }),
                 PatternMode::HybridAll,
             )
         };
@@ -392,7 +395,10 @@ mod tests {
         // cache on or off, for every engine.
         for engine in [
             PatternEngine::SequentialCpu,
-            PatternEngine::GpuFlow(DeviceConfig::tiny().with_host_workers(2)),
+            PatternEngine::GpuFlow(DeviceConfig {
+                host_workers: 2,
+                ..DeviceConfig::tiny()
+            }),
         ] {
             let (probed, gp, _) = run_probing(engine, PatternMode::HybridAll, true);
             let (direct, gd, _) = run_probing(engine, PatternMode::HybridAll, false);

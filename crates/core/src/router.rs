@@ -18,7 +18,8 @@ use crate::selection::SelectionThresholds;
 /// Full configuration of one router variant.
 ///
 /// Use the presets ([`RouterConfig::cugr`], [`RouterConfig::fastgr_l`],
-/// [`RouterConfig::fastgr_h`]) and tweak fields as needed.
+/// [`RouterConfig::fastgr_h`]) and override fields with struct-update
+/// syntax: `RouterConfig { rrr_iterations: 5, ..RouterConfig::fastgr_h() }`.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
     /// Pattern candidate set per two-pin net.
@@ -35,7 +36,10 @@ pub struct RouterConfig {
     pub rrr_iterations: usize,
     /// RRR parallelisation strategy.
     pub rrr_strategy: RrrStrategy,
-    /// Worker count for the RRR executor and parallel-time model.
+    /// Worker count for the RRR executor and parallel-time model. `0`
+    /// means auto: the `FASTGR_WORKERS` environment variable if set, else
+    /// the machine's available parallelism (the rule of
+    /// [`DeviceConfig::host_workers`]).
     pub workers: usize,
     /// Edge cost model parameters.
     pub cost: CostParams,
@@ -110,104 +114,6 @@ impl RouterConfig {
             ..Self::fastgr_l()
         }
     }
-
-    // --- Fluent builder. Start from a preset, chain `with_*` calls:
-    // `RouterConfig::fastgr_h().with_workers(8).with_rrr_iterations(3)`.
-    // Direct field access keeps working for back-compat.
-
-    /// Returns the configuration with the pattern candidate set replaced.
-    pub fn with_pattern_mode(mut self, mode: PatternMode) -> Self {
-        self.pattern_mode = mode;
-        self
-    }
-
-    /// Returns the configuration with the pattern engine replaced.
-    pub fn with_engine(mut self, engine: PatternEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Returns the configuration with the net-ordering scheme replaced.
-    pub fn with_sorting(mut self, sorting: SortingScheme) -> Self {
-        self.sorting = sorting;
-        self
-    }
-
-    /// Returns the configuration with an RRR-only ordering override (the
-    /// Table V experiment swaps schemes there while keeping the pattern
-    /// stage fixed).
-    pub fn with_rrr_sorting(mut self, sorting: SortingScheme) -> Self {
-        self.rrr_sorting = Some(sorting);
-        self
-    }
-
-    /// Returns the configuration with the rip-up-and-reroute iteration
-    /// count replaced.
-    pub fn with_rrr_iterations(mut self, iterations: usize) -> Self {
-        self.rrr_iterations = iterations;
-        self
-    }
-
-    /// Returns the configuration with the RRR parallelisation strategy
-    /// replaced.
-    pub fn with_rrr_strategy(mut self, strategy: RrrStrategy) -> Self {
-        self.rrr_strategy = strategy;
-        self
-    }
-
-    /// Returns the configuration with the worker count replaced (RRR
-    /// executor and parallel-time model).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Returns the configuration with the edge cost model replaced.
-    pub fn with_cost(mut self, cost: CostParams) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Returns the configuration with the maze router settings replaced.
-    pub fn with_maze(mut self, maze: MazeConfig) -> Self {
-        self.maze = maze;
-        self
-    }
-
-    /// Returns the configuration with the Steiner optimisation pass count
-    /// replaced (0 = raw MST, for ablations).
-    pub fn with_steiner_passes(mut self, passes: usize) -> Self {
-        self.steiner_passes = passes;
-        self
-    }
-
-    /// Returns the configuration with the negotiation history increment
-    /// replaced (0 = paper-faithful).
-    pub fn with_history_increment(mut self, increment: f64) -> Self {
-        self.history_increment = increment;
-        self
-    }
-
-    /// Returns the configuration with congestion-aware (RUDY-guided)
-    /// planning switched on or off.
-    pub fn with_congestion_aware_planning(mut self, enabled: bool) -> Self {
-        self.congestion_aware_planning = enabled;
-        self
-    }
-
-    /// Returns the configuration with the pattern-stage prefix-sum cost
-    /// prober switched on or off (see [`RouterConfig::cost_probing`]).
-    pub fn with_cost_probing(mut self, enabled: bool) -> Self {
-        self.cost_probing = enabled;
-        self
-    }
-
-    /// Returns the configuration with soundness checking switched on or
-    /// off (see [`RouterConfig::validate`]).
-    pub fn with_validate(mut self, validate: bool) -> Self {
-        self.validate = validate;
-        self
-    }
 }
 
 /// Everything a routing run produces.
@@ -253,11 +159,6 @@ impl Router {
     /// Creates a router from a configuration.
     pub fn new(config: RouterConfig) -> Self {
         Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &RouterConfig {
-        &self.config
     }
 
     /// Routes `design` end to end: builds the grid, runs the pattern stage,
@@ -363,7 +264,10 @@ mod tests {
         ] {
             // Soundness checking on: the analysis validator and the race
             // checker audit every schedule this run builds.
-            let config = config.with_validate(true);
+            let config = RouterConfig {
+                validate: true,
+                ..config
+            };
             let outcome = Router::new(config).run(&design).expect("routable");
             assert_eq!(outcome.routes.len(), design.nets().len());
             assert!(outcome.metrics.wirelength > 0);
@@ -385,7 +289,10 @@ mod tests {
     #[test]
     fn rrr_improves_or_preserves_score_vs_pattern_only() {
         let design = congested_design();
-        let no_rrr = RouterConfig::cugr().with_rrr_iterations(0);
+        let no_rrr = RouterConfig {
+            rrr_iterations: 0,
+            ..RouterConfig::cugr()
+        };
         let with_rrr = RouterConfig::cugr();
         let a = Router::new(no_rrr).run(&design).expect("ok");
         let b = Router::new(with_rrr).run(&design).expect("ok");
@@ -430,51 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_chains_match_field_mutation() {
-        let built = RouterConfig::fastgr_h()
-            .with_workers(3)
-            .with_rrr_iterations(5)
-            .with_sorting(SortingScheme::HpwlDescending)
-            .with_rrr_sorting(SortingScheme::HpwlAscending)
-            .with_steiner_passes(2)
-            .with_history_increment(0.25)
-            .with_congestion_aware_planning(true)
-            .with_cost_probing(false)
-            .with_validate(true);
-        let mut mutated = RouterConfig::fastgr_h();
-        mutated.workers = 3;
-        mutated.rrr_iterations = 5;
-        mutated.sorting = SortingScheme::HpwlDescending;
-        mutated.rrr_sorting = Some(SortingScheme::HpwlAscending);
-        mutated.steiner_passes = 2;
-        mutated.history_increment = 0.25;
-        mutated.congestion_aware_planning = true;
-        mutated.cost_probing = false;
-        mutated.validate = true;
-        assert_eq!(built.workers, mutated.workers);
-        assert_eq!(built.rrr_iterations, mutated.rrr_iterations);
-        assert_eq!(built.sorting, mutated.sorting);
-        assert_eq!(built.rrr_sorting, mutated.rrr_sorting);
-        assert_eq!(built.steiner_passes, mutated.steiner_passes);
-        assert_eq!(built.history_increment, mutated.history_increment);
-        assert_eq!(
-            built.congestion_aware_planning,
-            mutated.congestion_aware_planning
-        );
-        assert_eq!(built.cost_probing, mutated.cost_probing);
-        assert_eq!(built.validate, mutated.validate);
-        // The remaining builders cover engine/mode/strategy/cost/maze.
-        let cfg = RouterConfig::cugr()
-            .with_engine(PatternEngine::GpuFlow(DeviceConfig::tiny()))
-            .with_pattern_mode(PatternMode::HybridAll)
-            .with_rrr_strategy(RrrStrategy::Sequential)
-            .with_cost(CostParams::default())
-            .with_maze(MazeConfig::default());
-        assert_eq!(cfg.rrr_strategy, RrrStrategy::Sequential);
-        assert_eq!(cfg.pattern_mode, PatternMode::HybridAll);
-    }
-
-    #[test]
     fn outcome_trace_carries_run_summary_without_recorder() {
         let design = overflowing_design();
         let outcome = Router::new(RouterConfig::cugr()).run(&design).expect("ok");
@@ -489,9 +351,12 @@ mod tests {
     fn recorded_run_traces_all_stages() {
         let design = overflowing_design();
         let recorder = Recorder::enabled();
-        let outcome = Router::new(RouterConfig::fastgr_l().with_validate(true))
-            .run_with_recorder(&design, &recorder)
-            .expect("ok");
+        let outcome = Router::new(RouterConfig {
+            validate: true,
+            ..RouterConfig::fastgr_l()
+        })
+        .run_with_recorder(&design, &recorder)
+        .expect("ok");
         let trace = &outcome.trace;
         assert!(trace.has_timeline());
         let span_names: Vec<&str> = trace.spans().iter().map(|s| s.name.as_str()).collect();

@@ -46,8 +46,6 @@ pub enum RrrStrategy {
     /// The widely adopted batch-based strategy: conflict-free batches with
     /// a barrier between batches (the paper's CPU baseline).
     BatchBarrier,
-    /// Plain sequential rerouting (for reference measurements).
-    Sequential,
 }
 
 /// Outcome of the rip-up-and-reroute stage.
@@ -77,7 +75,9 @@ pub struct RrrStage {
     pub sorting: SortingScheme,
     /// Maze router configuration.
     pub maze: MazeConfig,
-    /// Worker count for execution and for the parallel-time model.
+    /// Worker count for execution and for the parallel-time model. `0`
+    /// means auto: the `FASTGR_WORKERS` environment variable if set, else
+    /// the machine's available parallelism (see [`HostPool::resolve`]).
     pub workers: usize,
     /// Negotiation-style history cost added to every still-overflowing
     /// wire edge after each iteration (0 disables — the paper-faithful
@@ -87,8 +87,10 @@ pub struct RrrStage {
     /// Debug-assert-style soundness checking: when set, every schedule the
     /// stage builds is verified with the `fastgr-analysis` static
     /// validator, task-graph executions run under the vector-clock
-    /// happens-before race checker, and batch-barrier batches are checked
-    /// for independence. Violations panic with structured diagnostics.
+    /// happens-before race checker, batch-barrier batches are checked
+    /// for independence, and after every iteration each cached overflow
+    /// flag is compared with a full `route_has_overflow` rescan.
+    /// Violations panic with structured diagnostics.
     pub validate: bool,
 }
 
@@ -166,6 +168,7 @@ impl RrrStage {
         recorder: &Recorder,
     ) -> Result<RrrOutcome, RouteError> {
         assert_eq!(routes.len(), design.nets().len(), "one route slot per net");
+        let workers = HostPool::resolve(self.workers);
         let mut nets_ripped = Vec::new();
         let mut modeled = 0.0;
         let mut total_dirty = 0u64;
@@ -295,8 +298,8 @@ impl RrrStage {
                         // (`FASTGR_WORKERS`, else the machine's cores):
                         // oversubscription would inflate the per-task costs
                         // the parallel-time model consumes, and
-                        // `self.workers` parameterises the *model* only.
-                        let threads = HostPool::resolve(0).min(self.workers);
+                        // `workers` parameterises the *model* only.
+                        let threads = HostPool::resolve(0).min(workers);
                         let shared: &GridGraph = graph;
                         let hooks = TraceHooks::new(recorder.clone());
                         if self.validate {
@@ -324,7 +327,7 @@ impl RrrStage {
                         }
                     }
                     let costs: Vec<f64> = slots.iter().map(|s| lock(s).seconds).collect();
-                    schedule.simulate_workers(&costs, self.workers)
+                    schedule.simulate_workers(&costs, workers)
                 }
                 RrrStrategy::BatchBarrier => {
                     let batches = extract_batches(&order, &conflicts);
@@ -347,7 +350,7 @@ impl RrrStage {
                             .iter()
                             .map(|&t| lock(&slots[t as usize]).seconds)
                             .collect();
-                        let chunk = costs.len().div_ceil(self.workers).max(1);
+                        let chunk = costs.len().div_ceil(workers).max(1);
                         let slowest = costs
                             .chunks(chunk)
                             .map(|ch| ch.iter().sum::<f64>())
@@ -355,13 +358,6 @@ impl RrrStage {
                         makespan += slowest + BARRIER_SYNC_SECONDS;
                     }
                     makespan
-                }
-                RrrStrategy::Sequential => {
-                    let shared: &GridGraph = graph;
-                    for &task in &order {
-                        run_task(shared, task);
-                    }
-                    slots.iter().map(|s| lock(s).seconds).sum::<f64>()
                 }
             };
             modeled += iter_modeled;
@@ -393,6 +389,15 @@ impl RrrStage {
                     overflow[i] = graph.route_has_overflow(r);
                 } else {
                     avoided += 1;
+                }
+            }
+            if self.validate {
+                for (i, r) in routes.iter().enumerate() {
+                    assert_eq!(
+                        overflow[i],
+                        graph.route_has_overflow(r),
+                        "rrr iteration {iteration}: cached overflow flag of net {i} is stale"
+                    );
                 }
             }
             total_dirty += dirty;
@@ -483,14 +488,10 @@ mod tests {
 
     #[test]
     fn all_strategies_keep_demand_consistent() {
-        // Every strategy now commits/uncommits through the atomic path;
-        // this asserts the fixed-point ledger stays exact under all three
-        // schedules at every worker count.
-        for strategy in [
-            RrrStrategy::TaskGraph,
-            RrrStrategy::BatchBarrier,
-            RrrStrategy::Sequential,
-        ] {
+        // Every strategy commits/uncommits through the atomic path; this
+        // asserts the fixed-point ledger stays exact under both schedules
+        // at every worker count.
+        for strategy in [RrrStrategy::TaskGraph, RrrStrategy::BatchBarrier] {
             for workers in [1usize, 2, 4, 8] {
                 let (design, mut graph, mut routes) = congested();
                 let mut s = stage(strategy);
@@ -521,7 +522,7 @@ mod tests {
         let a = stage(RrrStrategy::TaskGraph)
             .run(&design, &mut g1, &mut r1)
             .expect("ok");
-        let b = stage(RrrStrategy::Sequential)
+        let b = stage(RrrStrategy::BatchBarrier)
             .run(&design, &mut g2, &mut r2)
             .expect("ok");
         // The first iteration sees identical input state.
@@ -529,21 +530,22 @@ mod tests {
     }
 
     #[test]
-    fn sequential_worker_count_cannot_change_routes() {
-        // `workers` only parameterises the parallel-time model; under the
-        // Sequential strategy the routed geometry must be byte-identical
-        // for any worker count.
+    fn batch_barrier_worker_count_cannot_change_routes() {
+        // `workers` only parameterises the parallel-time model; the
+        // batch-barrier strategy reroutes serially (it models the
+        // barriers), so the routed geometry must be byte-identical for any
+        // worker count.
         let mut baseline: Option<Vec<Route>> = None;
         for workers in [1usize, 2, 4, 8] {
             let (design, mut graph, mut routes) = congested();
-            let mut s = stage(RrrStrategy::Sequential);
+            let mut s = stage(RrrStrategy::BatchBarrier);
             s.workers = workers;
             s.run(&design, &mut graph, &mut routes).expect("ok");
             match &baseline {
                 None => baseline = Some(routes),
                 Some(b) => assert_eq!(
                     &routes, b,
-                    "sequential routes differ at workers={workers}"
+                    "batch-barrier routes differ at workers={workers}"
                 ),
             }
         }
@@ -571,8 +573,10 @@ mod tests {
 
     #[test]
     fn incremental_scan_tracks_dirty_edges() {
+        // `stage` sets `validate`, so the run itself panics if a cached
+        // overflow flag ever disagrees with a full rescan.
         let (design, mut graph, mut routes) = congested();
-        let outcome = stage(RrrStrategy::Sequential)
+        let outcome = stage(RrrStrategy::BatchBarrier)
             .run(&design, &mut graph, &mut routes)
             .expect("ok");
         // Something was rerouted, so edges were dirtied...
@@ -582,30 +586,49 @@ mod tests {
             outcome.rescans_avoided > 0,
             "expected the dirty-edge filter to skip some rescans"
         );
-        // Cached flags must agree with a ground-truth full rescan.
-        for r in &routes {
-            let _ = graph.route_has_overflow(r);
-        }
     }
 
     #[test]
     fn incremental_flags_match_full_rescan_each_iteration() {
-        // Run one iteration at a time and cross-check the cached flags the
-        // next run would use against a fresh full scan.
-        let (design, mut graph, mut routes) = congested();
-        let mut s = stage(RrrStrategy::TaskGraph);
-        s.iterations = 1;
-        for _ in 0..3 {
-            s.run(&design, &mut graph, &mut routes).expect("ok");
-            // After each single-iteration run, the stage's next invocation
-            // rebuilds flags with a full scan; equality with incremental
-            // maintenance is implied by demand-consistency plus this
-            // ground-truth comparison on the final state.
-            let full: Vec<bool> = routes
-                .iter()
-                .map(|r| graph.route_has_overflow(r))
-                .collect();
-            assert_eq!(full.len(), routes.len());
+        // The validated run compares every cached flag with a full rescan
+        // after each iteration; with history on, the later iterations
+        // also pick their nets from flags kept across a history update.
+        for strategy in [RrrStrategy::TaskGraph, RrrStrategy::BatchBarrier] {
+            for history_increment in [0.0, 2.0] {
+                let (design, mut graph, mut routes) = congested();
+                let s = RrrStage {
+                    history_increment,
+                    ..stage(strategy)
+                };
+                let outcome = s.run(&design, &mut graph, &mut routes).expect("ok");
+                assert!(
+                    outcome.nets_ripped.len() > 1,
+                    "{strategy:?}: later iterations must read the cached flags"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_workers_means_auto() {
+        for strategy in [RrrStrategy::TaskGraph, RrrStrategy::BatchBarrier] {
+            let (design, mut g0, mut r0) = congested();
+            let (_, mut g1, mut r1) = congested();
+            let auto = RrrStage {
+                workers: 0,
+                ..stage(strategy)
+            }
+            .run(&design, &mut g0, &mut r0)
+            .expect("ok");
+            let explicit = RrrStage {
+                workers: HostPool::resolve(0),
+                ..stage(strategy)
+            }
+            .run(&design, &mut g1, &mut r1)
+            .expect("ok");
+            assert_eq!(auto.nets_ripped, explicit.nets_ripped, "{strategy:?}");
+            assert!(auto.modeled_parallel_seconds.is_finite());
+            assert!(auto.modeled_parallel_seconds > 0.0, "{strategy:?}");
         }
     }
 

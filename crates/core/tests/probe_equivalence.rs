@@ -84,14 +84,20 @@ fn probed_routes_identical_across_worker_counts() {
     let design = congested_design();
     let baseline = route_once(
         &design,
-        PatternEngine::GpuFlow(DeviceConfig::rtx3090_like().with_host_workers(1)),
+        PatternEngine::GpuFlow(DeviceConfig {
+            host_workers: 1,
+            ..DeviceConfig::rtx3090_like()
+        }),
         PatternMode::HybridAll,
         true,
     );
     for workers in [2usize, 4] {
         let run = route_once(
             &design,
-            PatternEngine::GpuFlow(DeviceConfig::rtx3090_like().with_host_workers(workers)),
+            PatternEngine::GpuFlow(DeviceConfig {
+                host_workers: workers,
+                ..DeviceConfig::rtx3090_like()
+            }),
             PatternMode::HybridAll,
             true,
         );

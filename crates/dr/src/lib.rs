@@ -124,11 +124,6 @@ impl DetailedRouter {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DrConfig {
-        &self.config
-    }
-
     /// Performs detailed routing of `routes` (one per net, indexed by net
     /// id) and returns the quality metrics.
     ///

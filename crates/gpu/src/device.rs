@@ -55,12 +55,6 @@ impl DeviceConfig {
             host_workers: 1,
         }
     }
-
-    /// Returns the configuration with `host_workers` set (`0` = auto).
-    pub const fn with_host_workers(mut self, workers: usize) -> Self {
-        self.host_workers = workers;
-        self
-    }
 }
 
 impl Default for DeviceConfig {
@@ -150,18 +144,6 @@ impl Device {
     /// begin/end events on the executing worker's track.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.config
-    }
-
-    /// The host worker pool blocks execute on. Exposed so stages can run
-    /// their own index-parallel host work (e.g. Steiner-tree planning) on
-    /// the same threads that execute device blocks.
-    pub fn pool(&self) -> HostPool {
-        self.pool
     }
 
     /// Resolved number of host worker threads.
@@ -302,7 +284,10 @@ mod tests {
             DeviceConfig::tiny().launch_overhead_seconds
         );
         // Parallel device: same contract regardless of worker count.
-        let mut d = Device::new(DeviceConfig::tiny().with_host_workers(4));
+        let mut d = Device::new(DeviceConfig {
+            host_workers: 4,
+            ..DeviceConfig::tiny()
+        });
         assert_eq!(d.workers(), 4);
         let s = d.launch("noop", 0, |_| BlockProfile::new(1, 1));
         assert_eq!(
@@ -394,7 +379,10 @@ mod tests {
 
     #[test]
     fn parallel_launch_runs_every_block_once() {
-        let mut d = Device::new(DeviceConfig::tiny().with_host_workers(4));
+        let mut d = Device::new(DeviceConfig {
+            host_workers: 4,
+            ..DeviceConfig::tiny()
+        });
         let seen = Mutex::new(vec![0u32; 64]);
         d.launch("k", 64, |b| {
             seen.lock().unwrap()[b] += 1;
@@ -406,7 +394,10 @@ mod tests {
     #[test]
     fn enabled_recorder_captures_kernels_and_block_events() {
         let recorder = Recorder::enabled();
-        let mut d = Device::new(DeviceConfig::tiny().with_host_workers(2));
+        let mut d = Device::new(DeviceConfig {
+            host_workers: 2,
+            ..DeviceConfig::tiny()
+        });
         d.set_recorder(recorder.clone());
         let stats = d.launch("pattern", 5, |_| BlockProfile::new(1, 2));
         let trace = recorder.take_trace();
@@ -430,8 +421,14 @@ mod tests {
     #[test]
     fn recorder_does_not_change_modeled_time() {
         let profile = |b: usize| BlockProfile::new(1 + (b * 7) % 13, 1 + (b * 5) % 9);
-        let mut plain = Device::new(DeviceConfig::tiny().with_host_workers(2));
-        let mut traced = Device::new(DeviceConfig::tiny().with_host_workers(2));
+        let mut plain = Device::new(DeviceConfig {
+            host_workers: 2,
+            ..DeviceConfig::tiny()
+        });
+        let mut traced = Device::new(DeviceConfig {
+            host_workers: 2,
+            ..DeviceConfig::tiny()
+        });
         traced.set_recorder(Recorder::enabled());
         let a = plain.launch("k", 97, profile).modeled_seconds;
         let b = traced.launch("k", 97, profile).modeled_seconds;
@@ -443,8 +440,14 @@ mod tests {
         // Irregular block shapes so the reduction actually exercises both
         // the max and the accumulating sum.
         let profile = |b: usize| BlockProfile::new(1 + (b * 7) % 13, 1 + (b * 5) % 9);
-        let mut serial = Device::new(DeviceConfig::tiny().with_host_workers(1));
-        let mut parallel = Device::new(DeviceConfig::tiny().with_host_workers(8));
+        let mut serial = Device::new(DeviceConfig {
+            host_workers: 1,
+            ..DeviceConfig::tiny()
+        });
+        let mut parallel = Device::new(DeviceConfig {
+            host_workers: 8,
+            ..DeviceConfig::tiny()
+        });
         let a = serial.launch("k", 257, profile).modeled_seconds;
         let b = parallel.launch("k", 257, profile).modeled_seconds;
         assert_eq!(a.to_bits(), b.to_bits());

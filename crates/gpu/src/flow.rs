@@ -105,11 +105,16 @@ pub struct MinPlus {
     pub argmin: Vec<usize>,
 }
 
-/// Min-plus vector–matrix product: `out[t] = min_s (w1[s] + w2[s][t])`.
+/// Min-plus vector–matrix product `values[t] = min_s (w1[s] + w2[s][t])`,
+/// with `argmin[t]` the winning `s` (ties resolved to the smallest index).
 ///
 /// This is Eq. 7 of the paper — one L-shape flow computing all `L` target
 /// layer costs simultaneously. On the device every `(s, t)` combination is
-/// one thread and the reduction is a tree of depth `log L`.
+/// one thread and the reduction is a tree of depth `log L`. Two calls in a
+/// row, the second fed the first's values, are the Z-shape chain
+/// `w1 ∘ W2 ∘ W3` of Eq. 14. The buffers are cleared and resized in place,
+/// so repeated calls reuse their capacity and allocate nothing in steady
+/// state.
 ///
 /// # Panics
 ///
@@ -118,30 +123,17 @@ pub struct MinPlus {
 /// # Example
 ///
 /// ```
-/// use fastgr_gpu::flow::{vec_mat_min_plus, Matrix};
+/// use fastgr_gpu::flow::{vec_mat_min_plus_into, Matrix};
 ///
 /// let w1 = [1.0, 10.0];
 /// let mut w2 = Matrix::filled(2, 2, 0.0);
 /// w2[(0, 0)] = 5.0;  w2[(0, 1)] = 100.0;
 /// w2[(1, 0)] = 0.0;  w2[(1, 1)] = 1.0;
-/// let r = vec_mat_min_plus(&w1, &w2);
-/// assert_eq!(r.values, vec![6.0, 11.0]);
-/// assert_eq!(r.argmin, vec![0, 1]);
+/// let (mut values, mut argmin) = (Vec::new(), Vec::new());
+/// vec_mat_min_plus_into(&w1, &w2, &mut values, &mut argmin);
+/// assert_eq!(values, vec![6.0, 11.0]);
+/// assert_eq!(argmin, vec![0, 1]);
 /// ```
-pub fn vec_mat_min_plus(w1: &[f64], w2: &Matrix) -> MinPlus {
-    let mut values = Vec::new();
-    let mut argmin = Vec::new();
-    vec_mat_min_plus_into(w1, w2, &mut values, &mut argmin);
-    MinPlus { values, argmin }
-}
-
-/// [`vec_mat_min_plus`] writing into caller-owned buffers (cleared and
-/// resized in place, so repeated calls reuse their capacity and allocate
-/// nothing in steady state).
-///
-/// # Panics
-///
-/// Panics if `w1.len() != w2.rows()`.
 pub fn vec_mat_min_plus_into(
     w1: &[f64],
     w2: &Matrix,
@@ -163,39 +155,6 @@ pub fn vec_mat_min_plus_into(
                 argmin[t] = s;
             }
         }
-    }
-}
-
-/// Result of a two-stage min-plus chain with full backtracking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainMinPlus {
-    /// `out[t] = min_{s,b} (w1[s] + w2[s][b] + w3[b][t])`.
-    pub values: Vec<f64>,
-    /// Winning middle index `b` per output lane.
-    pub arg_mid: Vec<usize>,
-    /// Winning source index `s` per output lane.
-    pub arg_src: Vec<usize>,
-}
-
-/// Min-plus chain `w1 ∘ W2 ∘ W3` (Eq. 14): the Z-shape flow for one
-/// candidate bend-point pair, producing all `L` target-layer costs with the
-/// winning `(source layer, bridge layer)` per target.
-///
-/// # Panics
-///
-/// Panics when the shapes are inconsistent.
-pub fn chain_min_plus(w1: &[f64], w2: &Matrix, w3: &Matrix) -> ChainMinPlus {
-    assert_eq!(w1.len(), w2.rows(), "w1 length must equal w2 row count");
-    assert_eq!(w2.cols(), w3.rows(), "w2 cols must equal w3 rows");
-    // First stage: best source per bridge layer.
-    let stage1 = vec_mat_min_plus(w1, w2);
-    // Second stage: best bridge per target layer.
-    let stage2 = vec_mat_min_plus(&stage1.values, w3);
-    let arg_src = stage2.argmin.iter().map(|&b| stage1.argmin[b]).collect();
-    ChainMinPlus {
-        values: stage2.values,
-        arg_mid: stage2.argmin,
-        arg_src,
     }
 }
 
@@ -264,20 +223,6 @@ pub fn merge_min_rows(
     }
 }
 
-/// Scalar minimum with argmin over a slice (the final Eq. 4 reduction).
-///
-/// Returns `(index, value)`; `None` on an empty slice.
-pub fn argmin(values: &[f64]) -> Option<(usize, f64)> {
-    values
-        .iter()
-        .copied()
-        .enumerate()
-        .fold(None, |best, (i, v)| match best {
-            Some((_, bv)) if bv <= v => best,
-            _ => Some((i, v)),
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,10 +232,11 @@ mod tests {
         let w1 = [f64::INFINITY, 2.0];
         let mut w2 = Matrix::filled(2, 2, 1.0);
         w2[(1, 1)] = f64::INFINITY;
-        let r = vec_mat_min_plus(&w1, &w2);
-        assert_eq!(r.values[0], 3.0);
-        assert_eq!(r.argmin[0], 1);
-        assert!(r.values[1].is_infinite());
+        let (mut values, mut argmin) = (Vec::new(), Vec::new());
+        vec_mat_min_plus_into(&w1, &w2, &mut values, &mut argmin);
+        assert_eq!(values[0], 3.0);
+        assert_eq!(argmin[0], 1);
+        assert!(values[1].is_infinite());
     }
 
     #[test]
@@ -313,7 +259,12 @@ mod tests {
                 w3[(r, c)] = rnd();
             }
         }
-        let chain = chain_min_plus(&w1, &w2, &w3);
+        // The Z-shape chain as the DP runs it: best source per bridge
+        // layer, then best bridge per target layer.
+        let (mut mid, mut mid_arg) = (Vec::new(), Vec::new());
+        let (mut values, mut arg_mid) = (Vec::new(), Vec::new());
+        vec_mat_min_plus_into(&w1, &w2, &mut mid, &mut mid_arg);
+        vec_mat_min_plus_into(&mid, &w3, &mut values, &mut arg_mid);
         for t in 0..l {
             let mut best = f64::INFINITY;
             for s in 0..l {
@@ -321,9 +272,10 @@ mod tests {
                     best = best.min(w1[s] + w2[(s, b)] + w3[(b, t)]);
                 }
             }
-            assert!((chain.values[t] - best).abs() < 1e-12);
+            assert!((values[t] - best).abs() < 1e-12);
             // Backtracked indices must reproduce the value.
-            let (s, b) = (chain.arg_src[t], chain.arg_mid[t]);
+            let b = arg_mid[t];
+            let s = mid_arg[b];
             assert!((w1[s] + w2[(s, b)] + w3[(b, t)] - best).abs() < 1e-12);
         }
     }
@@ -335,16 +287,14 @@ mod tests {
     }
 
     #[test]
-    fn argmin_handles_empty_and_single() {
-        assert_eq!(argmin(&[]), None);
-        assert_eq!(argmin(&[4.2]), Some((0, 4.2)));
-        assert_eq!(argmin(&[3.0, 1.0, 1.0]), Some((1, 1.0)));
-    }
-
-    #[test]
     #[should_panic(expected = "w1 length")]
     fn shape_mismatch_panics() {
-        let _ = vec_mat_min_plus(&[1.0], &Matrix::filled(2, 2, 0.0));
+        vec_mat_min_plus_into(
+            &[1.0],
+            &Matrix::filled(2, 2, 0.0),
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
     }
 
     #[test]
@@ -357,15 +307,14 @@ mod tests {
     fn into_variants_match_allocating_ones() {
         let w1 = [1.0, 10.0, 4.0];
         let mut w2 = Matrix::filled(3, 3, 2.0);
-        w2[(1, 0)] = -5.0;
-        w2[(2, 2)] = 0.5;
-        let reference = vec_mat_min_plus(&w1, &w2);
+        w2[(1, 0)] = -8.0;
+        w2[(2, 1)] = -2.0;
         let (mut values, mut argmin) = (Vec::new(), Vec::new());
         // Two rounds: the second must reuse capacity and still be correct.
         for _ in 0..2 {
             vec_mat_min_plus_into(&w1, &w2, &mut values, &mut argmin);
-            assert_eq!(values, reference.values);
-            assert_eq!(argmin, reference.argmin);
+            assert_eq!(values, vec![2.0, 2.0, 3.0]);
+            assert_eq!(argmin, vec![1, 2, 0]);
         }
 
         let flat = [3.0, 9.0, 5.0, 1.0];

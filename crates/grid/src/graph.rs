@@ -434,13 +434,6 @@ impl GridGraph {
         penalised
     }
 
-    /// Clears all accumulated history cost.
-    pub fn clear_history(&mut self) {
-        for plane in &mut self.planes {
-            plane.history.fill(0.0);
-        }
-    }
-
     /// Cost of the via edge between layers `l` and `l + 1` at `p`.
     ///
     /// Returns `f64::INFINITY` when out of range.
@@ -1118,8 +1111,6 @@ mod tests {
         }
         let haunted = g.wire_edge_cost(1, Point2::new(0, 0));
         assert!((haunted - (quiet + 10.0)).abs() < 1e-9);
-        g.clear_history();
-        assert!((g.wire_edge_cost(1, Point2::new(0, 0)) - quiet).abs() < 1e-9);
     }
 
     #[test]

@@ -358,12 +358,6 @@ impl Route {
         }
         self.vias.truncate(w);
     }
-
-    /// Returns the canonicalised route (see [`Route::normalize`]).
-    pub fn normalized(mut self) -> Route {
-        self.normalize();
-        self
-    }
 }
 
 impl fmt::Display for Route {

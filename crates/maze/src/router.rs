@@ -234,11 +234,6 @@ impl MazeRouter {
         Self { config }
     }
 
-    /// The router configuration.
-    pub fn config(&self) -> &MazeConfig {
-        &self.config
-    }
-
     /// Routes a net given its distinct pin G-cells (all pins are assumed to
     /// be on layer 0, the convention of this reproduction's designs).
     ///
@@ -250,29 +245,15 @@ impl MazeRouter {
     /// * [`MazeError::PinOutsideGrid`] for an out-of-grid pin;
     /// * [`MazeError::NoPath`] when a pin cannot be reached inside the
     ///   window (retry with a larger [`MazeConfig::window_margin`]).
-    pub fn route(&self, graph: &GridGraph, pins: &[Point2]) -> Result<Route, MazeError> {
-        self.route_with_stats(graph, pins).map(|(route, _)| route)
-    }
-
-    /// Like [`MazeRouter::route`] but also returns search statistics.
     ///
     /// Allocating convenience wrapper around [`MazeRouter::route_into`];
     /// hot loops should hold a [`MazeScratch`] and call `route_into`
     /// directly.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MazeRouter::route`].
-    pub fn route_with_stats(
-        &self,
-        graph: &GridGraph,
-        pins: &[Point2],
-    ) -> Result<(Route, MazeStats), MazeError> {
-        let mut scratch = MazeScratch::new();
+    pub fn route(&self, graph: &GridGraph, pins: &[Point2]) -> Result<Route, MazeError> {
         let mut route = Route::new();
-        let stats = self.route_into(graph, pins, &mut scratch, &mut route)?;
+        self.route_into(graph, pins, &mut MazeScratch::new(), &mut route)?;
         debug_assert!(route.is_connected(), "maze route must be connected");
-        Ok((route, stats))
+        Ok(route)
     }
 
     /// Routes a net into a caller-provided [`Route`], reusing `scratch`.
@@ -671,18 +652,15 @@ mod tests {
     fn astar_expands_fewer_nodes() {
         let g = graph(32, 32, 4);
         let pins = [Point2::new(1, 1), Point2::new(30, 30)];
-        let (_, sa) = MazeRouter::new(MazeConfig {
-            astar: true,
-            window_margin: 16,
-        })
-        .route_with_stats(&g, &pins)
-        .expect("ok");
-        let (_, sd) = MazeRouter::new(MazeConfig {
-            astar: false,
-            window_margin: 16,
-        })
-        .route_with_stats(&g, &pins)
-        .expect("ok");
+        let stats = |astar| {
+            MazeRouter::new(MazeConfig {
+                astar,
+                window_margin: 16,
+            })
+            .route_into(&g, &pins, &mut MazeScratch::new(), &mut Route::new())
+            .expect("ok")
+        };
+        let (sa, sd) = (stats(true), stats(false));
         assert!(
             sa.expanded < sd.expanded,
             "a* {} vs dijkstra {}",

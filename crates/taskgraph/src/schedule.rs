@@ -238,48 +238,6 @@ impl Schedule {
     }
 }
 
-impl Schedule {
-    /// Renders the oriented task graph in Graphviz DOT format: one node per
-    /// task (root-batch tasks drawn as boxes) and one edge per oriented
-    /// conflict. Useful for debugging small schedules.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use fastgr_grid::{Point2, Rect};
-    /// use fastgr_taskgraph::{ConflictGraph, Schedule};
-    ///
-    /// let boxes = vec![
-    ///     Rect::new(Point2::new(0, 0), Point2::new(4, 4)),
-    ///     Rect::new(Point2::new(3, 3), Point2::new(8, 8)),
-    /// ];
-    /// let conflicts = ConflictGraph::from_bounding_boxes(&boxes);
-    /// let schedule = Schedule::build(&[0, 1], &conflicts);
-    /// let dot = schedule.to_dot();
-    /// assert!(dot.contains("t0 -> t1"));
-    /// ```
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph schedule {\n  rankdir=LR;\n");
-        let root: std::collections::HashSet<u32> = self.root_batch.iter().copied().collect();
-        for t in 0..self.task_count() as u32 {
-            let shape = if root.contains(&t) { "box" } else { "ellipse" };
-            let _ = writeln!(
-                out,
-                "  t{t} [shape={shape} label=\"{t} (p{})\"];",
-                self.priority(t)
-            );
-        }
-        for t in 0..self.task_count() as u32 {
-            for &s in self.successors(t) {
-                let _ = writeln!(out, "  t{t} -> t{s};");
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
 impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let edges: usize = self.successors.iter().map(Vec::len).sum();

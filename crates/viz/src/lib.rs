@@ -34,29 +34,11 @@ use std::fmt::Write as _;
 use fastgr_design::Design;
 use fastgr_grid::{GridGraph, Route};
 
-/// Rendering options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VizConfig {
-    /// Pixels per G-cell.
-    pub cell_px: f64,
-    /// Stroke width of wires in pixels.
-    pub wire_px: f64,
-    /// Render pins as squares.
-    pub show_pins: bool,
-    /// Render via stacks as dots.
-    pub show_vias: bool,
-}
+/// Pixels per G-cell.
+const CELL_PX: f64 = 10.0;
 
-impl Default for VizConfig {
-    fn default() -> Self {
-        Self {
-            cell_px: 10.0,
-            wire_px: 2.0,
-            show_pins: true,
-            show_vias: true,
-        }
-    }
-}
+/// Stroke width of wires in pixels.
+const WIRE_PX: f64 = 2.0;
 
 /// Colour of a metal layer (stable palette, cycled above 10 layers).
 fn layer_color(layer: u8) -> &'static str {
@@ -86,44 +68,33 @@ fn heat_color(utilization: f64) -> String {
     format!("#{r:02x}{g:02x}40")
 }
 
-/// The SVG renderer. See the crate docs for an example.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SvgRenderer {
-    config: VizConfig,
+/// Opening `<svg>` tag and white background of a `width`×`height` grid.
+fn header(width: u16, height: u16) -> String {
+    let w = width as f64 * CELL_PX;
+    let h = height as f64 * CELL_PX;
+    format!(
+        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{w}\" height=\"{h}\" \
+         viewBox=\"0 0 {w} {h}\">\n<rect width=\"{w}\" height=\"{h}\" fill=\"#ffffff\"/>\n"
+    )
 }
 
+/// Pixel centre of a G-cell (y flipped so row 0 is at the bottom, as in
+/// chip coordinates).
+fn centre(x: u16, y: u16, height: u16) -> (f64, f64) {
+    (
+        (x as f64 + 0.5) * CELL_PX,
+        (height as f64 - 1.0 - y as f64 + 0.5) * CELL_PX,
+    )
+}
+
+/// The SVG renderer. See the crate docs for an example.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SvgRenderer;
+
 impl SvgRenderer {
-    /// Creates a renderer with default options.
+    /// Creates a renderer.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a renderer with explicit options.
-    pub fn with_config(config: VizConfig) -> Self {
-        Self { config }
-    }
-
-    /// The rendering options.
-    pub fn config(&self) -> &VizConfig {
-        &self.config
-    }
-
-    fn header(&self, width: u16, height: u16) -> String {
-        let w = width as f64 * self.config.cell_px;
-        let h = height as f64 * self.config.cell_px;
-        format!(
-            "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{w}\" height=\"{h}\" \
-             viewBox=\"0 0 {w} {h}\">\n<rect width=\"{w}\" height=\"{h}\" fill=\"#ffffff\"/>\n"
-        )
-    }
-
-    /// Pixel centre of a G-cell (y flipped so row 0 is at the bottom, as in
-    /// chip coordinates).
-    fn centre(&self, x: u16, y: u16, height: u16) -> (f64, f64) {
-        (
-            (x as f64 + 0.5) * self.config.cell_px,
-            (height as f64 - 1.0 - y as f64 + 0.5) * self.config.cell_px,
-        )
+        Self
     }
 
     /// Renders the routed geometry of a design as an SVG document.
@@ -134,19 +105,19 @@ impl SvgRenderer {
     pub fn render_routes(&self, design: &Design, routes: &[Route]) -> String {
         assert_eq!(routes.len(), design.nets().len(), "one route per net");
         let (w, h) = (design.width(), design.height());
-        let mut svg = self.header(w, h);
+        let mut svg = header(w, h);
 
         // Blockages as shaded rectangles.
         for b in design.blockages() {
-            let (x0, y0) = self.centre(b.region.lo.x, b.region.hi.y, h);
-            let bw = b.region.width() as f64 * self.config.cell_px;
-            let bh = b.region.height() as f64 * self.config.cell_px;
+            let (x0, y0) = centre(b.region.lo.x, b.region.hi.y, h);
+            let bw = b.region.width() as f64 * CELL_PX;
+            let bh = b.region.height() as f64 * CELL_PX;
             let _ = writeln!(
                 svg,
                 "<rect x=\"{:.1}\" y=\"{:.1}\" width=\"{bw:.1}\" height=\"{bh:.1}\" \
                  fill=\"#000000\" fill-opacity=\"0.15\"/>",
-                x0 - 0.5 * self.config.cell_px,
-                y0 - 0.5 * self.config.cell_px,
+                x0 - 0.5 * CELL_PX,
+                y0 - 0.5 * CELL_PX,
             );
         }
 
@@ -154,8 +125,8 @@ impl SvgRenderer {
         let mut segments: Vec<(u8, f64, f64, f64, f64)> = Vec::new();
         for route in routes {
             for s in route.segments() {
-                let (x1, y1) = self.centre(s.from.x, s.from.y, h);
-                let (x2, y2) = self.centre(s.to.x, s.to.y, h);
+                let (x1, y1) = centre(s.from.x, s.from.y, h);
+                let (x2, y2) = centre(s.to.x, s.to.y, h);
                 segments.push((s.layer, x1, y1, x2, y2));
             }
         }
@@ -166,36 +137,32 @@ impl SvgRenderer {
                 "<line x1=\"{x1:.1}\" y1=\"{y1:.1}\" x2=\"{x2:.1}\" y2=\"{y2:.1}\" \
                  stroke=\"{}\" stroke-width=\"{:.1}\" stroke-opacity=\"0.8\"/>",
                 layer_color(layer),
-                self.config.wire_px,
+                WIRE_PX,
             );
         }
 
-        if self.config.show_vias {
-            for route in routes {
-                for v in route.vias() {
-                    let (cx, cy) = self.centre(v.at.x, v.at.y, h);
-                    let _ = writeln!(
-                        svg,
-                        "<circle cx=\"{cx:.1}\" cy=\"{cy:.1}\" r=\"{:.1}\" fill=\"#333333\"/>",
-                        self.config.wire_px * 0.9,
-                    );
-                }
+        for route in routes {
+            for v in route.vias() {
+                let (cx, cy) = centre(v.at.x, v.at.y, h);
+                let _ = writeln!(
+                    svg,
+                    "<circle cx=\"{cx:.1}\" cy=\"{cy:.1}\" r=\"{:.1}\" fill=\"#333333\"/>",
+                    WIRE_PX * 0.9,
+                );
             }
         }
 
-        if self.config.show_pins {
-            let s = self.config.wire_px * 1.6;
-            for net in design.nets() {
-                for pin in net.pins() {
-                    let (cx, cy) = self.centre(pin.position.x, pin.position.y, h);
-                    let _ = writeln!(
-                        svg,
-                        "<rect x=\"{:.1}\" y=\"{:.1}\" width=\"{s:.1}\" height=\"{s:.1}\" \
-                         fill=\"#000000\"/>",
-                        cx - s / 2.0,
-                        cy - s / 2.0,
-                    );
-                }
+        let s = WIRE_PX * 1.6;
+        for net in design.nets() {
+            for pin in net.pins() {
+                let (cx, cy) = centre(pin.position.x, pin.position.y, h);
+                let _ = writeln!(
+                    svg,
+                    "<rect x=\"{:.1}\" y=\"{:.1}\" width=\"{s:.1}\" height=\"{s:.1}\" \
+                     fill=\"#000000\"/>",
+                    cx - s / 2.0,
+                    cy - s / 2.0,
+                );
             }
         }
 
@@ -207,15 +174,15 @@ impl SvgRenderer {
     pub fn render_congestion(&self, graph: &GridGraph) -> String {
         let (w, h) = (graph.width(), graph.height());
         let heat = graph.congestion_heatmap();
-        let mut svg = self.header(w, h);
-        let c = self.config.cell_px;
+        let mut svg = header(w, h);
+        let c = CELL_PX;
         for y in 0..h {
             for x in 0..w {
                 let u = heat[y as usize * w as usize + x as usize];
                 if u <= 0.0 {
                     continue;
                 }
-                let (cx, cy) = self.centre(x, y, h);
+                let (cx, cy) = centre(x, y, h);
                 let _ = writeln!(
                     svg,
                     "<rect x=\"{:.1}\" y=\"{:.1}\" width=\"{c:.1}\" height=\"{c:.1}\" \
@@ -300,17 +267,5 @@ mod tests {
         let high = parse_r(&heat_color(0.9));
         assert!(low < high);
         assert_eq!(heat_color(1.5), "#ff00ff");
-    }
-
-    #[test]
-    fn disabling_overlays_removes_elements() {
-        let (design, routes) = sample();
-        let svg = SvgRenderer::with_config(VizConfig {
-            show_pins: false,
-            show_vias: false,
-            ..VizConfig::default()
-        })
-        .render_routes(&design, &routes);
-        assert_eq!(svg.matches("<circle").count(), 0);
     }
 }

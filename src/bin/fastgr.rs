@@ -90,6 +90,23 @@ fn load_design(source: &str) -> Result<Design, String> {
     }
 }
 
+/// Whether every argument after the positional one is a `--flag value`
+/// pair with `flag` in `known`; reports the first one that is not.
+fn flags_ok(args: &[String], known: &[&str]) -> bool {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if !known.contains(&arg.as_str()) {
+            eprintln!("unknown argument {arg:?}");
+            return false;
+        }
+        if rest.next().is_none() {
+            eprintln!("{arg} expects a value");
+            return false;
+        }
+    }
+    true
+}
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
@@ -101,9 +118,14 @@ fn cmd_generate(args: &[String]) -> ExitCode {
     let Some(name) = args.first() else {
         return usage();
     };
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    if !flags_ok(args, &["--seed", "--out"]) {
+        return usage();
+    }
+    let seed_text = flag_value(args, "--seed").unwrap_or("1");
+    let Ok(seed) = seed_text.parse::<u64>() else {
+        eprintln!("--seed expects a number, got {seed_text:?}");
+        return ExitCode::FAILURE;
+    };
     let design = if name == "tiny" {
         Generator::tiny(seed).generate()
     } else if let Some(spec) = BenchmarkSpec::find(name) {
@@ -130,6 +152,9 @@ fn cmd_info(args: &[String]) -> ExitCode {
     let Some(source) = args.first() else {
         return usage();
     };
+    if !flags_ok(args, &[]) {
+        return usage();
+    }
     let design = match load_design(source) {
         Ok(d) => d,
         Err(e) => {
@@ -161,6 +186,17 @@ fn cmd_route(args: &[String]) -> ExitCode {
     let Some(source) = args.first() else {
         return usage();
     };
+    let known = [
+        "--preset",
+        "--guides",
+        "--sort",
+        "--iterations",
+        "--svg",
+        "--trace",
+    ];
+    if !flags_ok(args, &known) {
+        return usage();
+    }
     let design = match load_design(source) {
         Ok(d) => d,
         Err(e) => {
@@ -191,11 +227,11 @@ fn cmd_route(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        config = config.with_sorting(scheme);
+        config.sorting = scheme;
     }
     if let Some(iters) = flag_value(args, "--iterations") {
         match iters.parse() {
-            Ok(n) => config = config.with_rrr_iterations(n),
+            Ok(n) => config.rrr_iterations = n,
             Err(_) => {
                 eprintln!("--iterations expects a number, got {iters:?}");
                 return ExitCode::FAILURE;

@@ -323,7 +323,10 @@ fn validate() -> bool {
     // One end-to-end routing run with the inline validator armed: panics
     // (and fails the task) if any stage builds an unsound schedule.
     let design = Generator::tiny(4).generate();
-    let config = RouterConfig::fastgr_l().with_validate(true);
+    let config = RouterConfig {
+        validate: true,
+        ..RouterConfig::fastgr_l()
+    };
     match Router::new(config).run(&design) {
         Ok(outcome) => println!(
             "validate end-to-end: {} nets routed, score {:.1}",

@@ -51,3 +51,8 @@ pub use fastgr_viz as viz;
 // `Router::run_with_recorder`, and every `RoutingOutcome` carries a
 // `RunTrace` of `Span`s and `Counter`s.
 pub use fastgr_telemetry::{Counter, Recorder, RunTrace, Span};
+
+// `cargo test` compiles and runs every snippet of the library guide.
+#[cfg(doctest)]
+#[doc = include_str!("../docs/using_the_library.md")]
+struct UsingTheLibraryGuide;

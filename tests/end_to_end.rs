@@ -102,7 +102,10 @@ fn whole_flow_is_deterministic() {
 #[test]
 fn rrr_never_worsens_overflow() {
     let design = congested_design(5);
-    let pattern_only = RouterConfig::cugr().with_rrr_iterations(0);
+    let pattern_only = RouterConfig {
+        rrr_iterations: 0,
+        ..RouterConfig::cugr()
+    };
     let rough = Router::new(pattern_only).run(&design).expect("routable");
     let refined = Router::new(RouterConfig::cugr())
         .run(&design)

@@ -24,9 +24,11 @@ fn congested_design(seed: u64) -> fastgr::design::Design {
 fn history_cost_reduces_shorts_with_extra_iterations() {
     let design = congested_design(41);
     let plain = Router::new(RouterConfig::fastgr_l()).run(&design).expect("ok");
-    let with_history = RouterConfig::fastgr_l()
-        .with_history_increment(4.0)
-        .with_rrr_iterations(8);
+    let with_history = RouterConfig {
+        history_increment: 4.0,
+        rrr_iterations: 8,
+        ..RouterConfig::fastgr_l()
+    };
     let negotiated = Router::new(with_history).run(&design).expect("ok");
     assert!(
         negotiated.metrics.shorts <= plain.metrics.shorts,
@@ -39,7 +41,10 @@ fn history_cost_reduces_shorts_with_extra_iterations() {
 #[test]
 fn history_cost_preserves_invariants() {
     let design = congested_design(42);
-    let config = RouterConfig::fastgr_l().with_history_increment(2.0);
+    let config = RouterConfig {
+        history_increment: 2.0,
+        ..RouterConfig::fastgr_l()
+    };
     let outcome = Router::new(config).run(&design).expect("ok");
     for route in &outcome.routes {
         assert!(route.is_connected());
@@ -58,7 +63,10 @@ fn history_cost_preserves_invariants() {
 #[test]
 fn congestion_aware_planning_routes_cleanly() {
     let design = congested_design(43);
-    let config = RouterConfig::fastgr_l().with_congestion_aware_planning(true);
+    let config = RouterConfig {
+        congestion_aware_planning: true,
+        ..RouterConfig::fastgr_l()
+    };
     let outcome = Router::new(config).run(&design).expect("ok");
     assert!(outcome.guides.covers_pins(&design));
     for (net, route) in design.nets().iter().zip(&outcome.routes) {

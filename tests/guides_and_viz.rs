@@ -70,7 +70,10 @@ fn congestion_estimate_matches_router_pattern_stage() {
     let estimate = fastgr::core::estimate_congestion(&design).expect("routable");
     // The estimate is a pattern-only pass: its demand must be close to the
     // committed demand of a pattern-only router run with the same config.
-    let config = RouterConfig::cugr().with_rrr_iterations(0);
+    let config = RouterConfig {
+        rrr_iterations: 0,
+        ..RouterConfig::cugr()
+    };
     let outcome = Router::new(config).run(&design).expect("routable");
     assert_eq!(
         estimate.report.total_wire_demand,

@@ -34,11 +34,14 @@ fn overflowing_design() -> Design {
 /// FastGR_H with `workers` host workers in both the simulated device pool
 /// and the RRR executor.
 fn config_with_workers(workers: usize) -> RouterConfig {
-    RouterConfig::fastgr_h()
-        .with_workers(workers)
-        .with_engine(PatternEngine::GpuFlow(
-            DeviceConfig::rtx3090_like().with_host_workers(workers),
-        ))
+    RouterConfig {
+        workers,
+        engine: PatternEngine::GpuFlow(DeviceConfig {
+            host_workers: workers,
+            ..DeviceConfig::rtx3090_like()
+        }),
+        ..RouterConfig::fastgr_h()
+    }
 }
 
 fn traced_signature(workers: usize) -> String {
