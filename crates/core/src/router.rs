@@ -222,6 +222,9 @@ impl Router {
         }
         trace.set_counter("rrr.dirty_edges", rrr.dirty_edges as f64);
         trace.set_counter("rrr.full_rescan_avoided", rrr.rescans_avoided as f64);
+        trace.set_counter("maze.searches", rrr.maze.searches as f64);
+        trace.set_counter("maze.pops", rrr.maze.expanded as f64);
+        trace.set_counter("maze.pushes", rrr.maze.pushes as f64);
         Ok(RoutingOutcome {
             routes,
             guides,

@@ -9,13 +9,17 @@
 //!
 //! Tasks share the grid through `&GridGraph`: commits and uncommits go
 //! through the lock-free atomic congestion store
-//! ([`GridGraph::commit_atomic`]), so tasks with disjoint bounding boxes
-//! never contend — the schedule already serialises genuinely conflicting
-//! tasks, and margin reads stay the paper's documented benign
-//! approximation. Each worker thread routes through a thread-local
-//! [`MazeScratch`], making the steady-state search loop allocation-free,
-//! and overflow detection is incremental: only routes crossing edges whose
-//! demand changed during an iteration are rechecked.
+//! ([`GridGraph::commit_atomic`]). Two tasks conflict when their maze
+//! search windows (net bounding box inflated by
+//! [`MazeConfig::window_margin`]) overlap, and the schedule runs
+//! conflicting tasks in task order. A search reads and writes costs only
+//! inside its window, so concurrent tasks never observe each other's
+//! commits and every thread count reproduces the serial run in task order.
+//! The rare widened-window retries fall outside the conflict graph and run
+//! as a serial tail after the schedule. Each worker thread routes through
+//! a thread-local [`MazeScratch`], making the steady-state search loop
+//! allocation-free, and overflow detection is incremental: only routes
+//! crossing edges whose demand changed during an iteration are rechecked.
 //!
 //! On this container the executor runs with however many CPUs exist; in
 //! addition to measured wall time, each strategy reports a *modelled*
@@ -29,7 +33,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use fastgr_design::Design;
 use fastgr_gpu::HostPool;
 use fastgr_grid::{GridGraph, Point2, Rect, Route};
-use fastgr_maze::{MazeConfig, MazeError, MazeRouter, MazeScratch};
+use fastgr_maze::{MazeConfig, MazeError, MazeRouter, MazeScratch, MazeStats};
 use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, HookPair, Schedule, TraceHooks};
 use fastgr_telemetry::{Recorder, Stopwatch};
 
@@ -62,6 +66,9 @@ pub struct RrrOutcome {
     /// over iterations (each one a full `route_has_overflow` walk the old
     /// `O(nets x route-length)` scan would have paid).
     pub rescans_avoided: u64,
+    /// Maze search work summed over every task of every iteration,
+    /// widened retries included.
+    pub maze: MazeStats,
 }
 
 /// The rip-up-and-reroute stage.
@@ -110,6 +117,7 @@ struct TaskSlot {
     seconds: f64,
     route: Route,
     error: Option<MazeError>,
+    maze: MazeStats,
 }
 
 /// Per-thread routing state: maze scratch, pin buffer and output route.
@@ -173,11 +181,12 @@ impl RrrStage {
         let mut modeled = 0.0;
         let mut total_dirty = 0u64;
         let mut total_avoided = 0u64;
+        let mut maze = MazeStats::default();
 
         let router = MazeRouter::new(self.maze);
-        // A cramped window (heavy blockages) can leave no path; tasks retry
-        // once through this pre-built doubled-margin router before giving
-        // up, instead of constructing a fresh router per retry.
+        // A cramped window (heavy blockages) can leave no path; such tasks
+        // retry once through this doubled-margin router, serially after the
+        // iteration's schedule has run.
         let wide_router = MazeRouter::new(MazeConfig {
             window_margin: self.maze.window_margin.saturating_mul(2).max(8),
             ..self.maze
@@ -201,20 +210,19 @@ impl RrrStage {
             recorder.counter_sample("rrr.nets_ripped", violating.len() as f64);
             nets_ripped.push(violating.len());
 
-            // Conflict graph over net bounding boxes (+1 G-cell), following
-            // the paper: tasks whose nets overlap must serialise. A maze
-            // search can stray past the bounding box into the window
-            // margin, where it may read congestion another task is
-            // mid-committing; every update is an atomic fixed-point add, so
-            // the totals stay exact and this is the same benign
-            // approximation the paper's parallel RRR makes.
+            // Conflict graph over the tasks' maze windows: net bounding
+            // boxes inflated by the window margin. Tasks whose windows
+            // overlap serialise in task order, and a search reads and
+            // writes costs only inside its window, so every task sees the
+            // state of the serial run in task order whatever the thread
+            // count.
             let bboxes: Vec<Rect> = violating
                 .iter()
                 .map(|&id| {
                     design
                         .net(fastgr_design::NetId(id))
                         .bounding_box()
-                        .inflated(1, design.width(), design.height())
+                        .inflated(self.maze.window_margin, design.width(), design.height())
                 })
                 .collect();
             let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
@@ -236,10 +244,12 @@ impl RrrStage {
             // Start a fresh dirty-edge set for this iteration's updates.
             graph.clear_dirty();
 
-            // The task body: rip up, reroute, commit — identical across
-            // strategies; only the scheduling differs. Commits and
-            // uncommits go straight to the lock-free congestion store.
-            let run_task = |graph: &GridGraph, task: u32| {
+            // The task body: rip up, reroute through `router`, commit —
+            // identical across strategies; only the scheduling differs.
+            // Commits and uncommits go straight to the lock-free congestion
+            // store. A failed search restores the old route and leaves the
+            // error in the slot.
+            let run_task = |graph: &GridGraph, task: u32, router: &MazeRouter| {
                 let t0 = Stopwatch::start();
                 let net_id = violating[task as usize];
                 let net = design.net(fastgr_design::NetId(net_id));
@@ -253,17 +263,14 @@ impl RrrStage {
                 SCRATCH.with(|cell| {
                     let scratch = &mut *cell.borrow_mut();
                     net.distinct_positions_into(&mut scratch.pins);
-                    let result = router
-                        .route_into(graph, &scratch.pins, &mut scratch.maze, &mut scratch.out)
-                        .or_else(|_| {
-                            wide_router.route_into(
-                                graph,
-                                &scratch.pins,
-                                &mut scratch.maze,
-                                &mut scratch.out,
-                            )
-                        });
+                    let result = router.route_into(
+                        graph,
+                        &scratch.pins,
+                        &mut scratch.maze,
+                        &mut scratch.out,
+                    );
                     let mut slot = lock(&slots[task as usize]);
+                    slot.maze += scratch.maze.stats();
                     match result {
                         Ok(_) => {
                             // Swap the new geometry out of the scratch; the
@@ -272,6 +279,7 @@ impl RrrStage {
                             std::mem::swap(&mut scratch.out, &mut old);
                             graph.commit_atomic(&old).expect("maze route is valid");
                             slot.route = old;
+                            slot.error = None;
                         }
                         Err(e) => {
                             // Restore the old route so the state stays sound.
@@ -312,7 +320,7 @@ impl RrrStage {
                             );
                             Executor::new(threads).run_with_hooks(
                                 &schedule,
-                                |task| run_task(shared, task),
+                                |task| run_task(shared, task, &router),
                                 &pair,
                             );
                             pair.first
@@ -321,7 +329,7 @@ impl RrrStage {
                         } else {
                             Executor::new(threads).run_with_hooks(
                                 &schedule,
-                                |task| run_task(shared, task),
+                                |task| run_task(shared, task, &router),
                                 &hooks,
                             );
                         }
@@ -339,7 +347,7 @@ impl RrrStage {
                     let mut makespan = 0.0;
                     for batch in &batches {
                         for &task in batch {
-                            run_task(shared, task);
+                            run_task(shared, task, &router);
                         }
                         // Barrier model: a static-chunked parallel-for (the
                         // conventional batch implementation) — worker j takes
@@ -360,6 +368,18 @@ impl RrrStage {
                     makespan
                 }
             };
+            // Widened retries run as one serial tail in task order, after
+            // the schedule: their wider windows are not in the conflict
+            // graph, so they must not run beside other tasks.
+            let mut tail_seconds = 0.0;
+            let shared: &GridGraph = graph;
+            for task in 0..violating.len() as u32 {
+                if lock(&slots[task as usize]).error.is_some() {
+                    run_task(shared, task, &wide_router);
+                    tail_seconds += lock(&slots[task as usize]).seconds;
+                }
+            }
+            let iter_modeled = iter_modeled + tail_seconds;
             modeled += iter_modeled;
             recorder.counter_sample("rrr.modeled_parallel_s", iter_modeled);
 
@@ -370,6 +390,7 @@ impl RrrStage {
             for (task, slot) in slots.iter().enumerate() {
                 let mut slot = lock(slot);
                 routes[violating[task] as usize] = std::mem::take(&mut slot.route);
+                maze += slot.maze;
                 if first_error.is_none() {
                     first_error = slot.error.take();
                 }
@@ -420,6 +441,7 @@ impl RrrStage {
             modeled_parallel_seconds: modeled,
             dirty_edges: total_dirty,
             rescans_avoided: total_avoided,
+            maze,
         })
     }
 }

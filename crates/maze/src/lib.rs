@@ -3,7 +3,7 @@
 //! Pattern routing restricts the search space for speed; the nets it cannot
 //! route violation-free are re-routed here with a full 3-D shortest-path
 //! search over the grid graph (paper Section III-G). The router is a
-//! multi-terminal Dijkstra (optionally A*) restricted to an inflated
+//! multi-terminal A* (or plain Dijkstra) restricted to an inflated
 //! bounding-box window:
 //!
 //! 1. start with the first pin as the routed component;
@@ -13,9 +13,14 @@
 //!
 //! Moves follow the grid-graph semantics: wire steps along the preferred
 //! direction of layers with non-zero capacity, via steps between adjacent
-//! layers. Costs come live from the [`GridGraph`](fastgr_grid::GridGraph)
-//! congestion state, so the
-//! search naturally detours around overflowed edges.
+//! layers. When a net's window is bound, the router snapshots the
+//! [`GridGraph`](fastgr_grid::GridGraph) congestion costs of every wire and
+//! via edge inside it into flat fixed-point arrays, and all the net's
+//! searches read those, so the search detours around overflowed edges
+//! without calling back into the grid per arc. The A* potential is the
+//! exact distance to the target with every edge at its cost floor (unit
+//! wire per step, unit via per layer change), which makes it admissible
+//! and consistent.
 //!
 //! # Example
 //!

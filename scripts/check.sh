@@ -41,6 +41,9 @@ cargo xtask validate-trace "$trace_tmp/suite_trace.json"
 echo "== stress smoke (10 random designs x 3 presets, one worker) =="
 FASTGR_WORKERS=1 cargo run --release --offline -q -p fastgr-bench --bin stress -- 10 >/dev/null
 
+echo "== stress smoke (10 random designs x 3 presets, two workers) =="
+FASTGR_WORKERS=2 cargo run --release --offline -q -p fastgr-bench --bin stress -- 10 >/dev/null
+
 echo "== table VIII smoke (paper accounting read from the run trace) =="
 cargo run --release --offline -q -p fastgr-bench --bin reproduce -- table8 >/dev/null
 

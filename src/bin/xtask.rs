@@ -34,6 +34,7 @@ use fastgr_analysis::{
 use fastgr_core::{Router, RouterConfig};
 use fastgr_design::{BenchmarkSpec, Design, Generator, GeneratorParams};
 use fastgr_grid::Rect;
+use fastgr_maze::MazeConfig;
 use fastgr_taskgraph::{extract_batches, ConflictGraph, ExecutionHooks, Executor, Schedule};
 
 fn main() -> ExitCode {
@@ -251,8 +252,8 @@ fn validate_trace(path: Option<&str>) -> bool {
 
 /// Differential check: `ConflictGraph::from_bounding_boxes` must equal the
 /// all-pairs `from_bounding_boxes_naive` oracle on every design-suite
-/// design and on the full-size `s19t9m` nets, both plain and inflated by one
-/// G-cell as the RRR stage builds its conflict boxes.
+/// design and on the full-size `s19t9m` nets, both plain and inflated by the
+/// maze window margin as the RRR stage builds its conflict boxes.
 fn conflict_oracle() -> bool {
     let mut cases: Vec<(String, Vec<Rect>)> = design_suite()
         .iter()
@@ -262,7 +263,11 @@ fn conflict_oracle() -> bool {
         Some(spec) => {
             let design = spec.generate();
             cases.push(("s19t9m".to_string(), net_boxes(&design, 0)));
-            cases.push(("s19t9m inflated by 1".to_string(), net_boxes(&design, 1)));
+            let margin = MazeConfig::default().window_margin;
+            cases.push((
+                format!("s19t9m inflated by {margin}"),
+                net_boxes(&design, margin),
+            ));
         }
         None => {
             eprintln!("conflict-oracle: suite benchmark s19t9m is missing");
