@@ -9,6 +9,13 @@
 //! solved exactly by via-stack interval enumeration (`O(L^2)` intervals,
 //! see `DESIGN.md` §6).
 //!
+//! Every via-stack cost comes from one via-prefix row per G-cell
+//! (`cv(p, a, b) = |pre[b] − pre[a]|`), and every `L x L` min-plus product
+//! of a via stack followed by a wire run is computed exactly in O(L) by
+//! [`stack_min_plus_into`], so a candidate bend pair costs O(L) on the
+//! host. The modelled [`BlockProfile`] keeps the paper's `L x L` work per
+//! stage (`DESIGN.md` §9).
+//!
 //! Full argmin backtracking reconstructs the winning geometry, including
 //! the via stacks joining children (and the pin-layer access stacks, which
 //! this reproduction folds into the same interval formulation: a pin node
@@ -28,7 +35,7 @@
 
 use std::cell::RefCell;
 
-use fastgr_gpu::flow::{merge_min_rows, vec_mat_min_plus_into, Matrix};
+use fastgr_gpu::flow::{merge_min_rows, stack_min_plus_into};
 use fastgr_gpu::BlockProfile;
 use fastgr_grid::{CostProber, GridGraph, Point2, Route, Segment, Via};
 use fastgr_steiner::{RouteTree, TreeEdge};
@@ -62,6 +69,8 @@ pub struct NetDpResult {
     pub cost: f64,
     /// Simulated device flow profile of this net's block.
     pub profile: BlockProfile,
+    /// Cost probes this net made (see [`DpSummary::probes`]).
+    pub probes: u64,
 }
 
 /// Cost and device profile of one routed net — what
@@ -73,6 +82,10 @@ pub struct DpSummary {
     pub cost: f64,
     /// Simulated device flow profile of this net's block.
     pub profile: BlockProfile,
+    /// Cost probes this net made: each wire-run probe and each via-prefix
+    /// row read counts 1. Counted per net in the caller's [`DpScratch`],
+    /// so it is deterministic and no thread writes a shared counter.
+    pub probes: u64,
 }
 
 /// Per-(edge, target-layer) backtracking record.
@@ -130,10 +143,12 @@ pub struct DpScratch {
     /// `edge_choice` once complete — the copy keeps borrows disjoint).
     out_cost: Vec<f64>,
     out_choice: Vec<EdgeChoice>,
-    /// Flow operands (Eqs. 5–7 / 11–14).
+    /// Source-side flow operand `w1` of Eqs. 5 and 11.
     w1: Vec<f64>,
-    w2: Matrix,
-    w3: Matrix,
+    /// Via-stack prefix rows of the G-cell in flight and, in the Z/hybrid
+    /// flow, of the target-side bend: `cv(p, a, b) = |pre[b] − pre[a]|`.
+    pre_s: Vec<f64>,
+    pre_t: Vec<f64>,
     /// Chain intermediates: best source per bridge layer.
     mid_values: Vec<f64>,
     mid_argmin: Vec<usize>,
@@ -148,13 +163,15 @@ pub struct DpScratch {
     merged_argmin: Vec<usize>,
     /// Candidate bend-point pairs of the Z/hybrid flow.
     pairs: Vec<(Point2, Point2)>,
-    /// Hoisted per-bridge-layer wire terms of the Z/hybrid w2/w3 fills
-    /// (`cw(Bs, Bt, b)` and `cw(Bt, T, b)` depend only on `b`, not on the
-    /// source layer, so they are probed once per layer, not `L` times).
+    /// Per-layer wire terms following each via stack: `cw(B, T, lt)` of
+    /// Eq. 6, `cw(Bs, Bt, lb)` of Eq. 12, `cw(Bt, T, lt)` of Eq. 13, and
+    /// zero for a pure-via edge. Lane 0 (the pin layer) is infinite.
     run2: Vec<f64>,
     run3: Vec<f64>,
     /// Backtracking stack of `(edge, arrival layer)`.
     bt_stack: Vec<(TreeEdge, u8)>,
+    /// Cost probes of the net in flight ([`DpSummary::probes`]).
+    probes: u64,
 }
 
 impl DpScratch {
@@ -174,8 +191,8 @@ impl DpScratch {
             out_cost: Vec::new(),
             out_choice: Vec::new(),
             w1: Vec::new(),
-            w2: Matrix::filled(1, 1, 0.0),
-            w3: Matrix::filled(1, 1, 0.0),
+            pre_s: Vec::new(),
+            pre_t: Vec::new(),
             mid_values: Vec::new(),
             mid_argmin: Vec::new(),
             lane_values: Vec::new(),
@@ -188,6 +205,7 @@ impl DpScratch {
             run2: Vec::new(),
             run3: Vec::new(),
             bt_stack: Vec::new(),
+            probes: 0,
         }
     }
 }
@@ -312,14 +330,30 @@ impl<'g> PatternDp<'g> {
         }
     }
 
-    /// Cost `cv(p, l1, l2)` of a via stack, from the active cost source.
-    #[inline]
-    fn stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
+    /// The via-stack prefix row of G-cell `p` from the active cost source:
+    /// `out[l] = cv(p, 0, l)`, so `cv(p, a, b) = |out[b] − out[a]|`
+    /// exactly (Q44.20 values below 2⁵³; see
+    /// [`CostProber::via_prefix_into`]).
+    fn via_prefix_into(&self, p: Point2, out: &mut Vec<f64>) {
         match &self.costs {
-            CostSource::Owned(pr) => pr.via_stack_cost(p, l1, l2),
-            CostSource::Borrowed(pr) => pr.via_stack_cost(p, l1, l2),
-            CostSource::Direct => self.graph.via_stack_cost(p, l1, l2),
+            CostSource::Owned(pr) => pr.via_prefix_into(p, out),
+            CostSource::Borrowed(pr) => pr.via_prefix_into(p, out),
+            CostSource::Direct => {
+                out.clear();
+                out.extend(
+                    (0..self.graph.num_layers()).map(|l| self.graph.via_stack_cost(p, 0, l)),
+                );
+            }
         }
+    }
+
+    /// The wire term that follows a via stack at `a`, per layer: lane 0
+    /// (the pin layer carries no wire) is infinite, lane `b` is
+    /// `cw(a, c, b)`. Makes `l - 1` wire-run probes.
+    fn bridge_runs_into(&self, a: Point2, c: Point2, l: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.push(f64::INFINITY);
+        out.extend((1..l).map(|b| self.run_cost(b as u8, a, c)));
     }
 
     /// Extra modeled gather depth per flow entry: the direct engine walks
@@ -349,6 +383,7 @@ impl<'g> PatternDp<'g> {
                     route,
                     cost: summary.cost,
                     profile: summary.profile,
+                    probes: summary.probes,
                 })
         })
     }
@@ -367,6 +402,7 @@ impl<'g> PatternDp<'g> {
         out: &mut Route,
     ) -> Option<DpSummary> {
         out.clear();
+        scratch.probes = 0;
         let l = self.graph.num_layers() as usize;
         tree.ordered_edges_into(&mut scratch.dfs_stack, &mut scratch.edges);
         if scratch.edges.is_empty() {
@@ -374,6 +410,7 @@ impl<'g> PatternDp<'g> {
             return Some(DpSummary {
                 cost: 0.0,
                 profile: BlockProfile::new(1, 1),
+                probes: 0,
             });
         }
 
@@ -485,6 +522,7 @@ impl<'g> PatternDp<'g> {
         Some(DpSummary {
             cost: root_total,
             profile,
+            probes: scratch.probes,
         })
     }
 
@@ -504,11 +542,13 @@ impl<'g> PatternDp<'g> {
         scratch.trial_layers.clear();
         scratch.trial_layers.resize(deg, 0);
         let arena = scratch.arena_offset[v] as usize;
+        self.via_prefix_into(pos, &mut scratch.pre_s);
+        scratch.probes += 1;
         for ls in 1..l {
             let (lo_first, lo_last) = if is_pin { (0u8, 0u8) } else { (1u8, ls as u8) };
             for lo in lo_first..=lo_last {
                 for hi in ls as u8..l as u8 {
-                    let mut total = self.stack_cost(pos, lo, hi);
+                    let mut total = scratch.pre_s[hi as usize] - scratch.pre_s[lo as usize];
                     if !total.is_finite() {
                         continue;
                     }
@@ -559,9 +599,11 @@ impl<'g> PatternDp<'g> {
         } else {
             (1u8, l as u8 - 1)
         };
+        self.via_prefix_into(pos, &mut scratch.pre_s);
+        scratch.probes += 1;
         for lo in lo_first..=lo_last {
             for hi in lo.max(1)..l as u8 {
-                let mut total = self.stack_cost(pos, lo, hi);
+                let mut total = scratch.pre_s[hi as usize] - scratch.pre_s[lo as usize];
                 if !total.is_finite() {
                     continue;
                 }
@@ -594,36 +636,34 @@ impl<'g> PatternDp<'g> {
     /// Writes `scratch.out_cost` / `out_choice`.
     fn pure_via_into(&self, pos: Point2, scratch: &mut DpScratch) -> BlockProfile {
         let l = scratch.cbc.len();
-        scratch.out_cost.clear();
-        scratch.out_cost.resize(l, f64::INFINITY);
-        scratch.out_choice.clear();
-        scratch.out_choice.resize(
-            l,
-            EdgeChoice {
-                candidate: CAND_PURE_VIA,
-                ls: 0,
-                lb: 0,
-            },
+        // out[lt] = min_ls (cbc[ls] + cv(pos, ls, lt)), lt >= 1.
+        self.via_prefix_into(pos, &mut scratch.pre_s);
+        scratch.probes += 1;
+        scratch.run2.clear();
+        scratch.run2.push(f64::INFINITY);
+        scratch.run2.resize(l, 0.0);
+        stack_min_plus_into(
+            &scratch.cbc,
+            &scratch.pre_s,
+            &scratch.run2,
+            &mut scratch.out_cost,
+            &mut scratch.lane_argmin,
         );
-        for lt in 1..l {
-            for (ls, &bottom) in scratch.cbc.iter().enumerate().skip(1) {
-                let c = bottom + self.stack_cost(pos, ls as u8, lt as u8);
-                if c < scratch.out_cost[lt] {
-                    scratch.out_cost[lt] = c;
-                    scratch.out_choice[lt] = EdgeChoice {
-                        candidate: CAND_PURE_VIA,
-                        ls: ls as u8,
-                        lb: 0,
-                    };
-                }
-            }
-        }
+        let (out_choice, lane_argmin) = (&mut scratch.out_choice, &scratch.lane_argmin);
+        out_choice.clear();
+        out_choice.extend(lane_argmin.iter().map(|&ls| EdgeChoice {
+            candidate: CAND_PURE_VIA,
+            ls: ls as u8,
+            lb: 0,
+        }));
         BlockProfile::new(l * l, 2)
     }
 
     /// The GPU-friendly 3-D L-shape flow (Eqs. 5–7, Fig. 8): two bend
     /// candidates, each an `L x L` min-plus product, merged per target
-    /// layer. Writes `scratch.out_cost` / `out_choice`.
+    /// layer. The host computes each product as an O(L) via-stack bridge
+    /// reduction ([`stack_min_plus_into`]); the modelled block keeps the
+    /// `L x L` work. Writes `scratch.out_cost` / `out_choice`.
     fn l_shape_into(&self, ps: Point2, pt: Point2, scratch: &mut DpScratch) -> BlockProfile {
         let l = scratch.cbc.len();
         let bends = [Point2::new(pt.x, ps.y), Point2::new(ps.x, pt.y)];
@@ -641,19 +681,16 @@ impl<'g> PatternDp<'g> {
                     .map(|(ls, &c)| c + self.run_cost(ls as u8, ps, bend)),
             );
             // w2[ls][lt] = cv(B, ls, lt) + cw(B, T, lt)       (Eq. 6)
-            // The wire term depends only on lt: probe it once per target
-            // layer, not once per (ls, lt) cell.
-            scratch.w2.reset(l, l, f64::INFINITY);
-            for lt in 1..l {
-                let wire = self.run_cost(lt as u8, bend, pt);
-                for ls in 0..l {
-                    scratch.w2[(ls, lt)] = self.stack_cost(bend, ls as u8, lt as u8) + wire;
-                }
-            }
+            // is the via-prefix row of B plus one wire probe per lt >= 1.
+            self.via_prefix_into(bend, &mut scratch.pre_s);
+            self.bridge_runs_into(bend, pt, l, &mut scratch.run2);
+            // L wire probes for w1, L - 1 for run2 and one row read.
+            scratch.probes += 2 * l as u64;
             // c*(lt) = min_ls (w1[ls] + w2[ls][lt])           (Eq. 7)
-            vec_mat_min_plus_into(
+            stack_min_plus_into(
                 &scratch.w1,
-                &scratch.w2,
+                &scratch.pre_s,
+                &scratch.run2,
                 &mut scratch.lane_values,
                 &mut scratch.lane_argmin,
             );
@@ -695,8 +732,11 @@ impl<'g> PatternDp<'g> {
     /// one chained min-plus flow per candidate bend-point pair, merged per
     /// Eq. 10. With `z_only` the two degenerate L candidates are excluded
     /// (`M + N - 2` candidates, Section III-E); otherwise all `M + N`
-    /// hybrid candidates are used (Section III-F). Writes
-    /// `scratch.out_cost` / `out_choice`.
+    /// hybrid candidates are used (Section III-F). On the host each of the
+    /// two chained `L x L` products is an O(L) via-stack bridge reduction
+    /// ([`stack_min_plus_into`]), so a candidate costs O(L); the modelled
+    /// block keeps the `n_pairs · L · L` work. Writes `scratch.out_cost` /
+    /// `out_choice`.
     fn z_or_hybrid_into(
         &self,
         ps: Point2,
@@ -746,41 +786,29 @@ impl<'g> PatternDp<'g> {
                     .enumerate()
                     .map(|(ls, &c)| c + self.run_cost(ls as u8, ps, bs)),
             );
-            // The wire terms of w2/w3 depend only on the bridge/target
-            // layer `b`, not on `a`: probe them once per layer instead of
-            // L times inside the L x L fills.
-            scratch.run2.clear();
-            scratch
-                .run2
-                .extend((0..l).map(|b| self.run_cost(b as u8, bs, bt)));
-            scratch.run3.clear();
-            scratch
-                .run3
-                .extend((0..l).map(|b| self.run_cost(b as u8, bt, pt)));
             // w2[ls][lb] = cv(Bs, ls, lb) + cw(Bs, Bt, lb)    (Eq. 12)
-            scratch.w2.reset(l, l, f64::INFINITY);
             // w3[lb][lt] = cv(Bt, lb, lt) + cw(Bt, T, lt)     (Eq. 13)
-            scratch.w3.reset(l, l, f64::INFINITY);
-            for a in 0..l {
-                for b in 1..l {
-                    scratch.w2[(a, b)] =
-                        self.stack_cost(bs, a as u8, b as u8) + scratch.run2[b];
-                    scratch.w3[(a, b)] =
-                        self.stack_cost(bt, a as u8, b as u8) + scratch.run3[b];
-                }
-            }
+            // Each is a via-prefix row plus one wire probe per layer >= 1.
+            self.via_prefix_into(bs, &mut scratch.pre_s);
+            self.via_prefix_into(bt, &mut scratch.pre_t);
+            self.bridge_runs_into(bs, bt, l, &mut scratch.run2);
+            self.bridge_runs_into(bt, pt, l, &mut scratch.run3);
+            // L wire probes for w1, L - 1 each for run2 and run3, two rows.
+            scratch.probes += 3 * l as u64;
             // c*(i)(lt) = min_{ls, lb} (w1 + w2 + w3)          (Eq. 14):
             // stage 1 reduces sources per bridge, stage 2 bridges per
             // target.
-            vec_mat_min_plus_into(
+            stack_min_plus_into(
                 &scratch.w1,
-                &scratch.w2,
+                &scratch.pre_s,
+                &scratch.run2,
                 &mut scratch.mid_values,
                 &mut scratch.mid_argmin,
             );
-            vec_mat_min_plus_into(
+            stack_min_plus_into(
                 &scratch.mid_values,
-                &scratch.w3,
+                &scratch.pre_t,
+                &scratch.run3,
                 &mut scratch.lane_values,
                 &mut scratch.lane_argmin,
             );

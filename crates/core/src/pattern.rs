@@ -92,7 +92,8 @@ pub struct PatternStage {
     /// refreshed at every commit boundary from the grid's dirty bitsets)
     /// instead of walking raw congestion per probe. Bit-identical routes
     /// either way — both paths share the Q44.20 quantised cost domain —
-    /// so this is purely the O((M+N)²·L²) → O((M+N)·L²) per-net speedup.
+    /// so this is purely the per-net host speedup from O((M+N)²·L) to
+    /// O((M+N)·L) probe work.
     pub cost_probing: bool,
     /// Debug-assert-style soundness checking: when set, the extracted
     /// batches are verified against the conflict graph with the
@@ -202,14 +203,15 @@ impl PatternStage {
             Some(_) => batches.iter().map(Vec::as_slice).collect(),
             None => order.chunks(1).collect(),
         };
+        let mut cost_probes = 0u64;
         for group in groups {
             if let Some(p) = prober.as_mut() {
                 p.refresh(graph, &pool);
             }
             // One block per net; blocks run concurrently, each writing its
-            // own index-disjoint slot. Demand commits after the group in
-            // group order (the group is conflict-free, so order within it
-            // is moot).
+            // route and probe count into its own index-disjoint slot.
+            // Demand commits after the group in group order (the group is
+            // conflict-free, so order within it is moot).
             let slots = SyncSlots::new(group.len());
             {
                 let dp = match prober.as_ref() {
@@ -218,7 +220,7 @@ impl PatternStage {
                 };
                 let route_block = |b: usize| match dp.route_net(&trees[group[b] as usize]) {
                     Some(result) => {
-                        slots.set(b, result.route);
+                        slots.set(b, (result.route, result.probes));
                         result.profile
                     }
                     None => BlockProfile::new(1, 1),
@@ -233,9 +235,10 @@ impl PatternStage {
                 }
             }
             for (&net, slot) in group.iter().zip(slots.into_vec()) {
-                let route = slot.ok_or(RouteError::NoFinitePattern { net })?;
+                let (route, probes) = slot.ok_or(RouteError::NoFinitePattern { net })?;
                 graph.commit(&route)?;
                 routes[net as usize] = route;
+                cost_probes += probes;
             }
         }
         if device.is_some() {
@@ -246,7 +249,7 @@ impl PatternStage {
         if let Some(p) = &prober {
             recorder.accumulate("pattern.cost_cache_builds", p.builds() as f64);
             recorder.accumulate("pattern.cost_cache_rows_rebuilt", p.rows_rebuilt() as f64);
-            recorder.accumulate("pattern.cost_probes", p.probes() as f64);
+            recorder.accumulate("pattern.cost_probes", cost_probes as f64);
         }
         route_span.finish();
         Ok(PatternOutcome {
@@ -349,8 +352,9 @@ mod tests {
     #[test]
     fn gpu_engine_is_deterministic_across_worker_counts() {
         // Same design, 1 vs 4 host workers: the routed geometry must be
-        // byte-identical and the modelled device seconds bit-identical —
-        // host parallelism only changes wall-clock.
+        // byte-identical, the modelled device seconds bit-identical and the
+        // per-net probe counts must sum to the same total — host
+        // parallelism only changes wall-clock.
         let run_with = |workers: usize| {
             run(
                 PatternEngine::GpuFlow(DeviceConfig {
@@ -367,6 +371,9 @@ mod tests {
         let a = serial_trace.modeled_device_seconds();
         let b = parallel_trace.modeled_device_seconds();
         assert_eq!(a.to_bits(), b.to_bits(), "modelled time diverged: {a} vs {b}");
+        let probes = serial_trace.counter("pattern.cost_probes");
+        assert!(probes.is_some_and(|p| p > 0.0), "{probes:?}");
+        assert_eq!(probes, parallel_trace.counter("pattern.cost_probes"));
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! minimum reduction — which maps onto homogeneous GPU threads. These are
 //! the exact operations the simulated device executes; every function also
 //! returns the argmins needed to reconstruct the winning routing path.
+//! [`stack_min_plus_into`] is the host's O(L) form of the one product shape
+//! the pattern kernels use, a via stack followed by a wire run; it is
+//! bit-identical to [`vec_mat_min_plus_into`] on that matrix.
 
 use std::fmt;
 
@@ -56,22 +59,6 @@ impl Matrix {
     /// Row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Reshapes the matrix to `rows x cols` with every entry set to
-    /// `fill`, reusing the existing allocation. This is the zero-alloc
-    /// (in steady state) counterpart of [`Matrix::filled`] for scratch
-    /// matrices that are rebuilt per edge in the pattern DP.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn reset(&mut self, rows: usize, cols: usize, fill: f64) {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, fill);
     }
 }
 
@@ -158,6 +145,105 @@ pub fn vec_mat_min_plus_into(
     }
 }
 
+/// Via-stack bridge reduction in O(L):
+/// `values[b] = min_a (w[a] + |pre[b] − pre[a]|) + run[b]`, with
+/// `argmin[b]` the winning `a`.
+///
+/// This is [`vec_mat_min_plus_into`] over the matrix `m[a][b] = |pre[b] −
+/// pre[a]| + run[b]` — the shape of every pattern-kernel stage whose
+/// matrix is a via stack between layers `a` and `b` at one G-cell followed
+/// by a wire run on `b` (Eqs. 6, 12 and 13) — without building the matrix.
+/// `pre` holds the G-cell's via-stack prefix costs, so it is
+/// non-decreasing and `|pre[b] − pre[a]|` splits at `a = b`:
+///
+/// `values[b] = min(pre[b] + min_{a≤b}(w[a] − pre[a]),
+///                  −pre[b] + min_{a≥b}(w[a] + pre[a])) + run[b]`.
+///
+/// One suffix-minimum pass and one prefix-minimum pass compute it. Ties
+/// go to the lowest `a`, and a lane whose value is infinite keeps argmin
+/// 0, both exactly as in [`vec_mat_min_plus_into`].
+///
+/// # Exactness
+///
+/// The result is bit-identical to the matrix product when every finite
+/// operand is an integer multiple `k · 2⁻²⁰` with `|k| < 2⁵³` and so is
+/// every partial sum (the Q44.20 cost domain of the grid crate): then
+/// every `+` and `−` above is exact, so regrouping the terms cannot change
+/// a value or turn a tie into a non-tie. Infinite `w` or `run` entries
+/// never win; a non-finite `pre` (a G-cell outside the grid) makes every
+/// lane of that call infinite.
+///
+/// # Panics
+///
+/// Panics if `w`, `pre` and `run` differ in length.
+///
+/// # Example
+///
+/// ```
+/// use fastgr_gpu::flow::stack_min_plus_into;
+///
+/// let (w, pre, run) = ([4.0, 1.0, 9.0], [0.0, 2.0, 3.0], [0.0, 0.0, 0.5]);
+/// let (mut values, mut argmin) = (Vec::new(), Vec::new());
+/// stack_min_plus_into(&w, &pre, &run, &mut values, &mut argmin);
+/// assert_eq!(values, vec![3.0, 1.0, 2.5]);
+/// assert_eq!(argmin, vec![1, 1, 1]);
+/// ```
+pub fn stack_min_plus_into(
+    w: &[f64],
+    pre: &[f64],
+    run: &[f64],
+    values: &mut Vec<f64>,
+    argmin: &mut Vec<usize>,
+) {
+    let n = w.len();
+    assert!(
+        pre.len() == n && run.len() == n,
+        "w, pre and run must have equal length"
+    );
+    values.clear();
+    values.resize(n, f64::INFINITY);
+    argmin.clear();
+    argmin.resize(n, 0);
+    // Suffix pass: values[b] = min_{a≥b}(w[a] + pre[a]), argmin[b] its
+    // lowest a (`<=` while walking down keeps the lower index on ties).
+    let (mut best, mut arg) = (f64::INFINITY, 0);
+    for a in (0..n).rev() {
+        let v = w[a] + pre[a];
+        if v <= best {
+            best = v;
+            arg = a;
+        }
+        values[a] = best;
+        argmin[a] = arg;
+    }
+    // Prefix pass, merged with the suffix minimum of each lane. The
+    // prefix argmin is never above b and the suffix argmin never below,
+    // so ties go to the prefix side.
+    let (mut best, mut arg) = (f64::INFINITY, 0);
+    for b in 0..n {
+        let v = w[b] - pre[b];
+        if v < best {
+            best = v;
+            arg = b;
+        }
+        let below = pre[b] + best;
+        let above = values[b] - pre[b];
+        let (v, a) = if below <= above {
+            (below, arg)
+        } else {
+            (above, argmin[b])
+        };
+        let v = v + run[b];
+        if v < f64::INFINITY {
+            values[b] = v;
+            argmin[b] = a;
+        } else {
+            values[b] = f64::INFINITY;
+            argmin[b] = 0;
+        }
+    }
+}
+
 /// Elementwise min-merge over candidate flows (Eq. 10): `out[t] =
 /// min_i cand[i][t]`, remembering the winning candidate per lane.
 ///
@@ -226,6 +312,7 @@ pub fn merge_min_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn vec_mat_handles_infinities() {
@@ -324,16 +411,67 @@ mod tests {
         assert_eq!(argmin, reference.argmin);
     }
 
+    /// `k · 2⁻²⁰`: a value of the Q44.20 cost domain.
+    fn q(k: u64) -> f64 {
+        k as f64 / (1u64 << 20) as f64
+    }
+
+    proptest! {
+        /// The O(L) bridge reduction is the min-plus product over the
+        /// explicit `|pre[b] − pre[a]| + run[b]` matrix, value for value and
+        /// argmin for argmin. Small draws force ties between lanes and
+        /// repeated prefixes; `shift` scales them toward the top of the
+        /// exact range.
+        #[test]
+        fn stack_reduction_matches_matrix_product(
+            lanes in proptest::collection::vec(
+                (0u64..24, 0u8..6, 0u64..24, 0u8..6, 0u64..3),
+                3..13,
+            ),
+            shift in 0u32..28,
+        ) {
+            let inf_or = |pick: u8, k: u64| if pick == 0 { f64::INFINITY } else { q(k << shift) };
+            let w: Vec<f64> = lanes.iter().map(|&(k, pick, ..)| inf_or(pick, k)).collect();
+            let run: Vec<f64> = lanes.iter().map(|&(_, _, k, pick, _)| inf_or(pick, k)).collect();
+            let mut acc = 0u64;
+            let pre: Vec<f64> = lanes
+                .iter()
+                .map(|&(.., step)| {
+                    let p = q(acc << shift);
+                    acc += step;
+                    p
+                })
+                .collect();
+            let l = w.len();
+            let mut m = Matrix::filled(l, l, 0.0);
+            for a in 0..l {
+                for b in 0..l {
+                    m[(a, b)] = (pre[b] - pre[a]).abs() + run[b];
+                }
+            }
+            let (mut want, mut want_arg) = (Vec::new(), Vec::new());
+            vec_mat_min_plus_into(&w, &m, &mut want, &mut want_arg);
+            let (mut got, mut got_arg) = (Vec::new(), Vec::new());
+            stack_min_plus_into(&w, &pre, &run, &mut got, &mut got_arg);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(got_arg, want_arg);
+        }
+    }
+
     #[test]
-    fn matrix_reset_reshapes_and_refills() {
-        let mut m = Matrix::filled(2, 2, 1.0);
-        m[(0, 1)] = 9.0;
-        m.reset(3, 4, f64::INFINITY);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 4);
-        assert!(m.row(0).iter().all(|v| v.is_infinite()));
-        m.reset(1, 1, 0.0);
-        assert_eq!(m[(0, 0)], 0.0);
+    fn stack_reduction_of_an_off_grid_cell_is_infinite() {
+        let pre = [f64::INFINITY; 3];
+        let (mut values, mut argmin) = (Vec::new(), Vec::new());
+        stack_min_plus_into(
+            &[1.0, f64::INFINITY, 0.0],
+            &pre,
+            &[0.0; 3],
+            &mut values,
+            &mut argmin,
+        );
+        assert!(values.iter().all(|v| *v == f64::INFINITY));
+        assert_eq!(argmin, vec![0; 3]);
     }
 
     #[test]

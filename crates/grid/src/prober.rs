@@ -100,15 +100,15 @@ pub struct CostProber {
     /// `forbid(unsafe_code)`; all accesses are relaxed and the pool's
     /// scoped-thread join supplies the happens-before edge.
     wire_pref: Vec<AtomicU64>,
-    /// `via_pref[l*wh + pos]` = sum of quantised via hop costs below layer
-    /// `l` at flat cell `pos`, for `l` in `0..layers`.
+    /// `via_pref[pos*layers + l]` = sum of quantised via hop costs below
+    /// layer `l` at flat cell `pos`, for `l` in `0..layers`. A cell's stack
+    /// is contiguous, so [`CostProber::via_prefix_into`] reads one run of
+    /// `layers` cells.
     via_pref: Vec<AtomicU64>,
     /// Per-layer offset into the global wire-row numbering (horizontal
     /// layers contribute `height` rows, vertical layers `width` columns);
     /// length `layers + 1`.
     row_off: Vec<usize>,
-    /// Number of probes served (diagnostic counter, relaxed).
-    probes: AtomicU64,
     /// Number of builds + refreshes performed.
     builds: u64,
     /// Total rows/columns/via stacks re-summed across all builds.
@@ -150,7 +150,6 @@ impl CostProber {
             wire_pref: (0..layers * wh).map(|_| AtomicU64::new(0)).collect(),
             via_pref: (0..layers * wh).map(|_| AtomicU64::new(0)).collect(),
             row_off,
-            probes: AtomicU64::new(0),
             builds: 0,
             rows_rebuilt: 0,
             scratch: RebuildScratch {
@@ -285,7 +284,7 @@ impl CostProber {
     fn rebuild_via_column_into(&self, graph: &GridGraph, pos: usize) {
         let mut acc = 0u64;
         for l in 0..self.layers {
-            self.via_pref[l * self.wh + pos].store(acc, Ordering::Relaxed);
+            self.via_pref[pos * self.layers + l].store(acc, Ordering::Relaxed);
             if l + 1 < self.layers {
                 acc += graph.via_edge_cost_fixed_at(l, pos);
             }
@@ -301,7 +300,6 @@ impl CostProber {
     /// grid or fight the layer's preferred direction, exactly like the
     /// naive walk.
     pub fn wire_run_cost(&self, l: u8, a: Point2, b: Point2) -> f64 {
-        self.probes.fetch_add(1, Ordering::Relaxed);
         if a == b {
             return 0.0;
         }
@@ -347,20 +345,37 @@ impl CostProber {
     ///
     /// Returns 0 when `l1 == l2`; `f64::INFINITY` when out of range.
     pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
-        self.probes.fetch_add(1, Ordering::Relaxed);
         let (lo, hi) = (l1.min(l2) as usize, l1.max(l2) as usize);
         if hi >= self.layers || p.x as usize >= self.width || p.y as usize >= self.height {
             return f64::INFINITY;
         }
         let pos = p.y as usize * self.width + p.x as usize;
-        let raw = self.via_pref[hi * self.wh + pos].load(Ordering::Relaxed)
-            - self.via_pref[lo * self.wh + pos].load(Ordering::Relaxed);
+        let stack = &self.via_pref[pos * self.layers..(pos + 1) * self.layers];
+        let raw = stack[hi].load(Ordering::Relaxed) - stack[lo].load(Ordering::Relaxed);
         fixed_cost_to_f64(raw)
     }
 
-    /// Number of probes served since construction.
-    pub fn probes(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
+    /// Fills `out` with the `L` via-stack prefix costs of G-cell `p`:
+    /// `out[l]` is the cached cost of the stack from layer 0 up to `l`, so
+    /// `cv(p, a, b) = |out[b] − out[a]|` for every layer pair — one row
+    /// read in place of `L²` [`CostProber::via_stack_cost`] probes.
+    ///
+    /// Each entry is a Q44.20 integer below 2⁵³ converted to `f64`, so it
+    /// and every difference of two entries are exact: the row difference
+    /// is bit-identical to the probe. Off-grid cells fill `out` with
+    /// `f64::INFINITY`. Reuses `out`'s capacity.
+    pub fn via_prefix_into(&self, p: Point2, out: &mut Vec<f64>) {
+        out.clear();
+        if p.x as usize >= self.width || p.y as usize >= self.height {
+            out.resize(self.layers, f64::INFINITY);
+            return;
+        }
+        let pos = p.y as usize * self.width + p.x as usize;
+        out.extend(
+            self.via_pref[pos * self.layers..(pos + 1) * self.layers]
+                .iter()
+                .map(|cell| fixed_cost_to_f64(cell.load(Ordering::Relaxed))),
+        );
     }
 
     /// Number of cache builds + incremental refreshes performed.
@@ -477,7 +492,10 @@ mod tests {
         for y in 0..8u16 {
             let a = Point2::new(0, y);
             let b = Point2::new(9, y);
-            assert_eq!(serial.wire_run_cost(1, a, b), parallel.wire_run_cost(1, a, b));
+            assert_eq!(
+                serial.wire_run_cost(1, a, b),
+                parallel.wire_run_cost(1, a, b)
+            );
         }
         assert_eq!(
             serial.via_stack_cost(Point2::new(4, 3), 0, 4),
@@ -486,12 +504,20 @@ mod tests {
     }
 
     #[test]
-    fn probe_counter_counts() {
+    fn via_prefix_row_differences_are_stack_probes() {
         let g = graph();
         let prober = CostProber::build(&g);
-        assert_eq!(prober.probes(), 0);
-        prober.wire_run_cost(1, Point2::new(0, 0), Point2::new(3, 0));
-        prober.via_stack_cost(Point2::new(0, 0), 0, 2);
-        assert_eq!(prober.probes(), 2);
+        let mut row = Vec::new();
+        let p = Point2::new(3, 4);
+        prober.via_prefix_into(p, &mut row);
+        assert_eq!(row.len(), 5);
+        for a in 0..5u8 {
+            for b in 0..5u8 {
+                let diff = (row[b as usize] - row[a as usize]).abs();
+                assert_eq!(diff, prober.via_stack_cost(p, a, b));
+            }
+        }
+        prober.via_prefix_into(Point2::new(40, 0), &mut row);
+        assert!(row.iter().all(|v| v.is_infinite()));
     }
 }

@@ -50,7 +50,8 @@ fn arb_route() -> impl Strategy<Value = Route> {
 }
 
 /// Asserts every legal wire run and via stack probes bit-identically to the
-/// naive quantised walk.
+/// naive quantised walk, and so does every difference of two entries of a
+/// via-prefix row.
 fn assert_probes_match(prober: &CostProber, g: &GridGraph) {
     for l in 0..LAYERS {
         if l % 2 == 1 {
@@ -71,15 +72,20 @@ fn assert_probes_match(prober: &CostProber, g: &GridGraph) {
             }
         }
     }
+    let mut row = Vec::new();
     for x in 0..W {
         for y in 0..H {
             let p = Point2::new(x, y);
+            prober.via_prefix_into(p, &mut row);
+            assert_eq!(row.len(), LAYERS as usize);
             for lo in 0..LAYERS {
                 for hi in lo..LAYERS {
-                    assert_eq!(
-                        prober.via_stack_cost(p, lo, hi),
-                        g.via_stack_cost(p, lo, hi)
-                    );
+                    let naive = g.via_stack_cost(p, lo, hi);
+                    assert_eq!(prober.via_stack_cost(p, lo, hi), naive);
+                    // The row difference the pattern kernels use, both ways
+                    // round.
+                    assert_eq!(row[hi as usize] - row[lo as usize], naive);
+                    assert_eq!((row[lo as usize] - row[hi as usize]).abs(), naive);
                 }
             }
         }

@@ -38,6 +38,11 @@ echo "== suite design route + trace smoke =="
 target/release/fastgr route s18t5m --preset fastgr-l --trace "$trace_tmp/suite_trace.json" >/dev/null
 cargo xtask validate-trace "$trace_tmp/suite_trace.json"
 
+echo "== suite pattern determinism (s19t9 fastgr-h guides, one vs two workers) =="
+FASTGR_WORKERS=1 target/release/fastgr route s19t9 --preset fastgr-h --guides "$trace_tmp/s19t9_w1.guide" >/dev/null
+FASTGR_WORKERS=2 target/release/fastgr route s19t9 --preset fastgr-h --guides "$trace_tmp/s19t9_w2.guide" >/dev/null
+cmp "$trace_tmp/s19t9_w1.guide" "$trace_tmp/s19t9_w2.guide"
+
 echo "== stress smoke (10 random designs x 3 presets, one worker) =="
 FASTGR_WORKERS=1 cargo run --release --offline -q -p fastgr-bench --bin stress -- 10 >/dev/null
 
