@@ -28,7 +28,7 @@
 //!    own clocks — they substitute external crates).
 //! 5. **`rrr-rwlock`** — no `RwLock` in `core::rrr`. The RRR stage shares
 //!    the grid between tasks through the lock-free atomic congestion
-//!    store (`GridGraph::commit_atomic`); reintroducing a reader–writer
+//!    store (`GridGraph::commit` on `&self`); reintroducing a reader–writer
 //!    lock around the grid would serialise every commit and defeat the
 //!    parallel design. (Per-task result slots may keep plain mutexes.)
 //! 6. **`dp-direct-cost`** — no `wire_edge_cost` call sites in `core::dp`.
@@ -326,7 +326,7 @@ pub fn lint_file(
                     "rrr-rwlock",
                     format!(
                         "{rel}:{line_no}: `RwLock` in the RRR stage (share the grid \
-                         through `GridGraph::commit_atomic` instead)"
+                         through `GridGraph::commit` instead)"
                     ),
                 ),
                 rel,

@@ -62,7 +62,7 @@ fn check(design: &Design, label: &str, config: RouterConfig) -> Result<(), Strin
     }
 
     // Exact demand bookkeeping.
-    let mut graph = design
+    let graph = design
         .build_graph(CostParams::default())
         .map_err(|e| format!("{label}: graph: {e}"))?;
     for route in &outcome.routes {

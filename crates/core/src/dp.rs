@@ -38,7 +38,7 @@ use std::cell::RefCell;
 use fastgr_gpu::flow::{merge_min_rows, stack_min_plus_into};
 use fastgr_gpu::BlockProfile;
 use fastgr_grid::{CostProber, GridGraph, Point2, Route, Segment, Via};
-use fastgr_steiner::{RouteTree, TreeEdge};
+use fastgr_steiner::{RouteTree, TreeEdge, TreeNode};
 
 use crate::selection::{NetClass, SelectionThresholds};
 
@@ -448,17 +448,10 @@ impl<'g> PatternDp<'g> {
             ));
 
             // Route the edge with the mode-selected pattern set.
-            let hpwl = ps.manhattan_distance(pt);
-            let use_hybrid = match self.mode {
-                PatternMode::LShape => false,
-                PatternMode::ZShape => true,
-                PatternMode::HybridAll => true,
-                PatternMode::Hybrid(sel) => sel.classify(hpwl) == NetClass::Medium,
-            };
             let edge_profile = if ps == pt {
                 self.pure_via_into(ps, scratch)
-            } else if use_hybrid {
-                self.z_or_hybrid_into(ps, pt, matches!(self.mode, PatternMode::ZShape), scratch)
+            } else if self.uses_hybrid(ps, pt) {
+                self.z_or_hybrid_into(ps, pt, scratch)
             } else {
                 self.l_shape_into(ps, pt, scratch)
             };
@@ -534,102 +527,33 @@ impl<'g> PatternDp<'g> {
     fn bottom_cost_into(&self, tree: &RouteTree, v: usize, scratch: &mut DpScratch) {
         let l = self.graph.num_layers() as usize;
         let node = tree.node(v as u32);
-        let (pos, is_pin) = (node.position, node.is_pin);
-        let children = &node.children;
-        let deg = children.len();
+        let deg = node.children.len();
         scratch.cbc.clear();
         scratch.cbc.resize(l, f64::INFINITY);
-        scratch.trial_layers.clear();
-        scratch.trial_layers.resize(deg, 0);
         let arena = scratch.arena_offset[v] as usize;
-        self.via_prefix_into(pos, &mut scratch.pre_s);
+        self.via_prefix_into(node.position, &mut scratch.pre_s);
         scratch.probes += 1;
         for ls in 1..l {
-            let (lo_first, lo_last) = if is_pin { (0u8, 0u8) } else { (1u8, ls as u8) };
-            for lo in lo_first..=lo_last {
-                for hi in ls as u8..l as u8 {
-                    let mut total = scratch.pre_s[hi as usize] - scratch.pre_s[lo as usize];
-                    if !total.is_finite() {
-                        continue;
-                    }
-                    for (ci, &c) in children.iter().enumerate() {
-                        let costs = &scratch.edge_cost[c as usize * l..(c as usize + 1) * l];
-                        let from = lo.max(1) as usize;
-                        let (mut best_l, mut best_c) = (from, f64::INFINITY);
-                        for (cl, &cost) in costs.iter().enumerate().take(hi as usize + 1).skip(from)
-                        {
-                            if cost < best_c {
-                                best_c = cost;
-                                best_l = cl;
-                            }
-                        }
-                        total += best_c;
-                        scratch.trial_layers[ci] = best_l as u8;
-                    }
-                    if total < scratch.cbc[ls] {
-                        scratch.cbc[ls] = total;
-                        scratch.stack_lo[v * l + ls] = lo;
-                        scratch.stack_hi[v * l + ls] = hi;
-                        scratch.layer_arena[arena + ls * deg..arena + (ls + 1) * deg]
-                            .copy_from_slice(&scratch.trial_layers);
-                    }
-                }
-            }
+            let (cost, lo, hi) = best_interval(scratch, node, l, ls as u8, ls as u8, arena + ls * deg);
+            scratch.cbc[ls] = cost;
+            scratch.stack_lo[v * l + ls] = lo;
+            scratch.stack_hi[v * l + ls] = hi;
         }
     }
 
     /// Root reduction: like [`Self::bottom_cost_into`] but with no outgoing
-    /// edge, minimising over the interval alone. The winning child arrival
+    /// edge, minimising over every interval. The winning child arrival
     /// layers land in the root's `ls = 0` arena lane; returns
     /// `(total, lo, hi)` or `None` when infeasible.
     fn root_cost_into(&self, tree: &RouteTree, scratch: &mut DpScratch) -> Option<(f64, u8, u8)> {
         let l = self.graph.num_layers() as usize;
         let root = tree.root();
         let node = tree.node(root);
-        let (pos, is_pin) = (node.position, node.is_pin);
-        let children = &node.children;
-        let deg = children.len();
-        scratch.trial_layers.clear();
-        scratch.trial_layers.resize(deg, 0);
-        let arena = scratch.arena_offset[root as usize] as usize;
-        let mut best = f64::INFINITY;
-        let (mut best_lo, mut best_hi) = (0u8, 0u8);
-        let (lo_first, lo_last) = if is_pin {
-            (0u8, 0u8)
-        } else {
-            (1u8, l as u8 - 1)
-        };
-        self.via_prefix_into(pos, &mut scratch.pre_s);
+        self.via_prefix_into(node.position, &mut scratch.pre_s);
         scratch.probes += 1;
-        for lo in lo_first..=lo_last {
-            for hi in lo.max(1)..l as u8 {
-                let mut total = scratch.pre_s[hi as usize] - scratch.pre_s[lo as usize];
-                if !total.is_finite() {
-                    continue;
-                }
-                for (ci, &c) in children.iter().enumerate() {
-                    let costs = &scratch.edge_cost[c as usize * l..(c as usize + 1) * l];
-                    let from = lo.max(1) as usize;
-                    let (mut best_l, mut best_c) = (from, f64::INFINITY);
-                    for (cl, &cost) in costs.iter().enumerate().take(hi as usize + 1).skip(from) {
-                        if cost < best_c {
-                            best_c = cost;
-                            best_l = cl;
-                        }
-                    }
-                    total += best_c;
-                    scratch.trial_layers[ci] = best_l as u8;
-                }
-                if total < best {
-                    best = total;
-                    best_lo = lo;
-                    best_hi = hi;
-                    scratch.layer_arena[arena..arena + deg]
-                        .copy_from_slice(&scratch.trial_layers);
-                }
-            }
-        }
-        best.is_finite().then_some((best, best_lo, best_hi))
+        let lane = scratch.arena_offset[root as usize] as usize;
+        let best = best_interval(scratch, node, l, l as u8 - 1, 1, lane);
+        best.0.is_finite().then_some(best)
     }
 
     /// Degenerate edge whose endpoints share a G-cell: a pure via stack.
@@ -729,44 +653,16 @@ impl<'g> PatternDp<'g> {
     }
 
     /// The GPU-friendly 3-D Z-shape / hybrid flow (Eqs. 11–14, Figs. 9–10):
-    /// one chained min-plus flow per candidate bend-point pair, merged per
-    /// Eq. 10. With `z_only` the two degenerate L candidates are excluded
-    /// (`M + N - 2` candidates, Section III-E); otherwise all `M + N`
-    /// hybrid candidates are used (Section III-F). On the host each of the
+    /// one chained min-plus flow per candidate bend-point pair
+    /// ([`Self::bend_pairs`]), merged per Eq. 10. On the host each of the
     /// two chained `L x L` products is an O(L) via-stack bridge reduction
     /// ([`stack_min_plus_into`]), so a candidate costs O(L); the modelled
     /// block keeps the `n_pairs · L · L` work. Writes `scratch.out_cost` /
     /// `out_choice`.
-    fn z_or_hybrid_into(
-        &self,
-        ps: Point2,
-        pt: Point2,
-        z_only: bool,
-        scratch: &mut DpScratch,
-    ) -> BlockProfile {
+    fn z_or_hybrid_into(&self, ps: Point2, pt: Point2, scratch: &mut DpScratch) -> BlockProfile {
         let l = scratch.cbc.len();
-        let (x0, x1) = (ps.x.min(pt.x), ps.x.max(pt.x));
-        let (y0, y1) = (ps.y.min(pt.y), ps.y.max(pt.y));
-
-        // Candidate bend pairs: HVH over every column, VHV over every row.
-        // `z_only` drops the pairs whose target bend coincides with Pt.
         scratch.pairs.clear();
-        for mx in x0..=x1 {
-            if z_only && mx == pt.x {
-                continue;
-            }
-            scratch
-                .pairs
-                .push((Point2::new(mx, ps.y), Point2::new(mx, pt.y)));
-        }
-        for my in y0..=y1 {
-            if z_only && my == pt.y {
-                continue;
-            }
-            scratch
-                .pairs
-                .push((Point2::new(ps.x, my), Point2::new(pt.x, my)));
-        }
+        scratch.pairs.extend(self.bend_pairs(ps, pt));
         let n_pairs = scratch.pairs.len();
         debug_assert!(n_pairs > 0);
 
@@ -848,25 +744,41 @@ impl<'g> PatternDp<'g> {
         BlockProfile::new(n_pairs * l * l, depth)
     }
 
+    /// Whether the edge `ps -> pt` is routed by the Z/hybrid kernel (its
+    /// candidates are bend pairs) rather than the L-shape kernel.
+    fn uses_hybrid(&self, ps: Point2, pt: Point2) -> bool {
+        match self.mode {
+            PatternMode::LShape => false,
+            PatternMode::ZShape | PatternMode::HybridAll => true,
+            PatternMode::Hybrid(sel) => sel.classify(ps.manhattan_distance(pt)) == NetClass::Medium,
+        }
+    }
+
+    /// The candidate bend pairs `(Bs, Bt)` of the Z/hybrid flow in
+    /// candidate-index order: HVH over every column, then VHV over every
+    /// row. All `M + N` hybrid candidates (Section III-F), or in
+    /// [`PatternMode::ZShape`] the `M + N - 2` without the two degenerate
+    /// L candidates whose target bend is `Pt` (Section III-E).
+    fn bend_pairs(&self, ps: Point2, pt: Point2) -> impl Iterator<Item = (Point2, Point2)> {
+        let z_only = matches!(self.mode, PatternMode::ZShape);
+        let (x0, x1) = (ps.x.min(pt.x), ps.x.max(pt.x));
+        let (y0, y1) = (ps.y.min(pt.y), ps.y.max(pt.y));
+        let hvh = (x0..=x1)
+            .filter(move |&mx| !(z_only && mx == pt.x))
+            .map(move |mx| (Point2::new(mx, ps.y), Point2::new(mx, pt.y)));
+        let vhv = (y0..=y1)
+            .filter(move |&my| !(z_only && my == pt.y))
+            .map(move |my| (Point2::new(ps.x, my), Point2::new(pt.x, my)));
+        hvh.chain(vhv)
+    }
+
     /// Emits the wire/via geometry of one routed edge choice.
     fn emit_edge(&self, route: &mut Route, ps: Point2, pt: Point2, lt: u8, choice: EdgeChoice) {
         if choice.candidate == CAND_PURE_VIA {
             route.push_via(Via::new(ps, choice.ls, lt));
             return;
         }
-        let use_hybrid_geometry = {
-            // Pure-via and L-shape candidates are 0/1; hybrid candidates
-            // carry a bridge layer. Distinguish by the mode that produced
-            // them: L-shape edges never set `lb`.
-            match self.mode {
-                PatternMode::LShape => false,
-                PatternMode::ZShape | PatternMode::HybridAll => true,
-                PatternMode::Hybrid(sel) => {
-                    sel.classify(ps.manhattan_distance(pt)) == NetClass::Medium
-                }
-            }
-        };
-        if !use_hybrid_geometry {
+        if !self.uses_hybrid(ps, pt) {
             let bend = if choice.candidate == 0 {
                 Point2::new(pt.x, ps.y)
             } else {
@@ -880,7 +792,9 @@ impl<'g> PatternDp<'g> {
                 route.push_segment(Segment::new(lt, bend, pt));
             }
         } else {
-            let (bs, bt) = self.hybrid_pair(ps, pt, choice.candidate as usize);
+            let Some((bs, bt)) = self.bend_pairs(ps, pt).nth(choice.candidate as usize) else {
+                unreachable!("candidate index {} out of range", choice.candidate);
+            };
             if ps != bs {
                 route.push_segment(Segment::new(choice.ls, ps, bs));
             }
@@ -894,34 +808,56 @@ impl<'g> PatternDp<'g> {
             }
         }
     }
+}
 
-    /// Reconstructs the candidate bend pair for a hybrid/Z candidate index
-    /// (must mirror the enumeration order of [`Self::z_or_hybrid_into`]).
-    fn hybrid_pair(&self, ps: Point2, pt: Point2, index: usize) -> (Point2, Point2) {
-        let z_only = matches!(self.mode, PatternMode::ZShape);
-        let (x0, x1) = (ps.x.min(pt.x), ps.x.max(pt.x));
-        let (y0, y1) = (ps.y.min(pt.y), ps.y.max(pt.y));
-        let mut i = 0;
-        for mx in x0..=x1 {
-            if z_only && mx == pt.x {
+/// Via-stack interval enumeration shared by the bottom-children and root
+/// reductions: over every interval `[lo, hi]` of `node`'s stack with
+/// `lo <= max_lo` and `hi >= max(lo, min_hi)` (`lo = 0` forced at pins,
+/// `lo >= 1` elsewhere), the stack cost from the row in `scratch.pre_s`
+/// plus each child's cheapest arrival layer inside the interval. Returns the
+/// first strict minimum in `lo`-then-`hi` order as `(cost, lo, hi)`, or
+/// `(INFINITY, 0, 0)` when no interval is finite, and copies its child
+/// arrival layers to `scratch.layer_arena[lane..]`.
+fn best_interval(
+    scratch: &mut DpScratch,
+    node: &TreeNode,
+    l: usize,
+    max_lo: u8,
+    min_hi: u8,
+    lane: usize,
+) -> (f64, u8, u8) {
+    let children = &node.children;
+    let deg = children.len();
+    scratch.trial_layers.clear();
+    scratch.trial_layers.resize(deg, 0);
+    let (lo_first, lo_last) = if node.is_pin { (0u8, 0u8) } else { (1u8, max_lo) };
+    let mut best = (f64::INFINITY, 0u8, 0u8);
+    for lo in lo_first..=lo_last {
+        for hi in lo.max(min_hi)..l as u8 {
+            let mut total = scratch.pre_s[hi as usize] - scratch.pre_s[lo as usize];
+            if !total.is_finite() {
                 continue;
             }
-            if i == index {
-                return (Point2::new(mx, ps.y), Point2::new(mx, pt.y));
+            for (ci, &c) in children.iter().enumerate() {
+                let costs = &scratch.edge_cost[c as usize * l..(c as usize + 1) * l];
+                let from = lo.max(1) as usize;
+                let (mut best_l, mut best_c) = (from, f64::INFINITY);
+                for (cl, &cost) in costs.iter().enumerate().take(hi as usize + 1).skip(from) {
+                    if cost < best_c {
+                        best_c = cost;
+                        best_l = cl;
+                    }
+                }
+                total += best_c;
+                scratch.trial_layers[ci] = best_l as u8;
             }
-            i += 1;
+            if total < best.0 {
+                best = (total, lo, hi);
+                scratch.layer_arena[lane..lane + deg].copy_from_slice(&scratch.trial_layers);
+            }
         }
-        for my in y0..=y1 {
-            if z_only && my == pt.y {
-                continue;
-            }
-            if i == index {
-                return (Point2::new(ps.x, my), Point2::new(pt.x, my));
-            }
-            i += 1;
-        }
-        unreachable!("candidate index {index} out of range");
     }
+    best
 }
 
 /// Brute-force reference for tests: enumerate every L-shape combination of
@@ -1031,7 +967,7 @@ mod tests {
 
     #[test]
     fn hybrid_never_costs_more_than_l_shape() {
-        let mut g = graph(24, 24, 5);
+        let g = graph(24, 24, 5);
         // Congest the two L corridors of a specific net on *every*
         // horizontal layer (M1, M3) so only a Z through a middle row wins.
         let mut blocker = Route::new();
@@ -1093,7 +1029,7 @@ mod tests {
 
     #[test]
     fn congestion_steers_layer_choice() {
-        let mut g = graph(16, 16, 6);
+        let g = graph(16, 16, 6);
         let quiet = route_with(&g, PatternMode::LShape, &[(1, 8), (14, 8)]);
         // Saturate M1 along the straight row; M3/M5 are the alternatives.
         let mut blocker = Route::new();
@@ -1119,7 +1055,7 @@ mod tests {
     fn probed_and_direct_engines_agree_exactly() {
         // The prober and the direct walks share the quantised cost domain,
         // so costs and routes are bit-identical — equality, not epsilon.
-        let mut g = graph(24, 24, 6);
+        let g = graph(24, 24, 6);
         let mut blocker = Route::new();
         blocker.push_segment(Segment::new(1, Point2::new(0, 8), Point2::new(20, 8)));
         for _ in 0..5 {

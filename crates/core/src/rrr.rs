@@ -9,9 +9,9 @@
 //!
 //! Tasks share the grid through `&GridGraph`: commits and uncommits go
 //! through the lock-free atomic congestion store
-//! ([`GridGraph::commit_atomic`]). Two tasks conflict when their maze
-//! search windows (net bounding box inflated by
-//! [`MazeConfig::window_margin`]) overlap, and the schedule runs
+//! ([`GridGraph::commit`]). Two tasks conflict when their maze search
+//! windows ([`MazeConfig::window`] of the net bounding box) overlap, and
+//! the schedule runs
 //! conflicting tasks in task order. A search reads and writes costs only
 //! inside its window, so concurrent tasks never observe each other's
 //! commits and every thread count reproduces the serial run in task order.
@@ -185,12 +185,9 @@ impl RrrStage {
 
         let router = MazeRouter::new(self.maze);
         // A cramped window (heavy blockages) can leave no path; such tasks
-        // retry once through this doubled-margin router, serially after the
+        // retry once through this widened router, serially after the
         // iteration's schedule has run.
-        let wide_router = MazeRouter::new(MazeConfig {
-            window_margin: self.maze.window_margin.saturating_mul(2).max(8),
-            ..self.maze
-        });
+        let wide_router = MazeRouter::new(self.maze.widened());
 
         // Per-net overflow flags: one full scan up front, then maintained
         // incrementally from the dirty-edge set (replacing the
@@ -210,19 +207,16 @@ impl RrrStage {
             recorder.counter_sample("rrr.nets_ripped", violating.len() as f64);
             nets_ripped.push(violating.len());
 
-            // Conflict graph over the tasks' maze windows: net bounding
-            // boxes inflated by the window margin. Tasks whose windows
-            // overlap serialise in task order, and a search reads and
-            // writes costs only inside its window, so every task sees the
-            // state of the serial run in task order whatever the thread
-            // count.
+            // Conflict graph over the tasks' maze windows. Tasks whose
+            // windows overlap serialise in task order, and a search reads
+            // and writes costs only inside its window, so every task sees
+            // the state of the serial run in task order whatever the
+            // thread count.
             let bboxes: Vec<Rect> = violating
                 .iter()
                 .map(|&id| {
-                    design
-                        .net(fastgr_design::NetId(id))
-                        .bounding_box()
-                        .inflated(self.maze.window_margin, design.width(), design.height())
+                    let bbox = design.net(fastgr_design::NetId(id)).bounding_box();
+                    self.maze.window(bbox, design.width(), design.height())
                 })
                 .collect();
             let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
@@ -257,9 +251,7 @@ impl RrrStage {
                     let mut slot = lock(&slots[task as usize]);
                     std::mem::take(&mut slot.route)
                 };
-                graph
-                    .uncommit_atomic(&old)
-                    .expect("previously committed route");
+                graph.uncommit(&old).expect("previously committed route");
                 SCRATCH.with(|cell| {
                     let scratch = &mut *cell.borrow_mut();
                     net.distinct_positions_into(&mut scratch.pins);
@@ -277,15 +269,13 @@ impl RrrStage {
                             // ripped route's buffers become the scratch's
                             // output storage for the next task.
                             std::mem::swap(&mut scratch.out, &mut old);
-                            graph.commit_atomic(&old).expect("maze route is valid");
+                            graph.commit(&old).expect("maze route is valid");
                             slot.route = old;
                             slot.error = None;
                         }
                         Err(e) => {
                             // Restore the old route so the state stays sound.
-                            graph
-                                .commit_atomic(&old)
-                                .expect("previously committed route");
+                            graph.commit(&old).expect("previously committed route");
                             slot.route = old;
                             slot.error = Some(e);
                         }

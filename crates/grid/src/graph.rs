@@ -3,7 +3,7 @@
 //! Demand is stored in lock-free fixed-point [`AtomicU64`] cells so that
 //! conflict-free rip-up-and-reroute tasks can commit and uncommit routes
 //! concurrently through a shared `&GridGraph` — see
-//! [`GridGraph::commit_atomic`] for the exact contract.
+//! [`GridGraph::commit`] for the exact contract.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,8 +38,8 @@ fn fixed_to_demand(raw: u64) -> f64 {
 }
 
 /// Number of fractional bits in the fixed-point (Q44.20) *cost* domain
-/// shared by [`GridGraph::wire_run_cost`] and the prefix-sum
-/// [`crate::CostProber`].
+/// shared by [`GridGraph::wire_run_cost`], the prefix-sum
+/// [`crate::CostProber`] and the maze router's per-window cost snapshot.
 ///
 /// Edge costs are nonnegative and bounded (the logistic congestion model
 /// saturates; the zero-capacity sentinel is `overflow_weight * 16`), so a
@@ -50,14 +50,15 @@ fn fixed_to_demand(raw: u64) -> f64 {
 pub(crate) const COST_FRAC_BITS: u32 = 20;
 const COST_SCALE: f64 = (1u64 << COST_FRAC_BITS) as f64;
 
-/// Quantises a finite nonnegative edge cost to the Q44.20 cost domain.
-pub(crate) fn cost_to_fixed(cost: f64) -> u64 {
+/// Quantises a finite nonnegative edge cost to the Q44.20 cost domain —
+/// the one float-to-fixed cost conversion of the workspace.
+pub fn cost_to_fixed(cost: f64) -> u64 {
     debug_assert!(cost.is_finite() && cost >= 0.0);
     (cost * COST_SCALE).round() as u64
 }
 
 /// Converts a Q44.20 cost sum back to `f64` (exact below 2^53).
-pub(crate) fn fixed_cost_to_f64(raw: u64) -> f64 {
+pub fn fixed_cost_to_f64(raw: u64) -> f64 {
     raw as f64 / COST_SCALE
 }
 
@@ -168,7 +169,7 @@ impl Clone for DirtyTracker {
 /// capacity from [`CostParams`].
 ///
 /// Demand is quantised to multiples of 2^-20 tracks and stored in atomic
-/// cells, so [`GridGraph::commit_atomic`] / [`GridGraph::uncommit_atomic`]
+/// cells, so [`GridGraph::commit`] / [`GridGraph::uncommit`]
 /// work through a shared reference and concurrent updates from disjoint
 /// tasks never contend on a lock. All read accessors return the quantised
 /// value; integral and small dyadic amounts round-trip exactly.
@@ -302,14 +303,6 @@ impl GridGraph {
         p.x < self.width && p.y < self.height
     }
 
-    /// The full grid extent as a [`Rect`].
-    pub fn extent(&self) -> Rect {
-        Rect::new(
-            Point2::new(0, 0),
-            Point2::new(self.width - 1, self.height - 1),
-        )
-    }
-
     /// Sets every wire edge on every *routable* layer (1..) to `capacity`.
     pub fn fill_capacity(&mut self, capacity: f64) {
         for (l, plane) in self.planes.iter_mut().enumerate() {
@@ -396,21 +389,18 @@ impl GridGraph {
         })
     }
 
-    /// Cost of the single wire edge on layer `l` leaving `p` in the layer's
-    /// preferred direction (`cw` of the paper for one unit edge), including
-    /// any accumulated history cost.
-    ///
-    /// Returns `f64::INFINITY` when the edge does not exist.
-    pub fn wire_edge_cost(&self, l: u8, p: Point2) -> f64 {
-        match self.edge_index(l, p) {
-            Some(i) => {
-                let plane = &self.planes[l as usize];
-                self.params
-                    .wire_edge_cost(plane.demand_at(i), plane.capacity[i])
-                    + plane.history[i]
-            }
-            None => f64::INFINITY,
-        }
+    /// Q44.20 cost of the single wire edge on layer `l` leaving `p` in the
+    /// layer's preferred direction (`cw` of the paper for one unit edge,
+    /// history included), or `None` when no such edge exists.
+    pub fn wire_edge_cost_fixed(&self, l: u8, p: Point2) -> Option<u64> {
+        self.edge_index(l, p)
+            .map(|i| self.wire_edge_cost_fixed_at(l as usize, i))
+    }
+
+    /// Q44.20 cost of the via edge between layers `l` and `l + 1` at `p`,
+    /// or `None` when out of range.
+    pub fn via_edge_cost_fixed(&self, l: u8, p: Point2) -> Option<u64> {
+        self.via_index(l, p).map(|i| self.via_cost_fixed_at(i))
     }
 
     /// Accumulated history cost of the wire edge leaving `p` on layer `l`.
@@ -434,23 +424,11 @@ impl GridGraph {
         penalised
     }
 
-    /// Cost of the via edge between layers `l` and `l + 1` at `p`.
-    ///
-    /// Returns `f64::INFINITY` when out of range.
-    pub fn via_edge_cost(&self, l: u8, p: Point2) -> f64 {
-        match self.via_index(l, p) {
-            Some(i) => self
-                .params
-                .via_edge_cost(fixed_to_demand(self.via_demand[i].load(Ordering::Relaxed))),
-            None => f64::INFINITY,
-        }
-    }
-
     /// Q44.20 quantised cost of the wire edge at flat plane index `i` on
     /// layer `l` (congestion model + history, quantised per edge). Used by
-    /// the prefix-sum [`crate::CostProber`] and the quantised reference
-    /// walks below; keeping a single quantisation site guarantees the two
-    /// agree bit-for-bit.
+    /// the prefix-sum [`crate::CostProber`], the quantised reference walks
+    /// below and [`GridGraph::wire_edge_cost_fixed`]; keeping a single
+    /// quantisation site guarantees they agree bit-for-bit.
     pub(crate) fn wire_edge_cost_fixed_at(&self, l: usize, i: usize) -> u64 {
         let plane = &self.planes[l];
         cost_to_fixed(
@@ -463,7 +441,11 @@ impl GridGraph {
     /// Q44.20 quantised cost of the via hop between layers `l` and `l + 1`
     /// at flat G-cell index `pos` (`y * width + x`).
     pub(crate) fn via_edge_cost_fixed_at(&self, l: usize, pos: usize) -> u64 {
-        let i = l * self.width as usize * self.height as usize + pos;
+        self.via_cost_fixed_at(l * self.width as usize * self.height as usize + pos)
+    }
+
+    /// Q44.20 quantised cost of the via cell at flat `via_demand` index `i`.
+    fn via_cost_fixed_at(&self, i: usize) -> u64 {
         cost_to_fixed(
             self.params
                 .via_edge_cost(fixed_to_demand(self.via_demand[i].load(Ordering::Relaxed))),
@@ -537,8 +519,8 @@ impl GridGraph {
     }
 
     /// Cost `cv(p, l1, l2)` of a via stack at `p` from layer `l1` to `l2`,
-    /// in the Q44.20 quantised cost domain; the naive walk
-    /// [`crate::CostProber::via_stack_cost`] matches bit-for-bit.
+    /// in the Q44.20 quantised cost domain; the naive walk that differences
+    /// of [`crate::CostProber::via_prefix_into`] rows match bit-for-bit.
     ///
     /// Returns 0 when `l1 == l2`; `f64::INFINITY` when out of range.
     pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
@@ -610,27 +592,8 @@ impl GridGraph {
         Ok(())
     }
 
-    /// Commits the demand of `route` (adds 1 track to every covered edge).
-    ///
-    /// # Errors
-    ///
-    /// Fails without partial effects being rolled back if the route contains
-    /// out-of-grid or wrong-direction geometry; validate routes first when
-    /// that matters (router-produced routes are always valid).
-    pub fn commit(&mut self, route: &Route) -> Result<(), GridError> {
-        self.apply_shared(route, 1.0)
-    }
-
-    /// Removes the demand of a previously committed `route`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GridGraph::commit`].
-    pub fn uncommit(&mut self, route: &Route) -> Result<(), GridError> {
-        self.apply_shared(route, -1.0)
-    }
-
-    /// Commits the demand of `route` through a shared reference.
+    /// Commits the demand of `route` (adds 1 track to every covered edge)
+    /// through a shared reference.
     ///
     /// Every covered edge gains one track of demand via a relaxed
     /// `fetch_add` on its fixed-point cell; tasks whose routes touch
@@ -650,19 +613,20 @@ impl GridGraph {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GridGraph::commit`].
-    pub fn commit_atomic(&self, route: &Route) -> Result<(), GridError> {
+    /// Fails without partial effects being rolled back if the route contains
+    /// out-of-grid or wrong-direction geometry; validate routes first when
+    /// that matters (router-produced routes are always valid).
+    pub fn commit(&self, route: &Route) -> Result<(), GridError> {
         self.apply_shared(route, 1.0)
     }
 
-    /// Removes the demand of a previously committed `route` through a
-    /// shared reference; the exact inverse of [`GridGraph::commit_atomic`],
-    /// with the same contract.
+    /// Removes the demand of a previously committed `route`; the exact
+    /// inverse of [`GridGraph::commit`], with the same contract.
     ///
     /// # Errors
     ///
     /// Same conditions as [`GridGraph::commit`].
-    pub fn uncommit_atomic(&self, route: &Route) -> Result<(), GridError> {
+    pub fn uncommit(&self, route: &Route) -> Result<(), GridError> {
         self.apply_shared(route, -1.0)
     }
 
@@ -891,13 +855,15 @@ mod tests {
         // Equal edges quantise identically, so the sum is exact.
         assert_eq!(c5, 5.0 * c1);
         // The walk sums the per-edge quantised costs.
-        let quantised = fixed_cost_to_f64(cost_to_fixed(g.wire_edge_cost(1, Point2::new(0, 0))));
-        assert_eq!(c1, quantised);
+        let quantised = g
+            .wire_edge_cost_fixed(1, Point2::new(0, 0))
+            .expect("edge exists");
+        assert_eq!(c1, fixed_cost_to_f64(quantised));
     }
 
     #[test]
     fn commit_uncommit_is_reversible() {
-        let mut g = graph();
+        let g = graph();
         let mut route = Route::new();
         route.push_segment(Segment::new(1, Point2::new(1, 2), Point2::new(6, 2)));
         route.push_via(Via::new(Point2::new(6, 2), 1, 2));
@@ -912,31 +878,6 @@ mod tests {
         let after = g.report();
         assert_eq!(after.total_wire_demand, before.total_wire_demand);
         assert_eq!(after.total_via_demand, before.total_via_demand);
-    }
-
-    #[test]
-    fn atomic_commit_matches_exclusive_commit() {
-        let mut exclusive = graph();
-        let shared = graph();
-        let mut route = Route::new();
-        route.push_segment(Segment::new(1, Point2::new(1, 2), Point2::new(6, 2)));
-        route.push_via(Via::new(Point2::new(6, 2), 1, 2));
-        route.push_segment(Segment::new(2, Point2::new(6, 2), Point2::new(6, 7)));
-
-        exclusive.commit(&route).expect("valid route");
-        shared.commit_atomic(&route).expect("valid route");
-        assert_eq!(
-            exclusive.report().total_wire_demand,
-            shared.report().total_wire_demand
-        );
-        assert_eq!(
-            exclusive.wire_demand(1, Point2::new(1, 2)),
-            shared.wire_demand(1, Point2::new(1, 2))
-        );
-
-        shared.uncommit_atomic(&route).expect("valid route");
-        assert_eq!(shared.report().total_wire_demand, 0.0);
-        assert_eq!(shared.report().total_via_demand, 0.0);
     }
 
     #[test]
@@ -989,7 +930,7 @@ mod tests {
 
     #[test]
     fn clone_preserves_demand_and_dirty_state() {
-        let mut g = graph();
+        let g = graph();
         let mut route = Route::new();
         route.push_segment(Segment::new(1, Point2::new(0, 0), Point2::new(4, 0)));
         g.commit(&route).expect("valid");
@@ -998,14 +939,14 @@ mod tests {
         assert_eq!(copy.dirty_edges(), g.dirty_edges());
         assert!(copy.route_touches_dirty(&route));
         // The copy's demand cells are independent of the original's.
-        copy.commit_atomic(&route).expect("valid");
+        copy.commit(&route).expect("valid");
         assert_eq!(g.wire_demand(1, Point2::new(1, 0)), Some(1.0));
         assert_eq!(copy.wire_demand(1, Point2::new(1, 0)), Some(2.0));
     }
 
     #[test]
     fn committing_raises_cost() {
-        let mut g = graph();
+        let g = graph();
         let from = Point2::new(0, 5);
         let to = Point2::new(7, 5);
         let base = g.wire_run_cost(1, from, to);
@@ -1019,7 +960,7 @@ mod tests {
 
     #[test]
     fn overflow_detection_tracks_capacity() {
-        let mut g = graph();
+        let g = graph();
         let mut route = Route::new();
         route.push_segment(Segment::new(1, Point2::new(0, 0), Point2::new(3, 0)));
         for _ in 0..4 {
@@ -1036,7 +977,7 @@ mod tests {
 
     #[test]
     fn wrong_direction_commit_is_rejected() {
-        let mut g = graph();
+        let g = graph();
         let mut route = Route::new();
         route.push_segment(Segment::new(1, Point2::new(0, 0), Point2::new(0, 3)));
         assert!(matches!(
@@ -1080,7 +1021,7 @@ mod tests {
 
     #[test]
     fn heatmap_reflects_commits() {
-        let mut g = graph();
+        let g = graph();
         let mut route = Route::new();
         route.push_segment(Segment::new(1, Point2::new(2, 2), Point2::new(6, 2)));
         g.commit(&route).expect("valid");
@@ -1094,7 +1035,13 @@ mod tests {
     #[test]
     fn history_raises_cost_only_on_overflowed_edges() {
         let mut g = graph();
-        let quiet = g.wire_edge_cost(1, Point2::new(0, 0));
+        let edge_cost = |g: &GridGraph| {
+            fixed_cost_to_f64(
+                g.wire_edge_cost_fixed(1, Point2::new(0, 0))
+                    .expect("edge exists"),
+            )
+        };
+        let quiet = edge_cost(&g);
         // Overflow one edge.
         let mut route = Route::new();
         route.push_segment(Segment::new(1, Point2::new(0, 0), Point2::new(1, 0)));
@@ -1109,8 +1056,9 @@ mod tests {
         for _ in 0..5 {
             g.uncommit(&route).expect("valid");
         }
-        let haunted = g.wire_edge_cost(1, Point2::new(0, 0));
-        assert!((haunted - (quiet + 10.0)).abs() < 1e-9);
+        let haunted = edge_cost(&g);
+        // Both sides are quantised per edge: at most one Q44.20 unit apart.
+        assert!((haunted - (quiet + 10.0)).abs() < 1e-5);
     }
 
     #[test]

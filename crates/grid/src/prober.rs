@@ -340,30 +340,15 @@ impl CostProber {
         fixed_cost_to_f64(raw)
     }
 
-    /// O(1) probe of the cached via-stack cost `cv(p, l1, l2)` — the
-    /// prefix-difference equivalent of [`GridGraph::via_stack_cost`].
-    ///
-    /// Returns 0 when `l1 == l2`; `f64::INFINITY` when out of range.
-    pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
-        let (lo, hi) = (l1.min(l2) as usize, l1.max(l2) as usize);
-        if hi >= self.layers || p.x as usize >= self.width || p.y as usize >= self.height {
-            return f64::INFINITY;
-        }
-        let pos = p.y as usize * self.width + p.x as usize;
-        let stack = &self.via_pref[pos * self.layers..(pos + 1) * self.layers];
-        let raw = stack[hi].load(Ordering::Relaxed) - stack[lo].load(Ordering::Relaxed);
-        fixed_cost_to_f64(raw)
-    }
-
     /// Fills `out` with the `L` via-stack prefix costs of G-cell `p`:
     /// `out[l]` is the cached cost of the stack from layer 0 up to `l`, so
     /// `cv(p, a, b) = |out[b] − out[a]|` for every layer pair — one row
-    /// read in place of `L²` [`CostProber::via_stack_cost`] probes.
+    /// read in place of `L²` via-stack probes.
     ///
     /// Each entry is a Q44.20 integer below 2⁵³ converted to `f64`, so it
     /// and every difference of two entries are exact: the row difference
-    /// is bit-identical to the probe. Off-grid cells fill `out` with
-    /// `f64::INFINITY`. Reuses `out`'s capacity.
+    /// is bit-identical to [`GridGraph::via_stack_cost`]. Off-grid cells
+    /// fill `out` with `f64::INFINITY`. Reuses `out`'s capacity.
     pub fn via_prefix_into(&self, p: Point2, out: &mut Vec<f64>) {
         out.clear();
         if p.x as usize >= self.width || p.y as usize >= self.height {
@@ -413,10 +398,12 @@ mod tests {
             }
         }
         let p = Point2::new(3, 4);
+        let mut row = Vec::new();
+        prober.via_prefix_into(p, &mut row);
         for lo in 0..5u8 {
             for hi in lo..5u8 {
                 assert_eq!(
-                    prober.via_stack_cost(p, lo, hi),
+                    row[hi as usize] - row[lo as usize],
                     g.via_stack_cost(p, lo, hi)
                 );
             }
@@ -442,10 +429,8 @@ mod tests {
         assert!(prober
             .wire_run_cost(9, Point2::new(0, 0), Point2::new(3, 0))
             .is_infinite());
-        assert!(prober.via_stack_cost(Point2::new(3, 3), 1, 9).is_infinite());
         // Degenerate probes are free.
         assert_eq!(prober.wire_run_cost(1, Point2::new(2, 2), Point2::new(2, 2)), 0.0);
-        assert_eq!(prober.via_stack_cost(Point2::new(2, 2), 3, 3), 0.0);
     }
 
     #[test]
@@ -471,10 +456,9 @@ mod tests {
         let a = Point2::new(0, 2);
         let b = Point2::new(9, 2);
         assert_eq!(prober.wire_run_cost(1, a, b), g.wire_run_cost(1, a, b));
-        assert_eq!(
-            prober.via_stack_cost(Point2::new(6, 2), 0, 4),
-            g.via_stack_cost(Point2::new(6, 2), 0, 4)
-        );
+        let mut row = Vec::new();
+        prober.via_prefix_into(Point2::new(6, 2), &mut row);
+        assert_eq!(row[4], g.via_stack_cost(Point2::new(6, 2), 0, 4));
 
         // A refresh with nothing dirty rebuilds nothing.
         prober.refresh(&mut g, &pool);
@@ -483,7 +467,7 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_serial_build() {
-        let mut g = graph();
+        let g = graph();
         let mut route = Route::new();
         route.push_segment(Segment::new(1, Point2::new(0, 3), Point2::new(8, 3)));
         g.commit(&route).expect("valid");
@@ -497,10 +481,10 @@ mod tests {
                 parallel.wire_run_cost(1, a, b)
             );
         }
-        assert_eq!(
-            serial.via_stack_cost(Point2::new(4, 3), 0, 4),
-            parallel.via_stack_cost(Point2::new(4, 3), 0, 4)
-        );
+        let (mut serial_row, mut parallel_row) = (Vec::new(), Vec::new());
+        serial.via_prefix_into(Point2::new(4, 3), &mut serial_row);
+        parallel.via_prefix_into(Point2::new(4, 3), &mut parallel_row);
+        assert_eq!(serial_row, parallel_row);
     }
 
     #[test]
@@ -514,7 +498,7 @@ mod tests {
         for a in 0..5u8 {
             for b in 0..5u8 {
                 let diff = (row[b as usize] - row[a as usize]).abs();
-                assert_eq!(diff, prober.via_stack_cost(p, a, b));
+                assert_eq!(diff, g.via_stack_cost(p, a, b));
             }
         }
         prober.via_prefix_into(Point2::new(40, 0), &mut row);

@@ -45,7 +45,7 @@ proptest! {
     /// pristine demand state exactly (exact f64 arithmetic on small ints).
     #[test]
     fn commit_uncommit_round_trips(routes in proptest::collection::vec(arb_route(), 0..8)) {
-        let mut g = graph(16, 16, 5, 4.0);
+        let g = graph(16, 16, 5, 4.0);
         let pristine = g.report();
         for r in &routes {
             g.commit(r).expect("valid route");
@@ -60,7 +60,7 @@ proptest! {
     /// Demand totals equal the summed geometry of committed routes.
     #[test]
     fn demand_equals_geometry(routes in proptest::collection::vec(arb_route(), 0..8)) {
-        let mut g = graph(16, 16, 5, 4.0);
+        let g = graph(16, 16, 5, 4.0);
         for r in &routes {
             g.commit(r).expect("valid route");
         }
@@ -101,7 +101,7 @@ proptest! {
     /// cells, and reflects every overflowing edge.
     #[test]
     fn heatmap_bounds(routes in proptest::collection::vec(arb_route(), 0..6)) {
-        let mut g = graph(16, 16, 5, 2.0);
+        let g = graph(16, 16, 5, 2.0);
         for r in &routes {
             g.commit(r).expect("valid route");
         }
@@ -117,7 +117,7 @@ proptest! {
     /// as unrelated demand accumulates on its edges.
     #[test]
     fn cost_monotone_in_demand(route in arb_route()) {
-        let mut g = graph(16, 16, 5, 4.0);
+        let g = graph(16, 16, 5, 4.0);
         let before = g.route_cost(&route);
         prop_assert!(before.is_finite());
         g.commit(&route).expect("valid route");

@@ -1,8 +1,8 @@
 //! Concurrency contract of the atomic congestion store: any interleaving of
-//! `commit_atomic` / `uncommit_atomic` from many threads leaves the demand
-//! state bit-identical to the same multiset of operations applied
-//! sequentially. Demand updates are exact fixed-point integer additions, so
-//! this is an equality test, not an epsilon test.
+//! `commit` / `uncommit` through a shared `&GridGraph` from many threads
+//! leaves the demand state bit-identical to the same multiset of operations
+//! applied sequentially. Demand updates are exact fixed-point integer
+//! additions, so this is an equality test, not an epsilon test.
 
 use proptest::prelude::*;
 
@@ -86,16 +86,16 @@ proptest! {
                 let shared = &shared;
                 s.spawn(move || {
                     for (route, uncommit_after) in ops {
-                        shared.commit_atomic(route).expect("valid route");
+                        shared.commit(route).expect("valid route");
                         if *uncommit_after {
-                            shared.uncommit_atomic(route).expect("valid route");
+                            shared.uncommit(route).expect("valid route");
                         }
                     }
                 });
             }
         });
 
-        let mut ledger = graph();
+        let ledger = graph();
         for ops in &per_thread {
             for (route, uncommit_after) in ops {
                 ledger.commit(route).expect("valid route");
@@ -125,8 +125,8 @@ fn balanced_hammering_cancels_exactly() {
         for _ in 0..8 {
             s.spawn(|| {
                 for _ in 0..500 {
-                    shared.commit_atomic(&route).expect("valid route");
-                    shared.uncommit_atomic(&route).expect("valid route");
+                    shared.commit(&route).expect("valid route");
+                    shared.uncommit(&route).expect("valid route");
                 }
             });
         }

@@ -1,5 +1,6 @@
 //! Exactness contract of the prefix-sum cost prober: an O(1) prefix
-//! difference is *bit-for-bit equal* to the naive fixed-point gcell walk
+//! difference (a wire-run probe, or two entries of a via-prefix row) is
+//! *bit-for-bit equal* to the naive fixed-point gcell walk
 //! ([`GridGraph::wire_run_cost`] / [`GridGraph::via_stack_cost`])
 //! for arbitrary demand and history states. Costs are quantised per edge
 //! before summation, so both sides are exact integer sums — these are
@@ -81,7 +82,6 @@ fn assert_probes_match(prober: &CostProber, g: &GridGraph) {
             for lo in 0..LAYERS {
                 for hi in lo..LAYERS {
                     let naive = g.via_stack_cost(p, lo, hi);
-                    assert_eq!(prober.via_stack_cost(p, lo, hi), naive);
                     // The row difference the pattern kernels use, both ways
                     // round.
                     assert_eq!(row[hi as usize] - row[lo as usize], naive);

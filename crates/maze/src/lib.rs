@@ -13,14 +13,28 @@
 //!
 //! Moves follow the grid-graph semantics: wire steps along the preferred
 //! direction of layers with non-zero capacity, via steps between adjacent
-//! layers. When a net's window is bound, the router snapshots the
+//! layers.
+//!
+//! **Window rule.** A net is searched inside [`MazeConfig::window`]: the
+//! bounding box of its pins inflated by [`MazeConfig::window_margin`] and
+//! clipped to the grid. Every segment and via of the route lies inside
+//! it, and the RRR stage builds its conflict boxes from the same function,
+//! so tasks with disjoint windows never touch a common edge. A search that
+//! finds no path can be retried with [`MazeConfig::widened`].
+//!
+//! **Pricing.** When a net's window is bound, the router snapshots the
 //! [`GridGraph`](fastgr_grid::GridGraph) congestion costs of every wire and
-//! via edge inside it into flat fixed-point arrays, and all the net's
-//! searches read those, so the search detours around overflowed edges
-//! without calling back into the grid per arc. The A* potential is the
-//! exact distance to the target with every edge at its cost floor (unit
-//! wire per step, unit via per layer change), which makes it admissible
-//! and consistent.
+//! via edge inside it into flat arrays, in the grid's Q44.20 cost domain
+//! (`GridGraph::{wire,via}_edge_cost_fixed`, the quantiser the pattern DP
+//! and the cost prober share), and all the net's searches read those, so
+//! the search detours around overflowed edges without calling back into
+//! the grid per arc. [`MazeStats::path_cost`] is in the same units:
+//! [`fastgr_grid::fixed_cost_to_f64`] of it equals
+//! [`GridGraph::route_cost`](fastgr_grid::GridGraph::route_cost) of a
+//! two-pin route exactly. The A* potential is the exact distance to the
+//! target with every edge at its cost floor (unit wire per step, unit via
+//! per layer change, quantised by [`fastgr_grid::cost_to_fixed`]), which
+//! makes it admissible and consistent.
 //!
 //! # Example
 //!

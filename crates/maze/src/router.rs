@@ -6,16 +6,7 @@ use std::error::Error;
 use std::fmt;
 use std::ops::AddAssign;
 
-use fastgr_grid::{Direction, GridGraph, Point2, Point3, Rect, Route, Segment, Via};
-
-/// Fixed-point cost resolution: 1 µ-cost units keep the priority queue on
-/// plain integers (no NaN hazards, total order for free).
-const COST_SCALE: f64 = 1e6;
-
-fn to_fixed(c: f64) -> u64 {
-    debug_assert!(c >= 0.0 && c.is_finite());
-    (c * COST_SCALE).round() as u64
-}
+use fastgr_grid::{cost_to_fixed, Direction, GridGraph, Point2, Point3, Rect, Route, Segment, Via};
 
 /// Goal-oriented A* potential of one two-pin search: the exact distance to
 /// `(target, layer 0)` in the same grid with every edge at its cost floor
@@ -31,9 +22,9 @@ fn to_fixed(c: f64) -> u64 {
 #[derive(Debug, Clone, Copy)]
 struct Potential {
     target: Point2,
-    /// Fixed-point floor of one wire step (0 for plain Dijkstra).
+    /// Q44.20 floor of one wire step (0 for plain Dijkstra).
     wire: u64,
-    /// Fixed-point floor of one via (0 for plain Dijkstra).
+    /// Q44.20 floor of one via (0 for plain Dijkstra).
     via: u64,
     /// Lowest routable layer of each direction (the top layer when none).
     first_horizontal: u64,
@@ -51,8 +42,8 @@ impl Potential {
         let params = graph.params();
         Self {
             target,
-            wire: if astar { to_fixed(params.unit_wire) } else { 0 },
-            via: if astar { to_fixed(params.unit_via) } else { 0 },
+            wire: if astar { cost_to_fixed(params.unit_wire) } else { 0 },
+            via: if astar { cost_to_fixed(params.unit_via) } else { 0 },
             first_horizontal: first(Direction::Horizontal) as u64,
             first_vertical: first(Direction::Vertical) as u64,
         }
@@ -93,6 +84,26 @@ impl Default for MazeConfig {
         Self {
             window_margin: 3,
             astar: true,
+        }
+    }
+}
+
+impl MazeConfig {
+    /// The search window of a net whose pins span `bbox` on a
+    /// `width x height` grid: `bbox` inflated by
+    /// [`MazeConfig::window_margin`] and clipped to the grid. Every
+    /// segment and via a search emits lies inside it, so two nets whose
+    /// windows are disjoint never read or write each other's edges.
+    pub fn window(&self, bbox: Rect, width: u16, height: u16) -> Rect {
+        bbox.inflated(self.window_margin, width, height)
+    }
+
+    /// The configuration of the retry after a search finds no path inside
+    /// its window: the margin doubled, and at least 8.
+    pub fn widened(&self) -> Self {
+        Self {
+            window_margin: self.window_margin.saturating_mul(2).max(8),
+            ..*self
         }
     }
 }
@@ -140,8 +151,9 @@ pub struct MazeStats {
     pub pushes: u64,
     /// Number of two-pin searches performed.
     pub searches: u32,
-    /// Fixed-point cost (1e-6 cost units) of the found paths, summed over
-    /// the two-pin searches.
+    /// Cost of the found paths in the grid's Q44.20 cost domain
+    /// ([`fastgr_grid::cost_to_fixed`] units), summed over the two-pin
+    /// searches; [`fastgr_grid::fixed_cost_to_f64`] converts it back.
     pub path_cost: u64,
 }
 
@@ -180,11 +192,11 @@ pub struct MazeScratch {
     /// Visit generation so we can reuse the buffers without clearing.
     gen: Vec<u32>,
     current_gen: u32,
-    /// Fixed-point cost of the wire edge leaving each window vertex in its
+    /// Q44.20 cost of the wire edge leaving each window vertex in its
     /// layer's +x/+y direction; `u64::MAX` when the edge is missing, has no
     /// capacity or leaves the window.
     wire: Vec<u64>,
-    /// Fixed-point cost of the via from each window vertex one layer up;
+    /// Q44.20 cost of the via from each window vertex one layer up;
     /// `u64::MAX` on the top layer.
     via: Vec<u64>,
     /// Priority queue of (f = g + h, index).
@@ -264,15 +276,11 @@ impl MazeScratch {
                     };
                     self.wire[i] = match graph.wire_capacity(l, p) {
                         Some(cap) if l >= 1 && cap > 0.0 && !leaves_window => {
-                            to_fixed(graph.wire_edge_cost(l, p))
+                            graph.wire_edge_cost_fixed(l, p).expect("edge exists")
                         }
                         _ => u64::MAX,
                     };
-                    self.via[i] = if l + 1 < layers {
-                        to_fixed(graph.via_edge_cost(l, p))
-                    } else {
-                        u64::MAX
-                    };
+                    self.via[i] = graph.via_edge_cost_fixed(l, p).unwrap_or(u64::MAX);
                     i += 1;
                 }
             }
@@ -360,7 +368,7 @@ impl MazeRouter {
     /// * [`MazeError::EmptyNet`] for zero pins;
     /// * [`MazeError::PinOutsideGrid`] for an out-of-grid pin;
     /// * [`MazeError::NoPath`] when a pin cannot be reached inside the
-    ///   window (retry with a larger [`MazeConfig::window_margin`]).
+    ///   window (retry with [`MazeConfig::widened`]).
     ///
     /// Allocating convenience wrapper around [`MazeRouter::route_into`];
     /// hot loops should hold a [`MazeScratch`] and call `route_into`
@@ -410,8 +418,7 @@ impl MazeRouter {
         }
 
         let bbox = Rect::bounding(scratch.distinct.iter().copied()).expect("non-empty");
-        let window_rect = bbox.inflated(self.config.window_margin, graph.width(), graph.height());
-        scratch.bind(graph, window_rect);
+        scratch.bind(graph, self.config.window(bbox, graph.width(), graph.height()));
 
         // Component vertices (indices into the window), starting from the
         // first pin on layer 0.
@@ -582,7 +589,7 @@ fn step_dir(a: Point3, b: Point3) -> StepDir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastgr_grid::CostParams;
+    use fastgr_grid::{fixed_cost_to_f64, CostParams};
     use proptest::prelude::*;
 
     fn graph(w: u16, h: u16, layers: u8) -> GridGraph {
@@ -684,7 +691,7 @@ mod tests {
 
     #[test]
     fn detours_around_congestion() {
-        let mut g = graph(16, 16, 4);
+        let g = graph(16, 16, 4);
         // Saturate the straight horizontal corridor on M1 at y=5.
         let mut blocker = Route::new();
         blocker.push_segment(Segment::new(1, Point2::new(0, 5), Point2::new(15, 5)));
@@ -745,7 +752,7 @@ mod tests {
         })
         .route(&g, &pins)
         .expect("ok");
-        assert!((g.route_cost(&a) - g.route_cost(&d)).abs() < 1e-3);
+        assert_eq!(g.route_cost(&a), g.route_cost(&d));
     }
 
     #[test]
@@ -808,8 +815,8 @@ mod tests {
         g
     }
 
-    /// Fixed-point distance from every vertex of `scratch`'s window to
-    /// `target` on layer 0, by a plain Dijkstra over live `graph` costs.
+    /// Q44.20 distance from every vertex of `scratch`'s window to `target`
+    /// on layer 0, by a plain Dijkstra over live `graph` costs.
     fn window_distances(graph: &GridGraph, scratch: &MazeScratch, target: Point2) -> Vec<u64> {
         let n = scratch.w * scratch.h * graph.num_layers() as usize;
         let mut dist = vec![u64::MAX; n];
@@ -822,7 +829,7 @@ mod tests {
                 continue;
             }
             let p = scratch.point(i);
-            let mut arcs: Vec<(Point3, f64)> = Vec::new();
+            let mut arcs: Vec<(Point3, Option<u64>)> = Vec::new();
             if p.layer >= 1 {
                 let (back, fwd) = match graph.layer(p.layer).direction {
                     Direction::Horizontal => (
@@ -837,21 +844,21 @@ mod tests {
                 for (q, lower) in [(back, back), (fwd, Some(p))] {
                     if let (Some(q), Some(lower)) = (q, lower) {
                         if graph.wire_capacity(p.layer, lower.xy()).unwrap_or(0.0) > 0.0 {
-                            arcs.push((q, graph.wire_edge_cost(p.layer, lower.xy())));
+                            arcs.push((q, graph.wire_edge_cost_fixed(p.layer, lower.xy())));
                         }
                     }
                 }
             }
             if p.layer + 1 < graph.num_layers() {
                 let q = Point3::new(p.x, p.y, p.layer + 1);
-                arcs.push((q, graph.via_edge_cost(p.layer, p.xy())));
+                arcs.push((q, graph.via_edge_cost_fixed(p.layer, p.xy())));
             }
             if p.layer > 0 {
                 let q = Point3::new(p.x, p.y, p.layer - 1);
-                arcs.push((q, graph.via_edge_cost(p.layer - 1, p.xy())));
+                arcs.push((q, graph.via_edge_cost_fixed(p.layer - 1, p.xy())));
             }
             for (q, cost) in arcs {
-                let (qi, nd) = (scratch.index(q), d + to_fixed(cost));
+                let (qi, nd) = (scratch.index(q), d + cost.expect("edge exists"));
                 if nd < dist[qi] {
                     dist[qi] = nd;
                     heap.push(Reverse((nd, qi)));
@@ -876,7 +883,8 @@ mod tests {
             let blocked = 1 + blocked_pick % (layers - 1);
             let g = congested_graph(14, layers, blocked, &nets, copies, history as f64);
             let (a, b) = (Point2::new(ax, ay), Point2::new(bx, by));
-            let rect = Rect::bounding([a, b]).expect("two pins").inflated(3, 14, 14);
+            let bbox = Rect::bounding([a, b]).expect("two pins");
+            let rect = MazeConfig::default().window(bbox, 14, 14);
             let mut scratch = MazeScratch::new();
             scratch.bind(&g, rect);
             let pot = Potential::new(&g, true, b);
@@ -909,6 +917,53 @@ mod tests {
                     .map(|stats| stats.path_cost)
             };
             prop_assert_eq!(cost(true), cost(false));
+        }
+
+        /// The search prices in the grid's Q44.20 domain: a two-pin route's
+        /// `path_cost` is exactly the grid's quantised walk over its
+        /// geometry.
+        #[test]
+        fn path_cost_is_the_grid_route_cost(
+            layers in 3u8..7,
+            blocked_pick in 0u8..8,
+            nets in proptest::collection::vec((0u16..16, 0u16..16, 0u16..16, 0u16..16), 0..16),
+            copies in 1usize..6,
+            history in 0u8..6,
+            (ax, ay, bx, by) in (0u16..16, 0u16..16, 0u16..16, 0u16..16),
+        ) {
+            let blocked = 1 + blocked_pick % (layers - 1);
+            let g = congested_graph(16, layers, blocked, &nets, copies, history as f64);
+            let pins = [Point2::new(ax, ay), Point2::new(bx, by)];
+            let mut route = Route::new();
+            if let Ok(stats) =
+                MazeRouter::default().route_into(&g, &pins, &mut MazeScratch::new(), &mut route)
+            {
+                prop_assert_eq!(fixed_cost_to_f64(stats.path_cost), g.route_cost(&route));
+            }
+        }
+
+        /// Every segment and via of a maze route lies inside
+        /// `MazeConfig::window` of the pins' bounding box — the containment
+        /// the RRR conflict graph relies on for determinism.
+        #[test]
+        fn routes_stay_inside_the_window(
+            margin in 0u16..5,
+            nets in proptest::collection::vec((0u16..16, 0u16..16, 0u16..16, 0u16..16), 0..16),
+            copies in 1usize..6,
+            pins in proptest::collection::vec((0u16..16, 0u16..16), 1..6),
+        ) {
+            let g = congested_graph(16, 5, 3, &nets, copies, 1.0);
+            let config = MazeConfig { window_margin: margin, ..MazeConfig::default() };
+            let pins: Vec<Point2> = pins.into_iter().map(|(x, y)| Point2::new(x, y)).collect();
+            let window = config.window(Rect::bounding(pins.iter().copied()).expect("pins"), 16, 16);
+            if let Ok(route) = MazeRouter::new(config).route(&g, &pins) {
+                for s in route.segments() {
+                    prop_assert!(window.contains(s.from) && window.contains(s.to), "{s} leaves {window}");
+                }
+                for v in route.vias() {
+                    prop_assert!(window.contains(v.at), "{v} leaves {window}");
+                }
+            }
         }
 
         #[test]

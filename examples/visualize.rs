@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("wrote {routes_path} ({} bytes)", routes_svg.len());
 
     // Congestion heat after recommitting the routes onto a fresh grid.
-    let mut graph = design.build_graph(CostParams::default())?;
+    let graph = design.build_graph(CostParams::default())?;
     for route in &outcome.routes {
         graph.commit(route)?;
     }

@@ -105,7 +105,7 @@ fn design_suite() -> Vec<Design> {
 
 /// Conflict graph + identity order, as the pattern stage derives them.
 fn conflicts_of(design: &Design) -> (ConflictGraph, Vec<u32>) {
-    let bboxes = net_boxes(design, 0);
+    let bboxes = net_boxes(design);
     let order: Vec<u32> = (0..bboxes.len() as u32).collect();
     (ConflictGraph::from_bounding_boxes(&bboxes), order)
 }
@@ -252,22 +252,24 @@ fn validate_trace(path: Option<&str>) -> bool {
 
 /// Differential check: `ConflictGraph::from_bounding_boxes` must equal the
 /// all-pairs `from_bounding_boxes_naive` oracle on every design-suite
-/// design and on the full-size `s19t9m` nets, both plain and inflated by the
-/// maze window margin as the RRR stage builds its conflict boxes.
+/// design and on the full-size `s19t9m` nets, both plain and as the maze
+/// windows the RRR stage builds its conflict boxes from.
 fn conflict_oracle() -> bool {
     let mut cases: Vec<(String, Vec<Rect>)> = design_suite()
         .iter()
-        .map(|d| (d.name().to_string(), net_boxes(d, 0)))
+        .map(|d| (d.name().to_string(), net_boxes(d)))
         .collect();
     match BenchmarkSpec::find("s19t9m") {
         Some(spec) => {
             let design = spec.generate();
-            cases.push(("s19t9m".to_string(), net_boxes(&design, 0)));
-            let margin = MazeConfig::default().window_margin;
-            cases.push((
-                format!("s19t9m inflated by {margin}"),
-                net_boxes(&design, margin),
-            ));
+            let boxes = net_boxes(&design);
+            let maze = MazeConfig::default();
+            let windows = boxes
+                .iter()
+                .map(|&b| maze.window(b, design.width(), design.height()))
+                .collect();
+            cases.push(("s19t9m".to_string(), boxes));
+            cases.push((format!("s19t9m inflated by {}", maze.window_margin), windows));
         }
         None => {
             eprintln!("conflict-oracle: suite benchmark s19t9m is missing");
@@ -291,16 +293,9 @@ fn conflict_oracle() -> bool {
     ok
 }
 
-/// The nets' bounding boxes, inflated by `margin` G-cells within the die.
-fn net_boxes(design: &Design, margin: u16) -> Vec<Rect> {
-    design
-        .nets()
-        .iter()
-        .map(|n| {
-            n.bounding_box()
-                .inflated(margin, design.width(), design.height())
-        })
-        .collect()
+/// The nets' bounding boxes.
+fn net_boxes(design: &Design) -> Vec<Rect> {
+    design.nets().iter().map(|n| n.bounding_box()).collect()
 }
 
 fn validate() -> bool {

@@ -55,7 +55,7 @@ fn committed_demand_matches_stored_routes() {
         .run(&design)
         .expect("routable");
     // Recommit all routes onto a fresh graph: identical congestion report.
-    let mut graph = design.build_graph(CostParams::default()).expect("valid");
+    let graph = design.build_graph(CostParams::default()).expect("valid");
     for route in &outcome.routes {
         graph.commit(route).expect("valid route");
     }

@@ -51,7 +51,7 @@ fn history_cost_preserves_invariants() {
     }
     // Shorts derive from demand vs capacity only — history must not leak
     // into the congestion report.
-    let mut graph = design
+    let graph = design
         .build_graph(fastgr::grid::CostParams::default())
         .expect("valid");
     for route in &outcome.routes {
