@@ -12,11 +12,10 @@
 //!   back as structured [`Diagnostic`]s with the offending task pair and a
 //!   minimal witness path. [`ScheduleView`] supports mutation testing:
 //!   deliberately corrupt a schedule and assert the validator rejects it.
-//! * [`race`] — **dynamic**: vector-clock happens-before checking over the
-//!   instrumentation hooks of the executor ([`RaceChecker`]) and the
-//!   simulated device's block pool ([`BlockChecker`]); flags conflicting
-//!   pairs whose executions were not strictly ordered by what the run
-//!   actually did.
+//! * [`race`] — **dynamic**: vector-clock happens-before checking
+//!   ([`RaceChecker`]) over the one worker-event hook the executor and the
+//!   simulated device's block pool share; flags conflicting pairs whose
+//!   executions were not strictly ordered by what the run actually did.
 //! * [`lint`] — **source**: workspace rules (`#![forbid(unsafe_code)]`
 //!   everywhere, no `unwrap`/`expect` on hot paths, no allocation in the
 //!   zero-alloc DP bodies) with an explicit allowlist.
@@ -37,5 +36,5 @@ pub mod validator;
 
 pub use diagnostics::{Diagnostic, Severity, ValidationReport};
 pub use lint::{lint_file, lint_workspace, parse_allowlist, AllowEntry, Rules};
-pub use race::{BlockChecker, RaceChecker};
+pub use race::RaceChecker;
 pub use validator::{validate_batches, validate_schedule, validate_view, ScheduleView};

@@ -131,14 +131,18 @@ pub fn lint_workspace(root: &Path) -> ValidationReport {
 
     // --- Rules 2–4 over per-file rule sets. Rule 4 scans every crate
     // except the telemetry crate (which owns the clock); rules 2 and 3
-    // additionally apply on the hot-path subset.
+    // additionally apply on the hot-path subset. The telemetry crate's
+    // worker hooks run on every block and task, so they join the hot set.
+    let worker_hooks = root.join("crates/telemetry/src/hooks.rs");
     let mut hot: Vec<PathBuf> = vec![
         root.join("crates/core/src/dp.rs"),
         root.join("crates/core/src/pattern.rs"),
+        worker_hooks.clone(),
     ];
     hot.extend(list_rust_files(&root.join("crates/gpu/src")));
     hot.extend(list_rust_files(&root.join("crates/taskgraph/src")));
     let mut files = list_rust_files(&root.join("src"));
+    files.push(worker_hooks);
     for dir in list_dirs(&root.join("crates")) {
         if dir.file_name().is_some_and(|n| n == "telemetry") {
             continue;
@@ -160,7 +164,7 @@ pub fn lint_workspace(root: &Path) -> ValidationReport {
             dp: rel.ends_with("core/src/dp.rs")
                 || rel.ends_with("maze/src/router.rs")
                 || rel.ends_with("grid/src/prober.rs"),
-            timing: true,
+            timing: !rel.starts_with("crates/telemetry/"),
             rrr_lock: rel.ends_with("core/src/rrr.rs"),
             dp_direct: rel.ends_with("core/src/dp.rs"),
         };

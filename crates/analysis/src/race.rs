@@ -1,10 +1,9 @@
 //! Dynamic happens-before race checker.
 //!
 //! The static validator proves the *schedule* is sound; this module checks
-//! that an *execution* actually honoured it. It observes runs through the
-//! instrumentation hooks the runtime crates expose —
-//! [`fastgr_taskgraph::ExecutionHooks`] for the dependency-counting
-//! executor and [`fastgr_gpu::pool::BlockEventTap`] for the simulated
+//! that an *execution* actually honoured it. [`RaceChecker`] observes a
+//! run through [`WorkerHooks`], the one observation contract of both
+//! parallel runners — the dependency-counting executor and the simulated
 //! device's block pool — and builds classic vector clocks:
 //!
 //! * each worker thread owns one clock component, incremented at every
@@ -18,19 +17,17 @@
 //!   *claims*.
 //!
 //! After the run, [`RaceChecker::report`] takes the conflict graph and
-//! flags every conflicting task pair whose executions were not strictly
+//! flags every conflicting pair whose executions were not strictly
 //! ordered by the observed happens-before relation: a real race window,
-//! with the unordered pair as the witness. [`BlockChecker`] is the same
-//! check for one block-pool launch, where the only ordering is per-worker
-//! program order (a launch has no inter-block synchronisation, so
-//! conflicting blocks in one launch are flagged unless they serialised
-//! onto one worker by luck — use it to verify launches over independent
-//! sets only).
+//! with the unordered pair as the witness. A block-pool launch is simply
+//! a run with no handoffs: the only ordering is per-worker program order,
+//! so conflicting blocks of one launch are flagged unless they serialised
+//! onto one worker by luck — check launches over independent sets only.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use fastgr_gpu::pool::BlockEventTap;
-use fastgr_taskgraph::{ConflictGraph, ExecutionHooks};
+use fastgr_taskgraph::ConflictGraph;
+use fastgr_telemetry::WorkerHooks;
 
 use crate::diagnostics::{Diagnostic, ValidationReport};
 
@@ -64,7 +61,7 @@ fn lock(table: &Mutex<ClockTable>) -> MutexGuard<'_, ClockTable> {
     table.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Shared event-recording core for both checkers.
+/// The checker's event-recording core.
 #[derive(Debug)]
 struct ClockTable {
     /// Current clock of each worker thread (grown on first sight).
@@ -101,11 +98,11 @@ impl ClockTable {
         clock
     }
 
-    fn record_start(&mut self, item: usize, worker: usize, what: &str) {
+    fn record_start(&mut self, item: usize, worker: usize) {
         if item >= self.start.len() {
             self.anomalies.push(Diagnostic::error(
                 "event-out-of-range",
-                format!("{what} {item} started but only {} exist", self.start.len()),
+                format!("task {item} started but only {} exist", self.start.len()),
             ));
             return;
         }
@@ -118,17 +115,17 @@ impl ClockTable {
         if self.start[item].is_some() {
             self.anomalies.push(Diagnostic::error(
                 "duplicate-start",
-                format!("{what} {item} started twice"),
+                format!("task {item} started twice"),
             ));
         }
         self.start[item] = Some(snapshot);
     }
 
-    fn record_finish(&mut self, item: usize, worker: usize, what: &str) {
+    fn record_finish(&mut self, item: usize, worker: usize) {
         if item >= self.finish.len() {
             self.anomalies.push(Diagnostic::error(
                 "event-out-of-range",
-                format!("{what} {item} finished but only {} exist", self.finish.len()),
+                format!("task {item} finished but only {} exist", self.finish.len()),
             ));
             return;
         }
@@ -138,13 +135,13 @@ impl ClockTable {
         if self.start[item].is_none() {
             self.anomalies.push(Diagnostic::error(
                 "finish-without-start",
-                format!("{what} {item} finished without a start event"),
+                format!("task {item} finished without a start event"),
             ));
         }
         if self.finish[item].is_some() {
             self.anomalies.push(Diagnostic::error(
                 "duplicate-finish",
-                format!("{what} {item} finished twice"),
+                format!("task {item} finished twice"),
             ));
         }
         self.finish[item] = Some(snapshot);
@@ -169,7 +166,7 @@ impl ClockTable {
 
     /// The race check: every conflicting pair must be strictly ordered by
     /// the observed happens-before relation.
-    fn report(&self, conflicts: &ConflictGraph, rule: &'static str, what: &str) -> ValidationReport {
+    fn report(&self, conflicts: &ConflictGraph) -> ValidationReport {
         let n = self.start.len();
         let mut report = ValidationReport {
             tasks_checked: n,
@@ -183,7 +180,7 @@ impl ClockTable {
             report.push(Diagnostic::error(
                 "task-count-mismatch",
                 format!(
-                    "checker observed {n} {what}s but the conflict graph has {}",
+                    "checker observed {n} tasks but the conflict graph has {}",
                     conflicts.task_count()
                 ),
             ));
@@ -193,7 +190,7 @@ impl ClockTable {
             if s.is_none() || f.is_none() {
                 report.push(Diagnostic::error(
                     "unobserved-task",
-                    format!("{what} {t} never produced both a start and a finish event"),
+                    format!("task {t} never produced both a start and a finish event"),
                 ));
             }
         }
@@ -215,9 +212,9 @@ impl ClockTable {
                 if !a_before_b && !b_before_a {
                     report.push(
                         Diagnostic::error(
-                            rule,
+                            "task-race",
                             format!(
-                                "conflicting {what}s {a} and {b} ran unordered: \
+                                "conflicting tasks {a} and {b} ran unordered: \
                                  no happens-before edge separates their executions"
                             ),
                         )
@@ -231,13 +228,14 @@ impl ClockTable {
     }
 }
 
-/// Vector-clock race checker for the dependency-counting executor.
+/// Vector-clock race checker for executor runs and block-pool launches.
 ///
-/// Pass it to [`fastgr_taskgraph::Executor::run_with_hooks`], then call
-/// [`RaceChecker::report`] with the conflict graph the schedule was built
-/// from. The happens-before relation joins per-worker program order with
-/// the handoffs the executor actually performed, so a schedule (or an
-/// executor bug) that lets two conflicting tasks run without
+/// Pass it as the [`WorkerHooks`] of [`fastgr_taskgraph::Executor::run`]
+/// or `fastgr_gpu::HostPool::for_each_tapped`, then call
+/// [`RaceChecker::report`] with the conflict graph over the run's task (or
+/// block) indices. The happens-before relation joins per-worker program
+/// order with the handoffs the run actually performed, so a schedule (or
+/// an executor bug) that lets two conflicting tasks run without
 /// synchronisation yields incomparable clocks and a `task-race` finding.
 ///
 /// # Example
@@ -254,7 +252,7 @@ impl ClockTable {
 /// let conflicts = ConflictGraph::from_bounding_boxes(&boxes);
 /// let schedule = Schedule::build(&[0, 1], &conflicts);
 /// let checker = RaceChecker::new(schedule.task_count());
-/// Executor::new(2).run_with_hooks(&schedule, |_task| {}, &checker);
+/// Executor::new(2).run(&schedule, |_task| {}, &checker);
 /// checker.report(&conflicts).assert_clean("executor run");
 /// ```
 #[derive(Debug)]
@@ -263,7 +261,7 @@ pub struct RaceChecker {
 }
 
 impl RaceChecker {
-    /// A checker expecting `task_count` tasks.
+    /// A checker expecting `task_count` tasks (or blocks).
     pub fn new(task_count: usize) -> Self {
         Self {
             table: Mutex::new(ClockTable::new(task_count)),
@@ -273,65 +271,28 @@ impl RaceChecker {
     /// Checks the observed execution against `conflicts`; every conflicting
     /// pair must have been strictly ordered.
     pub fn report(&self, conflicts: &ConflictGraph) -> ValidationReport {
-        lock(&self.table).report(conflicts, "task-race", "task")
+        lock(&self.table).report(conflicts)
     }
 }
 
-impl ExecutionHooks for RaceChecker {
-    fn on_task_start(&self, task: u32, worker: usize) {
-        lock(&self.table).record_start(task as usize, worker, "task");
+impl WorkerHooks for RaceChecker {
+    fn on_start(&self, task: usize, worker: usize) {
+        lock(&self.table).record_start(task, worker);
     }
 
-    fn on_task_finish(&self, task: u32, worker: usize) {
-        lock(&self.table).record_finish(task as usize, worker, "task");
+    fn on_finish(&self, task: usize, worker: usize) {
+        lock(&self.table).record_finish(task, worker);
     }
 
-    fn on_handoff(&self, pred: u32, succ: u32) {
-        lock(&self.table).record_handoff(pred as usize, succ as usize);
-    }
-}
-
-/// Vector-clock ordering checker for one block-pool launch.
-///
-/// Pass it to [`fastgr_gpu::HostPool::for_each_tapped`] as the
-/// [`BlockEventTap`], then call [`BlockChecker::report`] with a conflict
-/// graph over the launch's block indices. A launch has no inter-block
-/// synchronisation, so the only happens-before ordering is per-worker
-/// program order: any conflicting pair that landed on different workers is
-/// flagged as a `block-race`. Over an independent set (how the pattern
-/// stage launches batches) the report is clean by definition of the check.
-#[derive(Debug)]
-pub struct BlockChecker {
-    table: Mutex<ClockTable>,
-}
-
-impl BlockChecker {
-    /// A checker expecting `block_count` blocks.
-    pub fn new(block_count: usize) -> Self {
-        Self {
-            table: Mutex::new(ClockTable::new(block_count)),
-        }
-    }
-
-    /// Checks the observed launch against `conflicts` over block indices.
-    pub fn report(&self, conflicts: &ConflictGraph) -> ValidationReport {
-        lock(&self.table).report(conflicts, "block-race", "block")
-    }
-}
-
-impl BlockEventTap for BlockChecker {
-    fn on_block_start(&self, block: usize, worker: usize) {
-        lock(&self.table).record_start(block, worker, "block");
-    }
-
-    fn on_block_end(&self, block: usize, worker: usize) {
-        lock(&self.table).record_finish(block, worker, "block");
+    fn on_handoff(&self, pred: usize, succ: usize) {
+        lock(&self.table).record_handoff(pred, succ);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastgr_gpu::HostPool;
     use fastgr_grid::{Point2, Rect};
     use fastgr_taskgraph::{Executor, Schedule};
 
@@ -348,11 +309,11 @@ mod tests {
         let conflicts = conflicting_pair();
         let chk = RaceChecker::new(2);
         // Worker 0 runs task 0, hands off to task 1 on worker 1.
-        chk.on_task_start(0, 0);
-        chk.on_task_finish(0, 0);
+        chk.on_start(0, 0);
+        chk.on_finish(0, 0);
         chk.on_handoff(0, 1);
-        chk.on_task_start(1, 1);
-        chk.on_task_finish(1, 1);
+        chk.on_start(1, 1);
+        chk.on_finish(1, 1);
         let report = chk.report(&conflicts);
         assert!(report.is_clean(), "{report}");
     }
@@ -361,10 +322,10 @@ mod tests {
     fn same_worker_program_order_is_clean_without_handoff() {
         let conflicts = conflicting_pair();
         let chk = RaceChecker::new(2);
-        chk.on_task_start(1, 3);
-        chk.on_task_finish(1, 3);
-        chk.on_task_start(0, 3);
-        chk.on_task_finish(0, 3);
+        chk.on_start(1, 3);
+        chk.on_finish(1, 3);
+        chk.on_start(0, 3);
+        chk.on_finish(0, 3);
         assert!(chk.report(&conflicts).is_clean());
     }
 
@@ -374,10 +335,10 @@ mod tests {
         // handoff between them — a real race window the checker must catch.
         let conflicts = conflicting_pair();
         let chk = RaceChecker::new(2);
-        chk.on_task_start(0, 0);
-        chk.on_task_finish(0, 0);
-        chk.on_task_start(1, 1);
-        chk.on_task_finish(1, 1);
+        chk.on_start(0, 0);
+        chk.on_finish(0, 0);
+        chk.on_start(1, 1);
+        chk.on_finish(1, 1);
         let report = chk.report(&conflicts);
         assert!(!report.is_clean());
         assert!(
@@ -395,14 +356,14 @@ mod tests {
         let boxes = [rect(0, 0, 5, 5), rect(20, 0, 25, 5), rect(4, 4, 9, 9)];
         let conflicts = ConflictGraph::from_bounding_boxes(&boxes);
         let chk = RaceChecker::new(3);
-        chk.on_task_start(0, 0);
-        chk.on_task_finish(0, 0);
+        chk.on_start(0, 0);
+        chk.on_finish(0, 0);
         chk.on_handoff(0, 1);
-        chk.on_task_start(1, 1);
-        chk.on_task_finish(1, 1);
+        chk.on_start(1, 1);
+        chk.on_finish(1, 1);
         chk.on_handoff(1, 2);
-        chk.on_task_start(2, 2);
-        chk.on_task_finish(2, 2);
+        chk.on_start(2, 2);
+        chk.on_finish(2, 2);
         assert!(chk.report(&conflicts).is_clean());
     }
 
@@ -410,11 +371,11 @@ mod tests {
     fn handoff_reported_before_finish_carries_no_ordering() {
         let conflicts = conflicting_pair();
         let chk = RaceChecker::new(2);
-        chk.on_task_start(0, 0);
+        chk.on_start(0, 0);
         chk.on_handoff(0, 1); // bogus: pred has not finished
-        chk.on_task_finish(0, 0);
-        chk.on_task_start(1, 1);
-        chk.on_task_finish(1, 1);
+        chk.on_finish(0, 0);
+        chk.on_start(1, 1);
+        chk.on_finish(1, 1);
         let report = chk.report(&conflicts);
         assert!(report
             .diagnostics
@@ -427,8 +388,8 @@ mod tests {
     fn missing_events_are_reported() {
         let conflicts = conflicting_pair();
         let chk = RaceChecker::new(2);
-        chk.on_task_start(0, 0);
-        chk.on_task_finish(0, 0);
+        chk.on_start(0, 0);
+        chk.on_finish(0, 0);
         // Task 1 never runs.
         let report = chk.report(&conflicts);
         assert!(report
@@ -454,7 +415,7 @@ mod tests {
         let schedule = Schedule::build(&order, &conflicts);
         for workers in [1, 2, 4] {
             let chk = RaceChecker::new(schedule.task_count());
-            Executor::new(workers).run_with_hooks(&schedule, |_t| {}, &chk);
+            Executor::new(workers).run(&schedule, |_t| {}, &chk);
             let report = chk.report(&conflicts);
             assert!(report.is_clean(), "workers={workers}: {report}");
         }
@@ -462,14 +423,13 @@ mod tests {
 
     #[test]
     fn block_pool_launch_over_independent_blocks_is_clean() {
-        use fastgr_gpu::HostPool;
         // Blocks far apart: no conflicts at all.
         let boxes: Vec<Rect> = (0..32)
             .map(|i| rect(10 * i, 0, 10 * i + 3, 3))
             .collect();
         let conflicts = ConflictGraph::from_bounding_boxes(&boxes);
         for workers in [1, 4] {
-            let chk = BlockChecker::new(boxes.len());
+            let chk = RaceChecker::new(boxes.len());
             HostPool::new(workers).for_each_tapped(boxes.len(), |_i| {}, &chk);
             let report = chk.report(&conflicts);
             assert!(report.is_clean(), "workers={workers}: {report}");
@@ -478,17 +438,22 @@ mod tests {
 
     #[test]
     fn block_pool_launch_over_conflicting_blocks_is_flagged() {
-        // Mutation: launch two conflicting blocks in one launch. Forced
-        // onto different workers (manual events — thread placement in a
-        // real pool is not deterministic), the checker must flag them.
+        use std::sync::Barrier;
+        // Mutation: launch two conflicting blocks in one launch. A barrier
+        // both blocks must reach forces them onto the pool's two workers
+        // at the same time, so the checker must flag them.
         let conflicts = conflicting_pair();
-        let chk = BlockChecker::new(2);
-        chk.on_block_start(0, 0);
-        chk.on_block_end(0, 0);
-        chk.on_block_start(1, 1);
-        chk.on_block_end(1, 1);
+        let chk = RaceChecker::new(2);
+        let meet = Barrier::new(2);
+        HostPool::new(2).for_each_tapped(
+            2,
+            |_b| {
+                meet.wait();
+            },
+            &chk,
+        );
         let report = chk.report(&conflicts);
         assert!(!report.is_clean());
-        assert!(report.diagnostics.iter().any(|d| d.rule == "block-race"));
+        assert!(report.diagnostics.iter().any(|d| d.rule == "task-race"));
     }
 }

@@ -10,7 +10,8 @@ use fastgr_analysis::{
 };
 use fastgr_design::{Design, Generator, GeneratorParams};
 use fastgr_grid::{Point2, Rect};
-use fastgr_taskgraph::{extract_batches, ConflictGraph, ExecutionHooks, Executor, Schedule};
+use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, Schedule};
+use fastgr_telemetry::WorkerHooks;
 use proptest::prelude::*;
 
 /// Conflict graph + identity net order for a design, as the pattern stage
@@ -105,7 +106,7 @@ fn executor_runs_over_design_suite_are_race_free() {
         let schedule = Schedule::build(&order, &conflicts);
         for workers in [1, 4] {
             let checker = RaceChecker::new(schedule.task_count());
-            Executor::new(workers).run_with_hooks(&schedule, |_t| {}, &checker);
+            Executor::new(workers).run(&schedule, |_t| {}, &checker);
             let report = checker.report(&conflicts);
             assert!(
                 report.is_clean(),
@@ -132,13 +133,13 @@ fn race_checker_flags_forced_unordered_conflicting_pair() {
         if t == a || t == b {
             continue;
         }
-        checker.on_task_start(t, 0);
-        checker.on_task_finish(t, 0);
+        checker.on_start(t as usize, 0);
+        checker.on_finish(t as usize, 0);
     }
-    checker.on_task_start(a, 1);
-    checker.on_task_finish(a, 1);
-    checker.on_task_start(b, 2);
-    checker.on_task_finish(b, 2);
+    checker.on_start(a as usize, 1);
+    checker.on_finish(a as usize, 1);
+    checker.on_start(b as usize, 2);
+    checker.on_finish(b as usize, 2);
     let report = checker.report(&conflicts);
     let raced: Vec<_> = report
         .diagnostics

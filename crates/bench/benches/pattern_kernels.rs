@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use fastgr_core::{PatternDp, PatternMode, SelectionThresholds};
 use fastgr_design::{Net, NetId, Pin};
-use fastgr_grid::{CostParams, GridGraph, Point2};
+use fastgr_grid::{CostParams, CostProber, GridGraph, Point2};
 use fastgr_steiner::SteinerBuilder;
 
 fn graph(side: u16, layers: u8) -> GridGraph {
@@ -30,15 +30,16 @@ fn two_pin_net(span: u16) -> Net {
 
 fn bench_kernels(c: &mut Criterion) {
     let g = graph(128, 10);
+    let prober = CostProber::build(&g);
     let mut group = c.benchmark_group("pattern_kernels");
     for span in [8u16, 24, 48, 96] {
         let tree = SteinerBuilder::new().build(&two_pin_net(span));
         // Probed: costs are O(1) prefix differences against the prober
-        // built once per `PatternDp::new`. Direct: the same quantised
+        // built once per grid. Direct: the same quantised
         // cost domain summed edge by edge — the O(span) baseline the
         // prober removes. Identical routes, different work.
         group.bench_with_input(BenchmarkId::new("l_shape", span), &span, |b, _| {
-            let dp = PatternDp::new(&g, PatternMode::LShape);
+            let dp = PatternDp::with_prober(&g, PatternMode::LShape, &prober);
             b.iter(|| black_box(dp.route_net(&tree)));
         });
         group.bench_with_input(BenchmarkId::new("l_shape_direct", span), &span, |b, _| {
@@ -46,7 +47,7 @@ fn bench_kernels(c: &mut Criterion) {
             b.iter(|| black_box(dp.route_net(&tree)));
         });
         group.bench_with_input(BenchmarkId::new("hybrid", span), &span, |b, _| {
-            let dp = PatternDp::new(&g, PatternMode::HybridAll);
+            let dp = PatternDp::with_prober(&g, PatternMode::HybridAll, &prober);
             b.iter(|| black_box(dp.route_net(&tree)));
         });
         group.bench_with_input(BenchmarkId::new("hybrid_direct", span), &span, |b, _| {
@@ -54,7 +55,7 @@ fn bench_kernels(c: &mut Criterion) {
             b.iter(|| black_box(dp.route_net(&tree)));
         });
         group.bench_with_input(BenchmarkId::new("z_shape", span), &span, |b, _| {
-            let dp = PatternDp::new(&g, PatternMode::ZShape);
+            let dp = PatternDp::with_prober(&g, PatternMode::ZShape, &prober);
             b.iter(|| black_box(dp.route_net(&tree)));
         });
     }
@@ -64,12 +65,13 @@ fn bench_kernels(c: &mut Criterion) {
 fn bench_selection(c: &mut Criterion) {
     // The selection technique's effect on a single medium vs large net.
     let g = graph(128, 10);
+    let prober = CostProber::build(&g);
     let mut group = c.benchmark_group("selection");
     let sel = SelectionThresholds::new(10, 50);
     for (label, span) in [("small", 6u16), ("medium", 30), ("large", 100)] {
         let tree = SteinerBuilder::new().build(&two_pin_net(span));
         group.bench_function(BenchmarkId::new("hybrid_selected", label), |b| {
-            let dp = PatternDp::new(&g, PatternMode::Hybrid(sel));
+            let dp = PatternDp::with_prober(&g, PatternMode::Hybrid(sel), &prober);
             b.iter(|| black_box(dp.route_net(&tree)));
         });
     }
@@ -78,6 +80,7 @@ fn bench_selection(c: &mut Criterion) {
 
 fn bench_multi_pin(c: &mut Criterion) {
     let g = graph(96, 10);
+    let prober = CostProber::build(&g);
     let mut group = c.benchmark_group("multi_pin_dp");
     for pins in [3usize, 8, 16] {
         let net = Net::new(
@@ -92,7 +95,7 @@ fn bench_multi_pin(c: &mut Criterion) {
         );
         let tree = SteinerBuilder::new().build(&net);
         group.bench_with_input(BenchmarkId::new("l_shape", pins), &pins, |b, _| {
-            let dp = PatternDp::new(&g, PatternMode::LShape);
+            let dp = PatternDp::with_prober(&g, PatternMode::LShape, &prober);
             b.iter(|| black_box(dp.route_net(&tree)));
         });
     }
@@ -106,6 +109,7 @@ fn bench_parallel_launch(c: &mut Criterion) {
     use fastgr_gpu::{Device, DeviceConfig};
 
     let g = graph(96, 10);
+    let prober = CostProber::build(&g);
     let trees: Vec<_> = (0..64u16)
         .map(|i| {
             let net = Net::new(
@@ -125,7 +129,7 @@ fn bench_parallel_launch(c: &mut Criterion) {
             BenchmarkId::new("hybrid_batch64", workers),
             &workers,
             |b, &w| {
-                let dp = PatternDp::new(&g, PatternMode::HybridAll);
+                let dp = PatternDp::with_prober(&g, PatternMode::HybridAll, &prober);
                 let mut device = Device::new(DeviceConfig {
                     host_workers: w,
                     ..DeviceConfig::rtx3090_like()

@@ -75,9 +75,13 @@ fn bench_executor_overhead(c: &mut Criterion) {
             |b, &w| {
                 let executor = Executor::new(w);
                 b.iter(|| {
-                    executor.run(&schedule, |t| {
-                        black_box(t);
-                    })
+                    executor.run(
+                        &schedule,
+                        |t| {
+                            black_box(t);
+                        },
+                        &(),
+                    )
                 });
             },
         );

@@ -1,85 +1,7 @@
-//! Fast congestion estimation — the "global routing as a congestion
-//! predictor" use case from the paper's introduction.
-//!
-//! Placement and other design-cycle phases invoke the global router purely
-//! to ask *where will it be congested?*; they need the pattern-routing
-//! stage's congestion picture, not a fully legalised solution. This module
-//! wraps that flow behind one call.
+//! Pre-routing congestion estimation: the RUDY density map the
+//! congestion-aware edge shifting of the planning stage consumes.
 
 use fastgr_design::Design;
-use fastgr_grid::{CongestionReport, CostParams};
-
-use crate::dp::PatternMode;
-use crate::error::RouteError;
-use crate::ordering::SortingScheme;
-use crate::pattern::{PatternEngine, PatternStage};
-
-/// The result of a congestion estimation pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CongestionEstimate {
-    /// Per-G-cell peak utilisation (row-major `height x width`), the value
-    /// a placer would draw as a heat map.
-    pub heatmap: Vec<f64>,
-    /// Aggregate statistics (overflow, utilisation, peak).
-    pub report: CongestionReport,
-    /// Number of G-cells whose peak utilisation exceeds 1.0.
-    pub hot_cells: usize,
-}
-
-impl CongestionEstimate {
-    /// Utilisation at G-cell `(x, y)` given the design's width.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the coordinate is outside the heat map.
-    pub fn at(&self, x: u16, y: u16, width: u16) -> f64 {
-        self.heatmap[y as usize * width as usize + x as usize]
-    }
-}
-
-/// Estimates the congestion of `design` with one L-shape pattern routing
-/// pass (no rip-up and reroute) — the cheapest pass that still produces a
-/// realistic 3-D congestion picture.
-///
-/// # Errors
-///
-/// Propagates [`RouteError`] from the pattern stage (degenerate layer
-/// counts; cannot happen on generator-produced designs).
-///
-/// # Example
-///
-/// ```
-/// use fastgr_core::estimate_congestion;
-/// use fastgr_design::Generator;
-///
-/// # fn main() -> Result<(), fastgr_core::RouteError> {
-/// let design = Generator::tiny(5).generate();
-/// let estimate = estimate_congestion(&design)?;
-/// assert_eq!(estimate.heatmap.len(), 16 * 16);
-/// assert!(estimate.report.utilization() > 0.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn estimate_congestion(design: &Design) -> Result<CongestionEstimate, RouteError> {
-    let mut graph = design.build_graph(CostParams::default())?;
-    let stage = PatternStage {
-        mode: PatternMode::LShape,
-        engine: PatternEngine::SequentialCpu,
-        sorting: SortingScheme::HpwlAscending,
-        steiner_passes: 4,
-        congestion_aware_planning: false,
-        cost_probing: true,
-        validate: false,
-    };
-    stage.run(design, &mut graph)?;
-    let heatmap = graph.congestion_heatmap();
-    let hot_cells = heatmap.iter().filter(|&&u| u > 1.0).count();
-    Ok(CongestionEstimate {
-        heatmap,
-        report: graph.report(),
-        hot_cells,
-    })
-}
 
 /// RUDY (Rectangular Uniform wire DensitY) congestion estimate: each net
 /// spreads `hpwl / area` demand uniformly over its bounding box. Needs no
@@ -122,35 +44,6 @@ pub fn rudy_map(design: &Design) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastgr_design::{Generator, GeneratorParams};
-
-    #[test]
-    fn estimate_covers_the_grid() {
-        let design = Generator::tiny(7).generate();
-        let e = estimate_congestion(&design).expect("routable");
-        assert_eq!(e.heatmap.len(), 256);
-        assert!(e.report.total_wire_demand > 0.0);
-        assert_eq!(e.at(0, 0, 16), e.heatmap[0]);
-    }
-
-    #[test]
-    fn congested_designs_have_hot_cells() {
-        let design = Generator::new(GeneratorParams {
-            width: 16,
-            height: 16,
-            layers: 5,
-            num_nets: 400,
-            capacity: 2.0,
-            hotspots: 2,
-            hotspot_affinity: 0.7,
-            seed: 3,
-            ..GeneratorParams::default()
-        })
-        .generate();
-        let e = estimate_congestion(&design).expect("routable");
-        assert!(e.hot_cells > 0, "expected overflow hot spots");
-        assert!(e.report.overflow > 0.0);
-    }
 
     #[test]
     fn rudy_concentrates_where_nets_overlap() {
@@ -188,17 +81,5 @@ mod tests {
         let at = |x: usize, y: usize| rudy[y * 16 + x];
         assert!(at(5, 5) > at(13, 13), "overlap region must be denser");
         assert_eq!(at(0, 15), 0.0);
-    }
-
-    #[test]
-    fn roomy_designs_have_none() {
-        let design = Generator::new(GeneratorParams {
-            num_nets: 16,
-            capacity: 20.0,
-            ..GeneratorParams::default()
-        })
-        .generate();
-        let e = estimate_congestion(&design).expect("routable");
-        assert_eq!(e.hot_cells, 0);
     }
 }

@@ -224,37 +224,33 @@ thread_local! {
 
 /// Where the DP reads its wire-run and via-stack costs from.
 ///
-/// All three variants work in the same Q44.20 quantised cost domain, so a
+/// Both variants work in the same Q44.20 quantised cost domain, so a
 /// probed DP and a direct DP produce bit-identical costs and routes — the
 /// prober only changes *how fast* a cost is obtained (O(1) prefix
 /// difference vs O(run-length) walk).
 #[derive(Debug)]
 enum CostSource<'g> {
-    /// A prober built (and owned) at construction time. Boxed: the
-    /// prober's inline scratch dwarfs the other variants.
-    Owned(Box<CostProber>),
     /// A caller-managed prober, refreshed between batches by the pattern
     /// stage.
-    Borrowed(&'g CostProber),
+    Prober(&'g CostProber),
     /// No cache: every probe walks the grid's quantised edge costs.
     Direct,
 }
 
 /// The pattern-routing DP engine for one grid state.
 ///
-/// Costs are read through a prefix-sum [`CostProber`] snapshot by default
-/// ([`PatternDp::new`] builds one; [`PatternDp::with_prober`] borrows a
-/// caller-managed one so the pattern stage can refresh it incrementally
-/// between batches); [`PatternDp::direct`] skips the cache and walks the
-/// grid per probe — same quantised arithmetic, bit-identical results,
-/// O(run-length) slower per probe.
+/// Costs are read through a caller-managed prefix-sum [`CostProber`]
+/// ([`PatternDp::with_prober`]; the pattern stage refreshes it
+/// incrementally between batches); [`PatternDp::direct`] skips the cache
+/// and walks the grid per probe — same quantised arithmetic, bit-identical
+/// results, O(run-length) slower per probe.
 ///
 /// # Example
 ///
 /// ```
 /// use fastgr_core::{PatternDp, PatternMode};
 /// use fastgr_design::{Net, NetId, Pin};
-/// use fastgr_grid::{CostParams, GridGraph, Point2};
+/// use fastgr_grid::{CostParams, CostProber, GridGraph, Point2};
 /// use fastgr_steiner::SteinerBuilder;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -265,7 +261,8 @@ enum CostSource<'g> {
 ///     Pin::new(Point2::new(10, 7), 0),
 /// ]);
 /// let tree = SteinerBuilder::new().build(&net);
-/// let dp = PatternDp::new(&graph, PatternMode::LShape);
+/// let prober = CostProber::build(&graph);
+/// let dp = PatternDp::with_prober(&graph, PatternMode::LShape, &prober);
 /// let result = dp.route_net(&tree).expect("routable");
 /// assert!(result.route.is_connected());
 /// assert_eq!(result.route.wirelength(), 15); // HPWL-tight L path
@@ -280,26 +277,14 @@ pub struct PatternDp<'g> {
 }
 
 impl<'g> PatternDp<'g> {
-    /// Creates a DP engine over the given grid state, building an owned
-    /// prefix-sum cost cache of the *current* congestion. The snapshot is
-    /// not refreshed: construct after any demand/history mutation whose
-    /// effect the DP should see (or use [`PatternDp::with_prober`] with an
-    /// incrementally refreshed cache).
-    pub fn new(graph: &'g GridGraph, mode: PatternMode) -> Self {
-        Self {
-            graph,
-            mode,
-            costs: CostSource::Owned(Box::new(CostProber::build(graph))),
-        }
-    }
-
     /// Creates a DP engine reading costs from a caller-managed prober
-    /// (built/refreshed against the same `graph`).
+    /// (built/refreshed against the same `graph`; the DP sees the
+    /// congestion of the prober's last build or refresh).
     pub fn with_prober(graph: &'g GridGraph, mode: PatternMode, prober: &'g CostProber) -> Self {
         Self {
             graph,
             mode,
-            costs: CostSource::Borrowed(prober),
+            costs: CostSource::Prober(prober),
         }
     }
 
@@ -324,8 +309,7 @@ impl<'g> PatternDp<'g> {
     #[inline]
     fn run_cost(&self, l: u8, a: Point2, b: Point2) -> f64 {
         match &self.costs {
-            CostSource::Owned(p) => p.wire_run_cost(l, a, b),
-            CostSource::Borrowed(p) => p.wire_run_cost(l, a, b),
+            CostSource::Prober(p) => p.wire_run_cost(l, a, b),
             CostSource::Direct => self.graph.wire_run_cost(l, a, b),
         }
     }
@@ -336,8 +320,7 @@ impl<'g> PatternDp<'g> {
     /// [`CostProber::via_prefix_into`]).
     fn via_prefix_into(&self, p: Point2, out: &mut Vec<f64>) {
         match &self.costs {
-            CostSource::Owned(pr) => pr.via_prefix_into(p, out),
-            CostSource::Borrowed(pr) => pr.via_prefix_into(p, out),
+            CostSource::Prober(pr) => pr.via_prefix_into(p, out),
             CostSource::Direct => {
                 out.clear();
                 out.extend(
@@ -363,7 +346,7 @@ impl<'g> PatternDp<'g> {
     fn gather_depth(&self, span: usize) -> usize {
         match &self.costs {
             CostSource::Direct => span,
-            _ => 0,
+            CostSource::Prober(_) => 0,
         }
     }
 
@@ -913,7 +896,10 @@ mod tests {
 
     fn route_with(g: &GridGraph, mode: PatternMode, points: &[(u16, u16)]) -> NetDpResult {
         let tree = SteinerBuilder::new().build(&net_of(points));
-        PatternDp::new(g, mode).route_net(&tree).expect("routable")
+        let prober = CostProber::build(g);
+        PatternDp::with_prober(g, mode, &prober)
+            .route_net(&tree)
+            .expect("routable")
     }
 
     #[test]
@@ -1069,7 +1055,7 @@ mod tests {
             PatternMode::Hybrid(SelectionThresholds::new(2, 100)),
         ] {
             let tree = SteinerBuilder::new().build(&net_of(&pts));
-            let probed = PatternDp::new(&g, mode).route_net(&tree).expect("routable");
+            let probed = route_with(&g, mode, &pts);
             let direct = PatternDp::direct(&g, mode)
                 .route_net(&tree)
                 .expect("routable");
@@ -1090,7 +1076,8 @@ mod tests {
             let tree = SteinerBuilder::new().build(&net_of(&[(1, 1), (1 + s, 1 + s)]));
             dp.route_net(&tree).expect("routable").profile.work() as f64
         };
-        let probed = PatternDp::new(&g, PatternMode::HybridAll);
+        let prober = CostProber::build(&g);
+        let probed = PatternDp::with_prober(&g, PatternMode::HybridAll, &prober);
         let direct = PatternDp::direct(&g, PatternMode::HybridAll);
         let probed_ratio = work(&probed, 32) / work(&probed, 4);
         let direct_ratio = work(&direct, 32) / work(&direct, 4);
@@ -1141,7 +1128,8 @@ mod tests {
             PatternMode::HybridAll,
             PatternMode::ZShape,
         ] {
-            let dp = PatternDp::new(&g, mode);
+            let prober = CostProber::build(&g);
+            let dp = PatternDp::with_prober(&g, mode, &prober);
             for pts in &netlists {
                 let tree = SteinerBuilder::new().build(&net_of(pts));
                 let shared = dp
@@ -1170,8 +1158,7 @@ mod tests {
                 PatternMode::Hybrid(SelectionThresholds::new(5, 18)),
             ][mode_pick];
             let pts: Vec<(u16, u16)> = pts.into_iter().collect();
-            let tree = SteinerBuilder::new().build(&net_of(&pts));
-            let r = PatternDp::new(&g, mode).route_net(&tree).expect("routable");
+            let r = route_with(&g, mode, &pts);
             prop_assert!(r.route.is_connected());
             // DP cost upper-bounds the normalised geometry cost (modulo
             // Q44.20 quantisation slack).
@@ -1183,9 +1170,9 @@ mod tests {
             ax in 0u16..24, ay in 0u16..24, bx in 0u16..24, by in 0u16..24
         ) {
             let g = graph(24, 24, 6);
-            let tree = SteinerBuilder::new().build(&net_of(&[(ax, ay), (bx, by)]));
-            let l = PatternDp::new(&g, PatternMode::LShape).route_net(&tree).expect("ok");
-            let h = PatternDp::new(&g, PatternMode::HybridAll).route_net(&tree).expect("ok");
+            let pts = [(ax, ay), (bx, by)];
+            let l = route_with(&g, PatternMode::LShape, &pts);
+            let h = route_with(&g, PatternMode::HybridAll, &pts);
             // The hybrid candidate set is a superset of the L set.
             prop_assert!(h.cost <= l.cost + 1e-9);
         }

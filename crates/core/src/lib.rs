@@ -40,11 +40,11 @@ mod router;
 mod rrr;
 mod selection;
 
-pub use analysis::{estimate_congestion, rudy_map, CongestionEstimate};
+pub use analysis::rudy_map;
 pub use dp::{DpScratch, DpSummary, NetDpResult, PatternDp, PatternMode};
 pub use error::RouteError;
 pub use guides::{GuideBox, RouteGuides};
-pub use metrics::{LayerUsage, QualityMetrics};
+pub use metrics::QualityMetrics;
 pub use ordering::SortingScheme;
 pub use pattern::{PatternEngine, PatternOutcome, PatternStage};
 pub use router::{Router, RouterConfig, RoutingOutcome};

@@ -48,92 +48,6 @@ impl fmt::Display for QualityMetrics {
     }
 }
 
-/// Per-layer usage breakdown of a routing solution.
-///
-/// # Example
-///
-/// ```
-/// use fastgr_core::LayerUsage;
-/// use fastgr_grid::{Point2, Route, Segment, Via};
-///
-/// let mut r = Route::new();
-/// r.push_segment(Segment::new(1, Point2::new(0, 0), Point2::new(4, 0)));
-/// r.push_via(Via::new(Point2::new(4, 0), 1, 3));
-/// let usage = LayerUsage::from_routes(5, std::slice::from_ref(&r));
-/// assert_eq!(usage.wirelength(1), 4);
-/// assert_eq!(usage.vias_from(1), 1); // hop M1 -> M2
-/// assert_eq!(usage.vias_from(2), 1); // hop M2 -> M3
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LayerUsage {
-    wirelength: Vec<u64>,
-    vias: Vec<u64>,
-}
-
-impl LayerUsage {
-    /// Computes the per-layer breakdown of `routes` on a grid with
-    /// `layers` metal layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a route references a layer `>= layers`.
-    pub fn from_routes(layers: u8, routes: &[fastgr_grid::Route]) -> Self {
-        let mut wirelength = vec![0u64; layers as usize];
-        let mut vias = vec![0u64; layers as usize];
-        for route in routes {
-            for s in route.segments() {
-                wirelength[s.layer as usize] += s.length() as u64;
-            }
-            for v in route.vias() {
-                for hop in v.lo..v.hi {
-                    vias[hop as usize] += 1;
-                }
-            }
-        }
-        Self { wirelength, vias }
-    }
-
-    /// Wirelength routed on layer `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    pub fn wirelength(&self, l: u8) -> u64 {
-        self.wirelength[l as usize]
-    }
-
-    /// Vias crossing the boundary from layer `l` to `l + 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    pub fn vias_from(&self, l: u8) -> u64 {
-        self.vias[l as usize]
-    }
-
-    /// Total wirelength across layers.
-    pub fn total_wirelength(&self) -> u64 {
-        self.wirelength.iter().sum()
-    }
-
-    /// Total vias across boundaries.
-    pub fn total_vias(&self) -> u64 {
-        self.vias.iter().sum()
-    }
-}
-
-impl fmt::Display for LayerUsage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (l, wl) in self.wirelength.iter().enumerate() {
-            if l > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "M{l}: {wl}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,26 +87,6 @@ mod tests {
         assert_eq!(more_wl.score() - base.score(), 1.0);
         assert_eq!(more_vias.score() - base.score(), 4.0);
         assert_eq!(more_shorts.score() - base.score(), 500.0);
-    }
-
-    #[test]
-    fn layer_usage_totals_match_route_metrics() {
-        use fastgr_grid::{Point2, Route, Segment, Via};
-        let mut a = Route::new();
-        a.push_segment(Segment::new(1, Point2::new(0, 0), Point2::new(3, 0)));
-        a.push_via(Via::new(Point2::new(3, 0), 0, 2));
-        let mut b = Route::new();
-        b.push_segment(Segment::new(2, Point2::new(3, 0), Point2::new(3, 5)));
-        let routes = vec![a.clone(), b.clone()];
-        let usage = LayerUsage::from_routes(4, &routes);
-        assert_eq!(usage.total_wirelength(), a.wirelength() + b.wirelength());
-        assert_eq!(usage.total_vias(), a.via_count() + b.via_count());
-        assert_eq!(usage.wirelength(1), 3);
-        assert_eq!(usage.wirelength(2), 5);
-        assert_eq!(usage.vias_from(0), 1);
-        assert_eq!(usage.vias_from(1), 1);
-        assert_eq!(usage.vias_from(3), 0);
-        assert!(usage.to_string().contains("M1: 3"));
     }
 
     #[test]

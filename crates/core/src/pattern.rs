@@ -8,12 +8,14 @@
 //!
 //! Parallel execution is deterministic by construction: every concurrent
 //! phase (Steiner planning, block execution) writes to index-disjoint
-//! slots ([`fastgr_gpu::SyncSlots`]) that are read back in index order, so
+//! write-once cells (`std::sync::OnceLock`) that are read back in index order, so
 //! the routed geometry — and the modelled device time — are byte-identical
 //! for every worker count.
 
+use std::sync::OnceLock;
+
 use fastgr_design::Design;
-use fastgr_gpu::{BlockProfile, Device, DeviceConfig, HostPool, SyncSlots};
+use fastgr_gpu::{BlockProfile, Device, DeviceConfig, HostPool};
 use fastgr_grid::{CostProber, GridGraph, Rect, Route};
 use fastgr_steiner::{RouteTree, SteinerBuilder};
 use fastgr_taskgraph::{extract_batches, ConflictGraph};
@@ -212,7 +214,8 @@ impl PatternStage {
             // route and probe count into its own index-disjoint slot.
             // Demand commits after the group in group order (the group is
             // conflict-free, so order within it is moot).
-            let slots = SyncSlots::new(group.len());
+            let slots: Vec<OnceLock<(Route, u64)>> =
+                group.iter().map(|_| OnceLock::new()).collect();
             {
                 let dp = match prober.as_ref() {
                     Some(p) => PatternDp::with_prober(graph, self.mode, p),
@@ -220,7 +223,7 @@ impl PatternStage {
                 };
                 let route_block = |b: usize| match dp.route_net(&trees[group[b] as usize]) {
                     Some(result) => {
-                        slots.set(b, (result.route, result.probes));
+                        let _ = slots[b].set((result.route, result.probes));
                         result.profile
                     }
                     None => BlockProfile::new(1, 1),
@@ -234,8 +237,10 @@ impl PatternStage {
                     }),
                 }
             }
-            for (&net, slot) in group.iter().zip(slots.into_vec()) {
-                let (route, probes) = slot.ok_or(RouteError::NoFinitePattern { net })?;
+            for (&net, slot) in group.iter().zip(slots) {
+                let (route, probes) = slot
+                    .into_inner()
+                    .ok_or(RouteError::NoFinitePattern { net })?;
                 graph.commit(&route)?;
                 routes[net as usize] = route;
                 cost_probes += probes;

@@ -239,6 +239,7 @@ impl Router {
 mod tests {
     use super::*;
     use fastgr_design::{Generator, GeneratorParams};
+    use fastgr_telemetry::{TRACK_DEVICE, TRACK_WORKER_BASE};
 
     fn congested_design() -> Design {
         Generator::new(GeneratorParams {
@@ -381,6 +382,35 @@ mod tests {
         assert_eq!(samples, trace.nets_ripped().len());
         // Executor task events were recorded (task-graph strategy).
         assert!(trace.events().iter().any(|e| e.cat == "task"));
+        // One balanced `block` begin/end pair per pattern block, named
+        // `pattern.block{b}` and placed on worker tracks.
+        let blocks: Vec<_> = trace.events().iter().filter(|e| e.cat == "block").collect();
+        let marks = |begin: bool| {
+            let mut marks: Vec<(&str, u32)> = blocks
+                .iter()
+                .filter(|e| e.begin == begin)
+                .map(|e| (e.name.as_str(), e.track))
+                .collect();
+            marks.sort_unstable();
+            marks
+        };
+        let begins = marks(true);
+        assert_eq!(begins, marks(false), "unbalanced block events");
+        let total_blocks: usize = trace.kernels().iter().map(|k| k.blocks).sum();
+        assert!(total_blocks > 0);
+        assert_eq!(begins.len(), total_blocks);
+        let mut names: Vec<&str> = begins.iter().map(|&(name, _)| name).collect();
+        names.sort_unstable();
+        let mut expected: Vec<String> = trace
+            .kernels()
+            .iter()
+            .flat_map(|k| (0..k.blocks).map(|b| format!("pattern.block{b}")))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(names, expected);
+        assert!(begins
+            .iter()
+            .all(|&(_, track)| (TRACK_WORKER_BASE..TRACK_DEVICE).contains(&track)));
     }
 
     #[test]

@@ -34,8 +34,8 @@ use fastgr_design::Design;
 use fastgr_gpu::HostPool;
 use fastgr_grid::{GridGraph, Point2, Rect, Route};
 use fastgr_maze::{MazeConfig, MazeError, MazeRouter, MazeScratch, MazeStats};
-use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, HookPair, Schedule, TraceHooks};
-use fastgr_telemetry::{Recorder, Stopwatch};
+use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, Schedule};
+use fastgr_telemetry::{Recorder, Stopwatch, TraceHooks};
 
 use crate::error::RouteError;
 use crate::ordering::SortingScheme;
@@ -62,9 +62,12 @@ pub struct RrrOutcome {
     /// Total wire edges whose demand changed, summed over iterations (the
     /// size of the incremental overflow recheck's work set).
     pub dirty_edges: u64,
-    /// Route rescans skipped by the incremental overflow detector, summed
-    /// over iterations (each one a full `route_has_overflow` walk the old
-    /// `O(nets x route-length)` scan would have paid).
+    /// Routes whose cached overflow flag the incremental overflow detector
+    /// kept, summed over iterations: each skipped a `route_has_overflow`
+    /// call. This is not a saved route walk — `route_touches_dirty` walks
+    /// every unit edge of every clean route to decide, so the detector
+    /// still walks each route once per iteration; it only trades the
+    /// overflow test per edge for a dirty-bit test.
     pub rescans_avoided: u64,
     /// Maze search work summed over every task of every iteration,
     /// widened retries included.
@@ -136,7 +139,7 @@ struct RrrScratch {
 
 /// Locks a task slot. A task that panics is re-raised by the executor and
 /// aborts the stage, so a poisoned slot is recovered rather than
-/// propagated (as `fastgr_gpu::SyncSlots` does).
+/// propagated.
 fn lock(slot: &Mutex<TaskSlot>) -> MutexGuard<'_, TaskSlot> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -291,38 +294,28 @@ impl RrrStage {
                         fastgr_analysis::validate_schedule(&schedule, &conflicts)
                             .assert_clean("rrr task-graph schedule");
                     }
-                    {
-                        // Execute with the host pool's worker count
-                        // (`FASTGR_WORKERS`, else the machine's cores):
-                        // oversubscription would inflate the per-task costs
-                        // the parallel-time model consumes, and
-                        // `workers` parameterises the *model* only.
-                        let threads = HostPool::resolve(0).min(workers);
-                        let shared: &GridGraph = graph;
-                        let hooks = TraceHooks::new(recorder.clone());
-                        if self.validate {
-                            // Race checking and telemetry compose: both
-                            // observe the same execution through one hook
-                            // pair.
-                            let pair = HookPair::new(
-                                fastgr_analysis::RaceChecker::new(schedule.task_count()),
-                                hooks,
-                            );
-                            Executor::new(threads).run_with_hooks(
-                                &schedule,
-                                |task| run_task(shared, task, &router),
-                                &pair,
-                            );
-                            pair.first
-                                .report(&conflicts)
-                                .assert_clean("rrr task-graph execution");
-                        } else {
-                            Executor::new(threads).run_with_hooks(
-                                &schedule,
-                                |task| run_task(shared, task, &router),
-                                &hooks,
-                            );
-                        }
+                    // Execute with the host pool's worker count
+                    // (`FASTGR_WORKERS`, else the machine's cores):
+                    // oversubscription would inflate the per-task costs the
+                    // parallel-time model consumes, and `workers`
+                    // parameterises the *model* only. Race checking (when
+                    // validating) and telemetry observe the same execution.
+                    let threads = HostPool::resolve(0).min(workers);
+                    let shared: &GridGraph = graph;
+                    let hooks = (
+                        self.validate
+                            .then(|| fastgr_analysis::RaceChecker::new(schedule.task_count())),
+                        TraceHooks::new(recorder, "task", "task"),
+                    );
+                    Executor::new(threads).run(
+                        &schedule,
+                        |task| run_task(shared, task, &router),
+                        &hooks,
+                    );
+                    if let Some(checker) = &hooks.0 {
+                        checker
+                            .report(&conflicts)
+                            .assert_clean("rrr task-graph execution");
                     }
                     let costs: Vec<f64> = slots.iter().map(|s| lock(s).seconds).collect();
                     schedule.simulate_workers(&costs, workers)

@@ -67,7 +67,8 @@ fn route_net_into_is_allocation_free_in_steady_state() {
         PatternMode::ZShape,
         PatternMode::HybridAll,
     ] {
-        let dp = PatternDp::new(&graph, mode);
+        let prober = CostProber::build(&graph);
+        let dp = PatternDp::with_prober(&graph, mode, &prober);
         let mut scratch = DpScratch::new();
         let mut route = Route::new();
 

@@ -1,8 +1,10 @@
 //! The simulated device and its calibrated performance model.
 
-use fastgr_telemetry::{Recorder, Stopwatch, TRACK_WORKER_BASE};
+use std::sync::OnceLock;
 
-use crate::pool::{BlockEventTap, HostPool, SyncSlots};
+use fastgr_telemetry::{Recorder, Stopwatch, TraceHooks};
+
+use crate::pool::HostPool;
 
 /// Static configuration of the simulated device.
 ///
@@ -98,22 +100,6 @@ impl BlockProfile {
     }
 }
 
-/// Statistics of one kernel launch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelStats {
-    /// Kernel name (for reporting).
-    pub name: String,
-    /// Number of blocks launched.
-    pub blocks: usize,
-    /// Modelled device time in seconds.
-    pub modeled_seconds: f64,
-    /// Wall-clock host time spent executing the blocks, in seconds.
-    /// Unlike `modeled_seconds` this depends on host load and worker
-    /// count; it is reported for speedup measurements, never fed back
-    /// into the performance model.
-    pub host_seconds: f64,
-}
-
 /// The simulated CUDA-like device.
 ///
 /// Executes kernels block by block on a host worker pool while charging
@@ -146,11 +132,6 @@ impl Device {
         self.recorder = recorder;
     }
 
-    /// Resolved number of host worker threads.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
     /// Launches a kernel of `blocks` blocks. `run_block` is invoked once
     /// per block on the host worker pool — blocks must therefore be
     /// mutually independent, exactly as real CUDA blocks of one kernel are
@@ -163,54 +144,43 @@ impl Device {
     /// block_time = flow_depth * ceil(threads / threads_per_block) * stage_seconds
     /// ```
     ///
-    /// Per-block times are reduced in block-index order, so
-    /// `modeled_seconds` is byte-identical for every host worker count.
-    /// With one worker, blocks run serially in index order on the calling
-    /// thread. A zero-block launch costs only the launch overhead.
-    pub fn launch<F>(&mut self, name: &str, blocks: usize, run_block: F) -> KernelStats
+    /// Per-block times are reduced in block-index order, so the modelled
+    /// seconds (the return value) are byte-identical for every host worker
+    /// count. With one worker, blocks run serially in index order on the
+    /// calling thread. A zero-block launch costs only the launch overhead.
+    ///
+    /// Every launch reports one kernel event to the recorder, and each
+    /// block a `{name}.block{b}` begin/end pair in category `block` on the
+    /// executing worker's track (formatted only when the recorder is
+    /// enabled).
+    pub fn launch<F>(&mut self, name: &str, blocks: usize, run_block: F) -> f64
     where
         F: Fn(usize) -> BlockProfile + Sync,
     {
         let host_start = Stopwatch::start();
         let threads_per_block = self.config.threads_per_block;
         let stage_seconds = self.config.stage_seconds;
-        let time_of = |b: usize| {
-            let profile = run_block(b);
-            let waves = profile.threads.div_ceil(threads_per_block).max(1);
-            profile.flow_depth as f64 * waves as f64 * stage_seconds
-        };
-        // Index-ordered per-block times; `HostPool::map` is serial and
-        // in-order for one worker, parallel (but still index-addressed)
-        // otherwise. With an enabled recorder the tapped path additionally
-        // reports per-block begin/end events from the executing workers;
-        // either way the times land in index-addressed slots, so the
-        // modelled result never depends on thread interleaving.
-        let block_times = if self.recorder.is_enabled() {
-            let tap = RecorderTap {
-                recorder: &self.recorder,
-                kernel: name,
-            };
-            let slots = SyncSlots::new(blocks);
-            self.pool.for_each_tapped(
-                blocks,
-                |b| {
-                    slots.set(b, time_of(b));
-                },
-                &tap,
-            );
-            slots
-                .into_vec()
-                .into_iter()
-                .map(|v| v.expect("every index produced a value"))
-                .collect()
-        } else {
-            self.pool.map(blocks, time_of)
-        };
-        // One reduction in index order, shared by the serial and parallel
-        // paths: the floating-point result cannot depend on worker count.
+        let prefix = format!("{name}.block");
+        let hooks = TraceHooks::new(&self.recorder, &prefix, "block");
+        // Index-addressed per-block times: the modelled result never
+        // depends on thread interleaving.
+        let block_times: Vec<OnceLock<f64>> = (0..blocks).map(|_| OnceLock::new()).collect();
+        self.pool.for_each_tapped(
+            blocks,
+            |b| {
+                let profile = run_block(b);
+                let waves = profile.threads.div_ceil(threads_per_block).max(1);
+                let _ =
+                    block_times[b].set(profile.flow_depth as f64 * waves as f64 * stage_seconds);
+            },
+            &hooks,
+        );
+        // One reduction in index order (every block ran exactly once, so
+        // every cell is set): the floating-point result cannot depend on
+        // worker count.
         let mut max_block_time = 0.0f64;
         let mut total_block_time = 0.0f64;
-        for &block_time in &block_times {
+        for &block_time in block_times.iter().filter_map(OnceLock::get) {
             total_block_time += block_time;
             if block_time > max_block_time {
                 max_block_time = block_time;
@@ -220,43 +190,7 @@ impl Device {
             + max_block_time.max(total_block_time / self.config.sm_count as f64);
         let host_seconds = host_start.elapsed_seconds();
         self.recorder.kernel(name, blocks, modeled_seconds, host_seconds);
-        KernelStats {
-            name: name.to_owned(),
-            blocks,
-            modeled_seconds,
-            host_seconds,
-        }
-    }
-}
-
-impl Default for Device {
-    fn default() -> Self {
-        Self::new(DeviceConfig::default())
-    }
-}
-
-/// Bridges the pool's [`BlockEventTap`] into the telemetry recorder:
-/// block begin/end markers land on the executing worker's track.
-struct RecorderTap<'a> {
-    recorder: &'a Recorder,
-    kernel: &'a str,
-}
-
-impl BlockEventTap for RecorderTap<'_> {
-    fn on_block_start(&self, block: usize, worker: usize) {
-        self.recorder.begin(
-            &format!("{}.block{block}", self.kernel),
-            "block",
-            TRACK_WORKER_BASE + worker as u32,
-        );
-    }
-
-    fn on_block_end(&self, block: usize, worker: usize) {
-        self.recorder.end(
-            &format!("{}.block{block}", self.kernel),
-            "block",
-            TRACK_WORKER_BASE + worker as u32,
-        );
+        modeled_seconds
     }
 }
 
@@ -279,34 +213,22 @@ mod tests {
         // Serial device.
         let mut d = Device::new(DeviceConfig::tiny());
         let s = d.launch("noop", 0, |_| BlockProfile::new(1, 1));
-        assert_eq!(
-            s.modeled_seconds,
-            DeviceConfig::tiny().launch_overhead_seconds
-        );
+        assert_eq!(s, DeviceConfig::tiny().launch_overhead_seconds);
         // Parallel device: same contract regardless of worker count.
         let mut d = Device::new(DeviceConfig {
             host_workers: 4,
             ..DeviceConfig::tiny()
         });
-        assert_eq!(d.workers(), 4);
         let s = d.launch("noop", 0, |_| BlockProfile::new(1, 1));
-        assert_eq!(
-            s.modeled_seconds,
-            DeviceConfig::tiny().launch_overhead_seconds
-        );
-        assert!(s.host_seconds >= 0.0);
+        assert_eq!(s, DeviceConfig::tiny().launch_overhead_seconds);
     }
 
     #[test]
     fn time_scales_with_block_rounds() {
         let cfg = DeviceConfig::tiny(); // 2 SMs
         let mut d = Device::new(cfg);
-        let one = d
-            .launch("k", 2, |_| BlockProfile::new(1, 3))
-            .modeled_seconds;
-        let two = d
-            .launch("k", 4, |_| BlockProfile::new(1, 3))
-            .modeled_seconds;
+        let one = d.launch("k", 2, |_| BlockProfile::new(1, 3));
+        let two = d.launch("k", 4, |_| BlockProfile::new(1, 3));
         let body = |launch: f64| launch - cfg.launch_overhead_seconds;
         assert!((body(two) - 2.0 * body(one)).abs() < 1e-12);
     }
@@ -315,12 +237,8 @@ mod tests {
     fn wide_blocks_pay_thread_waves() {
         let cfg = DeviceConfig::tiny(); // 4 threads per block
         let mut d = Device::new(cfg);
-        let narrow = d
-            .launch("k", 1, |_| BlockProfile::new(4, 2))
-            .modeled_seconds;
-        let wide = d
-            .launch("k", 1, |_| BlockProfile::new(8, 2))
-            .modeled_seconds;
+        let narrow = d.launch("k", 1, |_| BlockProfile::new(4, 2));
+        let wide = d.launch("k", 1, |_| BlockProfile::new(8, 2));
         let body = |t: f64| t - cfg.launch_overhead_seconds;
         assert!((body(wide) - 2.0 * body(narrow)).abs() < 1e-12);
     }
@@ -330,7 +248,7 @@ mod tests {
         let cfg = DeviceConfig::tiny();
         let mut d = Device::new(cfg);
         let s = d.launch("k", 2, |b| BlockProfile::new(1, if b == 0 { 1 } else { 10 }));
-        let body = s.modeled_seconds - cfg.launch_overhead_seconds;
+        let body = s - cfg.launch_overhead_seconds;
         assert!((body - 10.0 * cfg.stage_seconds).abs() < 1e-12);
     }
 
@@ -340,7 +258,7 @@ mod tests {
         let cfg = DeviceConfig::tiny();
         let mut d = Device::new(cfg);
         let s = d.launch("k", 10, |_| BlockProfile::new(1, 4));
-        let body = s.modeled_seconds - cfg.launch_overhead_seconds;
+        let body = s - cfg.launch_overhead_seconds;
         let per_block = 4.0 * cfg.stage_seconds;
         assert!((body - 10.0 * per_block / 2.0).abs() < 1e-12);
     }
@@ -352,7 +270,7 @@ mod tests {
         let cfg = DeviceConfig::tiny();
         let mut d = Device::new(cfg);
         let s = d.launch("k", 3, |b| BlockProfile::new(1, if b == 0 { 100 } else { 1 }));
-        let body = s.modeled_seconds - cfg.launch_overhead_seconds;
+        let body = s - cfg.launch_overhead_seconds;
         assert!(body >= 100.0 * cfg.stage_seconds - 1e-12);
     }
 
@@ -368,7 +286,6 @@ mod tests {
         // tiny() pins host_workers to 1, so blocks execute serially in
         // index order on the calling thread.
         let mut d = Device::new(DeviceConfig::tiny());
-        assert_eq!(d.workers(), 1);
         let seen = Mutex::new(Vec::new());
         d.launch("k", 4, |b| {
             seen.lock().unwrap().push(b);
@@ -399,13 +316,13 @@ mod tests {
             ..DeviceConfig::tiny()
         });
         d.set_recorder(recorder.clone());
-        let stats = d.launch("pattern", 5, |_| BlockProfile::new(1, 2));
+        let modeled_seconds = d.launch("pattern", 5, |_| BlockProfile::new(1, 2));
         let trace = recorder.take_trace();
         assert_eq!(trace.kernels().len(), 1);
         let k = &trace.kernels()[0];
         assert_eq!(k.name, "pattern");
         assert_eq!(k.blocks, 5);
-        assert_eq!(k.modeled_seconds, stats.modeled_seconds);
+        assert_eq!(k.modeled_seconds, modeled_seconds);
         // One begin + one end per block, balanced per track.
         let begins = trace.events().iter().filter(|e| e.begin).count();
         let ends = trace.events().iter().filter(|e| !e.begin).count();
@@ -430,8 +347,8 @@ mod tests {
             ..DeviceConfig::tiny()
         });
         traced.set_recorder(Recorder::enabled());
-        let a = plain.launch("k", 97, profile).modeled_seconds;
-        let b = traced.launch("k", 97, profile).modeled_seconds;
+        let a = plain.launch("k", 97, profile);
+        let b = traced.launch("k", 97, profile);
         assert_eq!(a.to_bits(), b.to_bits());
     }
 
@@ -448,8 +365,8 @@ mod tests {
             host_workers: 8,
             ..DeviceConfig::tiny()
         });
-        let a = serial.launch("k", 257, profile).modeled_seconds;
-        let b = parallel.launch("k", 257, profile).modeled_seconds;
+        let a = serial.launch("k", 257, profile);
+        let b = parallel.launch("k", 257, profile);
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }

@@ -19,100 +19,9 @@
 //! debugging.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
-/// Begin/end observation tap on block dispatch, called from the worker
-/// threads.
-///
-/// The pool reports which worker executed which block and when (in each
-/// worker's program order), so an external checker — e.g. the
-/// happens-before race checker in `fastgr-analysis` — can verify that
-/// blocks of one launch really were mutually independent (conflicting
-/// blocks must never overlap in time). All methods default to no-ops.
-pub trait BlockEventTap: Sync {
-    /// Block `block` is about to run on worker thread `worker`.
-    fn on_block_start(&self, block: usize, worker: usize) {
-        let _ = (block, worker);
-    }
-
-    /// Block `block` finished running on worker thread `worker`.
-    fn on_block_end(&self, block: usize, worker: usize) {
-        let _ = (block, worker);
-    }
-}
-
-/// The default no-op tap (zero observation overhead).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoTap;
-
-impl BlockEventTap for NoTap {}
-
-/// Write-once, index-disjoint result cells shared across worker threads.
-///
-/// Each parallel task owns exactly one index, so a write is an
-/// uncontended per-cell lock (a plain `OnceLock` would demand `T: Sync`;
-/// these cells only need `T: Send`, matching what `Fn(usize) -> T`
-/// mapping actually requires). First write to a cell wins. Reading the
-/// results back consumes the slots.
-///
-/// # Example
-///
-/// ```
-/// use fastgr_gpu::pool::{HostPool, SyncSlots};
-///
-/// let slots = SyncSlots::new(4);
-/// HostPool::new(2).for_each(4, |i| {
-///     slots.set(i, i * 10);
-/// });
-/// let values = slots.into_vec();
-/// assert_eq!(values, vec![Some(0), Some(10), Some(20), Some(30)]);
-/// ```
-#[derive(Debug)]
-pub struct SyncSlots<T> {
-    cells: Vec<Mutex<Option<T>>>,
-}
-
-impl<T> SyncSlots<T> {
-    /// Creates `n` empty cells.
-    pub fn new(n: usize) -> Self {
-        let mut cells = Vec::with_capacity(n);
-        cells.resize_with(n, || Mutex::new(None));
-        Self { cells }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether there are no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Sets cell `i` (first write wins). Returns whether the write landed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set(&self, i: usize, value: T) -> bool {
-        let mut cell = self.cells[i].lock().unwrap_or_else(|e| e.into_inner());
-        if cell.is_some() {
-            false
-        } else {
-            *cell = Some(value);
-            true
-        }
-    }
-
-    /// Consumes the slots, returning each cell's value in index order.
-    pub fn into_vec(self) -> Vec<Option<T>> {
-        self.cells
-            .into_iter()
-            .map(|c| c.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect()
-    }
-}
+use fastgr_telemetry::WorkerHooks;
 
 /// A pool of host worker threads executing index-parallel work.
 ///
@@ -170,22 +79,22 @@ impl HostPool {
     where
         F: Fn(usize) + Sync,
     {
-        self.for_each_tapped(n, f, &NoTap);
+        self.for_each_tapped(n, f, &());
     }
 
-    /// [`HostPool::for_each`] with a begin/end [`BlockEventTap`] around
-    /// every block — see the trait docs for the event contract. On the
-    /// serial path all events come from worker 0 in index order.
-    pub fn for_each_tapped<F, T>(&self, n: usize, f: F, tap: &T)
+    /// [`HostPool::for_each`] reporting a start and a finish
+    /// [`WorkerHooks`] event around every block (a launch has no handoffs).
+    /// On the serial path all events come from worker 0 in index order.
+    pub fn for_each_tapped<F, H>(&self, n: usize, f: F, hooks: &H)
     where
         F: Fn(usize) + Sync,
-        T: BlockEventTap,
+        H: WorkerHooks,
     {
         if self.workers == 1 || n <= 1 {
             for i in 0..n {
-                tap.on_block_start(i, 0);
+                hooks.on_start(i, 0);
                 f(i);
-                tap.on_block_end(i, 0);
+                hooks.on_finish(i, 0);
             }
             return;
         }
@@ -204,9 +113,9 @@ impl HostPool {
                         break;
                     }
                     for i in start..(start + chunk).min(n) {
-                        tap.on_block_start(i, worker);
+                        hooks.on_start(i, worker);
                         f(i);
-                        tap.on_block_end(i, worker);
+                        hooks.on_finish(i, worker);
                     }
                 });
             }
@@ -218,27 +127,20 @@ impl HostPool {
     /// interleaving.
     pub fn map<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
-        R: Send,
+        R: Send + Sync,
         F: Fn(usize) -> R + Sync,
     {
         if self.workers == 1 || n <= 1 {
             return (0..n).map(f).collect();
         }
-        let slots = SyncSlots::new(n);
+        let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
         self.for_each(n, |i| {
-            slots.set(i, f(i));
+            let _ = slots[i].set(f(i));
         });
         slots
-            .into_vec()
             .into_iter()
-            .map(|v| v.expect("every index produced a value"))
+            .map(|v| v.into_inner().expect("every index produced a value"))
             .collect()
-    }
-}
-
-impl Default for HostPool {
-    fn default() -> Self {
-        Self::resolved(0)
     }
 }
 
@@ -289,26 +191,16 @@ mod tests {
     }
 
     #[test]
-    fn sync_slots_first_write_wins() {
-        let slots = SyncSlots::new(2);
-        assert!(slots.set(0, 1));
-        assert!(!slots.set(0, 2));
-        assert_eq!(slots.len(), 2);
-        assert!(!slots.is_empty());
-        assert_eq!(slots.into_vec(), vec![Some(1), None]);
-    }
-
-    #[test]
     fn tap_sees_balanced_start_end_events_for_every_block() {
         struct Counter {
             starts: Vec<AtomicUsize>,
             ends: Vec<AtomicUsize>,
         }
-        impl BlockEventTap for Counter {
-            fn on_block_start(&self, block: usize, _worker: usize) {
+        impl WorkerHooks for Counter {
+            fn on_start(&self, block: usize, _worker: usize) {
                 self.starts[block].fetch_add(1, Ordering::Relaxed);
             }
-            fn on_block_end(&self, block: usize, _worker: usize) {
+            fn on_finish(&self, block: usize, _worker: usize) {
                 // An end must follow its start.
                 assert_eq!(self.starts[block].load(Ordering::Relaxed), 1);
                 self.ends[block].fetch_add(1, Ordering::Relaxed);

@@ -6,152 +6,13 @@
 //! on top of a mutex-guarded ready queue with atomic dependency counters.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use fastgr_telemetry::{Recorder, Stopwatch, TRACK_WORKER_BASE};
+use fastgr_telemetry::WorkerHooks;
 
 use crate::schedule::Schedule;
-
-/// Observation hooks for one executor run, called from the worker threads.
-///
-/// Implementations receive the executor's *actual* runtime events — not the
-/// static schedule — so an external checker (e.g. the happens-before race
-/// checker in `fastgr-analysis`) can verify that the synchronisation the
-/// executor really performed orders every pair of conflicting tasks. All
-/// methods default to no-ops; implementations must be cheap and must not
-/// call back into the executor.
-pub trait ExecutionHooks: Sync {
-    /// `task` is about to run on worker thread `worker`. Every event a
-    /// worker reports after this one happened after it in that worker's
-    /// program order.
-    fn on_task_start(&self, task: u32, worker: usize) {
-        let _ = (task, worker);
-    }
-
-    /// `task` finished running on worker thread `worker` (its `task_fn`
-    /// returned). Reported before any successor of `task` is released.
-    fn on_task_finish(&self, task: u32, worker: usize) {
-        let _ = (task, worker);
-    }
-
-    /// The completion of `pred` decremented the dependency counter of
-    /// `succ` — the executor's cross-thread synchronisation edge. `succ`
-    /// starts only after every one of its predecessors reported this edge.
-    fn on_handoff(&self, pred: u32, succ: u32) {
-        let _ = (pred, succ);
-    }
-}
-
-/// The default no-op hooks (zero observation overhead).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoHooks;
-
-impl ExecutionHooks for NoHooks {}
-
-/// [`ExecutionHooks`] that report into a telemetry [`Recorder`]: each
-/// task becomes a begin/end pair on the executing worker's track, and
-/// every dependency handoff bumps the `sched.handoffs` counter.
-///
-/// With a disabled recorder every callback is a no-op branch, so the
-/// hooks can be installed unconditionally.
-#[derive(Debug, Clone)]
-pub struct TraceHooks {
-    recorder: Recorder,
-}
-
-impl TraceHooks {
-    /// Hooks reporting into `recorder`.
-    pub fn new(recorder: Recorder) -> Self {
-        Self { recorder }
-    }
-}
-
-impl ExecutionHooks for TraceHooks {
-    fn on_task_start(&self, task: u32, worker: usize) {
-        if self.recorder.is_enabled() {
-            self.recorder.begin(
-                &format!("task{task}"),
-                "task",
-                TRACK_WORKER_BASE + worker as u32,
-            );
-        }
-    }
-
-    fn on_task_finish(&self, task: u32, worker: usize) {
-        if self.recorder.is_enabled() {
-            self.recorder.end(
-                &format!("task{task}"),
-                "task",
-                TRACK_WORKER_BASE + worker as u32,
-            );
-        }
-    }
-
-    fn on_handoff(&self, _pred: u32, _succ: u32) {
-        self.recorder.accumulate("sched.handoffs", 1.0);
-    }
-}
-
-/// Fans one run's events out to two independent [`ExecutionHooks`] (e.g.
-/// a race checker *and* telemetry [`TraceHooks`]). `first` receives every
-/// event before `second`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HookPair<A, B> {
-    /// Receives each event first.
-    pub first: A,
-    /// Receives each event second.
-    pub second: B,
-}
-
-impl<A, B> HookPair<A, B> {
-    /// Combines two hooks.
-    pub fn new(first: A, second: B) -> Self {
-        Self { first, second }
-    }
-}
-
-impl<A: ExecutionHooks, B: ExecutionHooks> ExecutionHooks for HookPair<A, B> {
-    fn on_task_start(&self, task: u32, worker: usize) {
-        self.first.on_task_start(task, worker);
-        self.second.on_task_start(task, worker);
-    }
-
-    fn on_task_finish(&self, task: u32, worker: usize) {
-        self.first.on_task_finish(task, worker);
-        self.second.on_task_finish(task, worker);
-    }
-
-    fn on_handoff(&self, pred: u32, succ: u32) {
-        self.first.on_handoff(pred, succ);
-        self.second.on_handoff(pred, succ);
-    }
-}
-
-/// Statistics from one executor run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecutorStats {
-    /// Number of tasks executed.
-    pub tasks: usize,
-    /// Wall-clock seconds of the whole run.
-    pub wall_seconds: f64,
-    /// Number of worker threads used.
-    pub workers: usize,
-}
-
-impl fmt::Display for ExecutorStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} tasks on {} workers in {:.3} ms",
-            self.tasks,
-            self.workers,
-            self.wall_seconds * 1e3
-        )
-    }
-}
 
 /// FIFO queue of ready task ids shared by the workers; `pop` blocks until a
 /// task is pushed. Task code never runs under the lock, so it cannot be
@@ -203,11 +64,14 @@ impl ReadyQueue {
 /// let conflicts = ConflictGraph::from_bounding_boxes(&boxes);
 /// let schedule = Schedule::build(&[0], &conflicts);
 /// let counter = AtomicUsize::new(0);
-/// let stats = Executor::new(4).run(&schedule, |_task| {
-///     counter.fetch_add(1, Ordering::Relaxed);
-/// });
+/// Executor::new(4).run(
+///     &schedule,
+///     |_task| {
+///         counter.fetch_add(1, Ordering::Relaxed);
+///     },
+///     &(),
+/// );
 /// assert_eq!(counter.into_inner(), 1);
-/// assert_eq!(stats.tasks, 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Executor {
@@ -222,54 +86,31 @@ impl Executor {
         }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Runs every task of `schedule`, calling `task_fn(task_id)` with all
-    /// dependencies already completed. Blocks until the whole graph has
-    /// executed.
+    /// dependencies already completed, and reports the run's start, finish
+    /// and handoff events to `hooks` (`&()` observes nothing). Blocks until
+    /// the whole graph has executed.
     ///
     /// `task_fn` runs concurrently from multiple threads; share state via
     /// interior mutability (the schedule guarantees conflicting tasks never
     /// overlap, so per-net state needs no locking — only globally shared
-    /// accumulators do).
+    /// accumulators do). Each handoff is reported before the successor's
+    /// dependency counter is decremented.
     ///
     /// # Panics
     ///
     /// If `task_fn` panics for some task, the run shuts down (remaining
     /// tasks are abandoned, in-flight tasks finish), all workers are
-    /// joined, and the first panic is re-raised on the calling thread —
-    /// a panicking task can never deadlock the pool.
-    pub fn run<F>(&self, schedule: &Schedule, task_fn: F) -> ExecutorStats
+    /// joined, and the first panic is re-raised on the calling thread — a
+    /// panicking task can never deadlock the pool.
+    pub fn run<F, H>(&self, schedule: &Schedule, task_fn: F, hooks: &H)
     where
         F: Fn(u32) + Sync,
-    {
-        self.run_with_hooks(schedule, task_fn, &NoHooks)
-    }
-
-    /// [`Executor::run`] with observation [`ExecutionHooks`] — see the
-    /// trait docs for the event contract. Used by the happens-before race
-    /// checker in `fastgr-analysis`.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from `task_fn` (and from the hooks) exactly like
-    /// [`Executor::run`].
-    pub fn run_with_hooks<F, H>(&self, schedule: &Schedule, task_fn: F, hooks: &H) -> ExecutorStats
-    where
-        F: Fn(u32) + Sync,
-        H: ExecutionHooks,
+        H: WorkerHooks,
     {
         let n = schedule.task_count();
-        let start = Stopwatch::start();
         if n == 0 {
-            return ExecutorStats {
-                tasks: 0,
-                wall_seconds: 0.0,
-                workers: self.workers,
-            };
+            return;
         }
 
         const SHUTDOWN: u32 = u32::MAX;
@@ -299,9 +140,9 @@ impl Executor {
                         break;
                     }
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        hooks.on_task_start(t, worker);
+                        hooks.on_start(t as usize, worker);
                         task_fn(t);
-                        hooks.on_task_finish(t, worker);
+                        hooks.on_finish(t as usize, worker);
                     }));
                     if let Err(payload) = outcome {
                         // Keep the first payload, wake every worker
@@ -319,7 +160,7 @@ impl Executor {
                         break;
                     }
                     for &s in schedule.successors(t) {
-                        hooks.on_handoff(t, s);
+                        hooks.on_handoff(t as usize, s as usize);
                         if pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
                             queue.push(s);
                         }
@@ -333,18 +174,11 @@ impl Executor {
             }
         });
 
-        if let Some(payload) = panic_slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
+        let payload = panic_slot
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
-        }
-
-        ExecutorStats {
-            tasks: n,
-            wall_seconds: start.elapsed_seconds(),
-            workers: self.workers,
         }
     }
 }
@@ -354,7 +188,7 @@ mod tests {
     use super::*;
     use crate::conflict::ConflictGraph;
     use fastgr_grid::{Point2, Rect};
-    use std::sync::atomic::AtomicUsize;
+    use fastgr_telemetry::{Recorder, TraceHooks, TRACK_WORKER_BASE};
 
     fn rect(x0: u16, y0: u16, x1: u16, y1: u16) -> Rect {
         Rect::new(Point2::new(x0, y0), Point2::new(x1, y1))
@@ -371,10 +205,13 @@ mod tests {
         let boxes: Vec<Rect> = (0..50).map(|i| rect(i * 2, 0, i * 2 + 3, 3)).collect(); // overlapping chain
         let schedule = schedule_of(&boxes);
         let counts: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        let stats = Executor::new(4).run(&schedule, |t| {
-            counts[t as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(stats.tasks, 50);
+        Executor::new(4).run(
+            &schedule,
+            |t| {
+                counts[t as usize].fetch_add(1, Ordering::Relaxed);
+            },
+            &(),
+        );
         for c in &counts {
             assert_eq!(c.load(Ordering::Relaxed), 1);
         }
@@ -386,9 +223,7 @@ mod tests {
         let boxes = vec![rect(0, 0, 9, 9), rect(1, 1, 8, 8), rect(2, 2, 7, 7)];
         let schedule = schedule_of(&boxes);
         let log = Mutex::new(Vec::new());
-        Executor::new(4).run(&schedule, |t| {
-            log.lock().unwrap().push(t);
-        });
+        Executor::new(4).run(&schedule, |t| log.lock().unwrap().push(t), &());
         assert_eq!(log.into_inner().unwrap(), vec![0, 1, 2]);
     }
 
@@ -409,11 +244,15 @@ mod tests {
         let schedule = schedule_of(&boxes);
         let run = |workers: usize| {
             let acc = Mutex::new(vec![0u64; 2]);
-            Executor::new(workers).run(&schedule, |t| {
-                let slot = (t % 2) as usize;
-                let mut g = acc.lock().unwrap();
-                g[slot] = g[slot] * 31 + t as u64;
-            });
+            Executor::new(workers).run(
+                &schedule,
+                |t| {
+                    let slot = (t % 2) as usize;
+                    let mut g = acc.lock().unwrap();
+                    g[slot] = g[slot] * 31 + t as u64;
+                },
+                &(),
+            );
             acc.into_inner().unwrap()
         };
         // Within one conflict class execution order is fixed by the
@@ -424,8 +263,7 @@ mod tests {
     #[test]
     fn empty_schedule_returns_immediately() {
         let schedule = schedule_of(&[]);
-        let stats = Executor::new(4).run(&schedule, |_| panic!("no tasks to run"));
-        assert_eq!(stats.tasks, 0);
+        Executor::new(4).run(&schedule, |_| panic!("no tasks to run"), &());
     }
 
     #[test]
@@ -433,15 +271,14 @@ mod tests {
         let boxes = vec![rect(0, 0, 1, 1), rect(5, 5, 6, 6)];
         let schedule = schedule_of(&boxes);
         let count = AtomicUsize::new(0);
-        Executor::new(0).run(&schedule, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
+        Executor::new(0).run(
+            &schedule,
+            |_| {
+                count.fetch_add(1, Ordering::Relaxed);
+            },
+            &(),
+        );
         assert_eq!(count.into_inner(), 2);
-    }
-
-    #[test]
-    fn executor_reports_workers() {
-        assert_eq!(Executor::new(3).workers(), 3);
     }
 
     /// Regression (PR 2): a panicking task used to leave the other workers
@@ -453,11 +290,15 @@ mod tests {
         let schedule = schedule_of(&boxes);
         for workers in [1, 4] {
             let result = std::panic::catch_unwind(|| {
-                Executor::new(workers).run(&schedule, |t| {
-                    if t == 7 {
-                        panic!("task 7 exploded");
-                    }
-                });
+                Executor::new(workers).run(
+                    &schedule,
+                    |t| {
+                        if t == 7 {
+                            panic!("task 7 exploded");
+                        }
+                    },
+                    &(),
+                );
             });
             let payload = result.expect_err("panic must propagate");
             let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
@@ -472,12 +313,16 @@ mod tests {
         let schedule = schedule_of(&boxes);
         let ran = Mutex::new(Vec::new());
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Executor::new(4).run(&schedule, |t| {
-                if t == 0 {
-                    panic!("root failed");
-                }
-                ran.lock().unwrap().push(t);
-            });
+            Executor::new(4).run(
+                &schedule,
+                |t| {
+                    if t == 0 {
+                        panic!("root failed");
+                    }
+                    ran.lock().unwrap().push(t);
+                },
+                &(),
+            );
         }));
         assert!(result.is_err());
         assert!(ran.into_inner().unwrap().is_empty(), "successors must be abandoned");
@@ -489,7 +334,11 @@ mod tests {
         let boxes = vec![rect(0, 0, 9, 9), rect(1, 1, 8, 8), rect(2, 2, 7, 7)];
         let schedule = schedule_of(&boxes);
         let recorder = Recorder::enabled();
-        Executor::new(2).run_with_hooks(&schedule, |_| {}, &TraceHooks::new(recorder.clone()));
+        Executor::new(2).run(
+            &schedule,
+            |_| {},
+            &TraceHooks::new(&recorder, "task", "task"),
+        );
         let trace = recorder.take_trace();
         let begins: Vec<&str> = trace
             .events()
@@ -499,58 +348,48 @@ mod tests {
             .collect();
         assert_eq!(begins.len(), 3);
         assert!(begins.contains(&"task0"));
+        // Each event sits on its worker's track, in category `task`.
+        assert!(trace.events().iter().all(|e| e.cat == "task"
+            && (TRACK_WORKER_BASE..TRACK_WORKER_BASE + 2).contains(&e.track)));
         assert_eq!(trace.counter("sched.handoffs"), Some(3.0));
         // Disabled recorder: the same hooks record nothing.
         let off = Recorder::disabled();
-        Executor::new(2).run_with_hooks(&schedule, |_| {}, &TraceHooks::new(off.clone()));
+        Executor::new(2).run(&schedule, |_| {}, &TraceHooks::new(&off, "task", "task"));
         assert!(off.take_trace().events().is_empty());
     }
 
     #[test]
-    fn hook_pair_fans_out_to_both() {
-        struct Count(AtomicUsize);
-        impl ExecutionHooks for Count {
-            fn on_task_start(&self, _t: u32, _w: usize) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let boxes = vec![rect(0, 0, 1, 1), rect(5, 5, 6, 6)];
-        let schedule = schedule_of(&boxes);
-        let pair = HookPair::new(Count(AtomicUsize::new(0)), Count(AtomicUsize::new(0)));
-        Executor::new(2).run_with_hooks(&schedule, |_| {}, &pair);
-        assert_eq!(pair.first.0.load(Ordering::Relaxed), 2);
-        assert_eq!(pair.second.0.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
     fn hooks_observe_starts_finishes_and_handoffs() {
-        struct Recorder {
+        struct Log {
             starts: AtomicUsize,
             finishes: AtomicUsize,
             handoffs: Mutex<Vec<(u32, u32)>>,
         }
-        impl ExecutionHooks for Recorder {
-            fn on_task_start(&self, _task: u32, _worker: usize) {
+        impl WorkerHooks for Log {
+            fn on_start(&self, _task: usize, _worker: usize) {
                 self.starts.fetch_add(1, Ordering::Relaxed);
             }
-            fn on_task_finish(&self, _task: u32, _worker: usize) {
+            fn on_finish(&self, _task: usize, _worker: usize) {
                 self.finishes.fetch_add(1, Ordering::Relaxed);
             }
-            fn on_handoff(&self, pred: u32, succ: u32) {
-                self.handoffs.lock().unwrap().push((pred, succ));
+            fn on_handoff(&self, pred: usize, succ: usize) {
+                self.handoffs
+                    .lock()
+                    .unwrap()
+                    .push((pred as u32, succ as u32));
             }
         }
         let boxes = vec![rect(0, 0, 4, 4), rect(3, 3, 8, 8), rect(7, 7, 9, 9)];
         let schedule = schedule_of(&boxes);
-        let recorder = Recorder {
+        let log = Log {
             starts: AtomicUsize::new(0),
             finishes: AtomicUsize::new(0),
             handoffs: Mutex::new(Vec::new()),
         };
-        Executor::new(2).run_with_hooks(&schedule, |_| {}, &recorder);
-        assert_eq!(recorder.starts.load(Ordering::Relaxed), 3);
-        assert_eq!(recorder.finishes.load(Ordering::Relaxed), 3);
-        let mut handoffs = recorder.handoffs.into_inner().unwrap();
+        Executor::new(2).run(&schedule, |_| {}, &log);
+        assert_eq!(log.starts.load(Ordering::Relaxed), 3);
+        assert_eq!(log.finishes.load(Ordering::Relaxed), 3);
+        let mut handoffs = log.handoffs.into_inner().unwrap();
         handoffs.sort_unstable();
         let mut expected: Vec<(u32, u32)> = schedule.edges().collect();
         expected.sort_unstable();

@@ -38,9 +38,7 @@
 //! assert_eq!(schedule.root_batch(), &[0, 2]);
 //!
 //! let log = std::sync::Mutex::new(Vec::new());
-//! Executor::new(2).run(&schedule, |task| {
-//!     log.lock().unwrap().push(task);
-//! });
+//! Executor::new(2).run(&schedule, |task| log.lock().unwrap().push(task), &());
 //! assert_eq!(log.into_inner().unwrap().len(), 3);
 //! ```
 
@@ -54,5 +52,5 @@ mod schedule;
 
 pub use batch::extract_batches;
 pub use conflict::ConflictGraph;
-pub use executor::{ExecutionHooks, Executor, ExecutorStats, HookPair, NoHooks, TraceHooks};
+pub use executor::Executor;
 pub use schedule::Schedule;

@@ -8,6 +8,9 @@
 //!   measures wall time uses it; `Instant::now()` anywhere else is
 //!   rejected by the `timing-instant` rule of the `fastgr-analysis` lint
 //!   pass, so all timing flows through one place.
+//! * [`WorkerHooks`] — the one observation contract of the block pool
+//!   and the task-graph executor; [`TraceHooks`] bridges it into a
+//!   [`Recorder`] as per-worker begin/end events.
 //! * [`Recorder`] — a lightweight span/counter/event recorder. A
 //!   *disabled* recorder (the default everywhere) is a no-op sink: every
 //!   record call is a single branch on an `Option`, performs no
@@ -52,11 +55,13 @@
 
 mod chrome;
 mod clock;
+mod hooks;
 pub mod json;
 mod recorder;
 mod trace;
 
 pub use clock::Stopwatch;
+pub use hooks::{TraceHooks, WorkerHooks};
 pub use recorder::{Recorder, SpanGuard};
 pub use trace::{
     Counter, CounterSample, KernelEvent, RunTrace, Span, TimelineEvent, TRACK_DEVICE, TRACK_MAIN,

@@ -144,8 +144,9 @@ impl Recorder {
         }
     }
 
-    /// Records one kernel launch on the simulated device. `start_offset`
-    /// is how long ago (in seconds) the launch began.
+    /// Records one kernel launch on the simulated device that has just
+    /// finished after `host_seconds` of wall time; its start is placed
+    /// that long before now.
     pub fn kernel(&self, name: &str, blocks: usize, modeled_seconds: f64, host_seconds: f64) {
         if let Some(inner) = &self.inner {
             let now = inner.epoch.elapsed_seconds();

@@ -35,7 +35,8 @@ use fastgr_core::{Router, RouterConfig};
 use fastgr_design::{BenchmarkSpec, Design, Generator, GeneratorParams};
 use fastgr_grid::Rect;
 use fastgr_maze::MazeConfig;
-use fastgr_taskgraph::{extract_batches, ConflictGraph, ExecutionHooks, Executor, Schedule};
+use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, Schedule};
+use fastgr_telemetry::WorkerHooks;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -314,7 +315,7 @@ fn validate() -> bool {
         ok &= report.is_clean();
 
         let checker = RaceChecker::new(schedule.task_count());
-        Executor::new(4).run_with_hooks(&schedule, |_t| {}, &checker);
+        Executor::new(4).run(&schedule, |_t| {}, &checker);
         let report = checker.report(&conflicts);
         println!("validate {} execution: {report}", design.name());
         ok &= report.is_clean();
@@ -409,13 +410,13 @@ fn mutation() -> bool {
                 if t == a || t == b {
                     continue;
                 }
-                checker.on_task_start(t, 0);
-                checker.on_task_finish(t, 0);
+                checker.on_start(t as usize, 0);
+                checker.on_finish(t as usize, 0);
             }
-            checker.on_task_start(a, 1);
-            checker.on_task_finish(a, 1);
-            checker.on_task_start(b, 2);
-            checker.on_task_finish(b, 2);
+            checker.on_start(a as usize, 1);
+            checker.on_finish(a as usize, 1);
+            checker.on_start(b as usize, 2);
+            checker.on_finish(b as usize, 2);
             mutation_case(
                 &format!("{name} unordered-race {a}/{b}"),
                 !checker.report(&conflicts).is_clean(),

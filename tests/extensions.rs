@@ -1,8 +1,10 @@
 //! Integration tests of the beyond-the-paper extensions: negotiated
-//! congestion, congestion-aware planning, layer usage and RUDY estimates.
+//! congestion, congestion-aware planning, per-layer tallies and RUDY
+//! estimates.
 
-use fastgr::core::{LayerUsage, Router, RouterConfig};
+use fastgr::core::{Router, RouterConfig};
 use fastgr::design::{Generator, GeneratorParams};
+use fastgr::grid::CostParams;
 
 fn congested_design(seed: u64) -> fastgr::design::Design {
     Generator::new(GeneratorParams {
@@ -78,29 +80,52 @@ fn congestion_aware_planning_routes_cleanly() {
 }
 
 #[test]
-fn layer_usage_of_a_routed_design_is_consistent() {
+fn per_layer_tallies_of_a_routed_design_match_the_metrics() {
     let design = congested_design(45);
     let outcome = Router::new(RouterConfig::fastgr_h()).run(&design).expect("ok");
-    let usage = LayerUsage::from_routes(design.layers(), &outcome.routes);
-    assert_eq!(usage.total_wirelength(), outcome.metrics.wirelength);
-    assert_eq!(usage.total_vias(), outcome.metrics.vias);
-    assert_eq!(usage.wirelength(0), 0, "pin layer carries no wire");
+    let layers = design.layers() as usize;
+    // Wirelength per layer, and single vias per layer boundary `l -> l + 1`.
+    let mut wire = vec![0u64; layers];
+    let mut vias = vec![0u64; layers - 1];
+    for route in &outcome.routes {
+        for s in route.segments() {
+            wire[s.layer as usize] += u64::from(s.length());
+        }
+        for v in route.vias() {
+            for boundary in v.lo..v.hi {
+                vias[boundary as usize] += 1;
+            }
+        }
+    }
+    assert_eq!(wire.iter().sum::<u64>(), outcome.metrics.wirelength);
+    assert_eq!(vias.iter().sum::<u64>(), outcome.metrics.vias);
+    assert_eq!(wire[0], 0, "pin layer carries no wire");
     // Pin access means the lowest boundary carries the most vias.
-    assert!(usage.vias_from(0) >= usage.vias_from(design.layers() - 2));
+    assert!(vias[0] >= vias[layers - 2]);
 }
 
 #[test]
-fn rudy_and_pattern_estimates_agree_on_hot_regions() {
+fn rudy_density_is_higher_on_the_pattern_stage_hot_cells() {
     let design = congested_design(46);
     let rudy = fastgr::core::rudy_map(&design);
-    let estimate = fastgr::core::estimate_congestion(&design).expect("ok");
+    // The pattern stage's congestion picture: a run without rip-up and
+    // reroute, its routes replayed onto a fresh graph.
+    let config = RouterConfig {
+        rrr_iterations: 0,
+        ..RouterConfig::cugr()
+    };
+    let outcome = Router::new(config).run(&design).expect("ok");
+    let graph = design.build_graph(CostParams::default()).expect("ok");
+    for route in &outcome.routes {
+        graph.commit(route).expect("router routes are valid");
+    }
+    let heatmap = graph.congestion_heatmap();
+    assert_eq!(heatmap.len(), rudy.len());
     // Correlation check: the average RUDY density over the routed hot
     // cells must exceed the global average (the estimators agree on where
     // the action is).
-    let w = design.width() as usize;
     let global_avg: f64 = rudy.iter().sum::<f64>() / rudy.len() as f64;
-    let hot: Vec<usize> = estimate
-        .heatmap
+    let hot: Vec<usize> = heatmap
         .iter()
         .enumerate()
         .filter(|(_, &u)| u > 0.9)
@@ -112,5 +137,4 @@ fn rudy_and_pattern_estimates_agree_on_hot_regions() {
         hot_avg > global_avg,
         "hot-cell RUDY {hot_avg:.3} should exceed global {global_avg:.3}"
     );
-    let _ = w;
 }

@@ -1,8 +1,9 @@
 //! Integration tests for guide-file output and SVG rendering against real
-//! router outcomes.
+//! router outcomes, and the congestion report an outcome carries.
 
 use fastgr::core::{RouteGuides, Router, RouterConfig};
 use fastgr::design::Generator;
+use fastgr::grid::CostParams;
 use fastgr::viz::SvgRenderer;
 
 fn routed() -> (fastgr::design::Design, fastgr::core::RoutingOutcome) {
@@ -65,19 +66,22 @@ fn svg_renders_routed_outcome() {
 }
 
 #[test]
-fn congestion_estimate_matches_router_pattern_stage() {
+fn replayed_routes_reproduce_the_reported_congestion() {
     let design = Generator::tiny(31).generate();
-    let estimate = fastgr::core::estimate_congestion(&design).expect("routable");
-    // The estimate is a pattern-only pass: its demand must be close to the
-    // committed demand of a pattern-only router run with the same config.
-    let config = RouterConfig {
+    // Both a pattern-only run and a full run: the report an outcome carries
+    // must be the congestion of its routes, committed onto a fresh graph.
+    let pattern_only = RouterConfig {
         rrr_iterations: 0,
         ..RouterConfig::cugr()
     };
-    let outcome = Router::new(config).run(&design).expect("routable");
-    assert_eq!(
-        estimate.report.total_wire_demand,
-        outcome.report.total_wire_demand
-    );
-    assert_eq!(estimate.report.overflow, outcome.report.overflow);
+    for config in [pattern_only, RouterConfig::fastgr_h()] {
+        let outcome = Router::new(config).run(&design).expect("routable");
+        let graph = design.build_graph(CostParams::default()).expect("routable");
+        for route in &outcome.routes {
+            graph.commit(route).expect("router routes are valid");
+        }
+        let report = graph.report();
+        assert_eq!(report.total_wire_demand, outcome.report.total_wire_demand);
+        assert_eq!(report.overflow, outcome.report.overflow);
+    }
 }

@@ -13,7 +13,7 @@
 
 use fastgr::core::{PatternDp, PatternMode};
 use fastgr::design::{Net, NetId, Pin};
-use fastgr::grid::{CostParams, GridGraph, Point2};
+use fastgr::grid::{CostParams, CostProber, GridGraph, Point2};
 use fastgr::maze::MazeRouter;
 use fastgr::steiner::SteinerBuilder;
 
@@ -46,7 +46,7 @@ fn maze_never_loses_to_patterns_on_an_empty_grid() {
     for (a, b) in cases {
         let net = two_pin(a, b);
         let tree = SteinerBuilder::new().build(&net);
-        let pattern = PatternDp::new(&g, PatternMode::LShape)
+        let pattern = PatternDp::with_prober(&g, PatternMode::LShape, &CostProber::build(&g))
             .route_net(&tree)
             .expect("routable");
         let maze_route = MazeRouter::default()
@@ -68,10 +68,10 @@ fn hybrid_pattern_closes_the_gap_to_maze() {
     let g = graph();
     let net = two_pin((2, 3), (21, 17));
     let tree = SteinerBuilder::new().build(&net);
-    let l = PatternDp::new(&g, PatternMode::LShape)
+    let l = PatternDp::with_prober(&g, PatternMode::LShape, &CostProber::build(&g))
         .route_net(&tree)
         .expect("ok");
-    let h = PatternDp::new(&g, PatternMode::HybridAll)
+    let h = PatternDp::with_prober(&g, PatternMode::HybridAll, &CostProber::build(&g))
         .route_net(&tree)
         .expect("ok");
     let maze_route = MazeRouter::default()
@@ -88,7 +88,7 @@ fn pattern_and_maze_agree_on_straight_connections() {
     let g = graph();
     let net = two_pin((3, 10), (19, 10));
     let tree = SteinerBuilder::new().build(&net);
-    let pattern = PatternDp::new(&g, PatternMode::LShape)
+    let pattern = PatternDp::with_prober(&g, PatternMode::LShape, &CostProber::build(&g))
         .route_net(&tree)
         .expect("routable");
     let maze_route = MazeRouter::default()
@@ -113,7 +113,7 @@ fn maze_beats_patterns_around_a_blockage() {
     }
     let net = two_pin((2, 10), (21, 10));
     let tree = SteinerBuilder::new().build(&net);
-    let pattern = PatternDp::new(&g, PatternMode::LShape)
+    let pattern = PatternDp::with_prober(&g, PatternMode::LShape, &CostProber::build(&g))
         .route_net(&tree)
         .expect("routable");
     let maze_route = MazeRouter::default()

@@ -62,10 +62,14 @@ fn executor_respects_every_dependency_under_contention() {
         .map(|_| std::sync::atomic::AtomicU64::new(0))
         .collect();
     let counter = std::sync::atomic::AtomicU64::new(1);
-    Executor::new(4).run(&schedule, |t| {
-        let stamp = counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        stamps[t as usize].store(stamp, std::sync::atomic::Ordering::SeqCst);
-    });
+    Executor::new(4).run(
+        &schedule,
+        |t| {
+            let stamp = counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            stamps[t as usize].store(stamp, std::sync::atomic::Ordering::SeqCst);
+        },
+        &(),
+    );
     for t in 0..300u32 {
         let own = stamps[t as usize].load(std::sync::atomic::Ordering::SeqCst);
         assert_ne!(own, 0, "task {t} never ran");
@@ -113,7 +117,7 @@ proptest! {
         }
         let schedule = Schedule::build(&order, &conflicts);
         let log = std::sync::Mutex::new(Vec::new());
-        Executor::new(3).run(&schedule, |t| log.lock().unwrap().push(t));
+        Executor::new(3).run(&schedule, |t| log.lock().unwrap().push(t), &());
         let ran = log.lock().unwrap().clone();
         prop_assert_eq!(ran, order);
     }
