@@ -283,9 +283,10 @@ pub fn lint_file(
 
         // Rule 2: no unwrap/expect on the hot path.
         if rules.hot {
-            for (needle, rule) in
-                [(".unwrap()", "hot-path-unwrap"), (".expect(", "hot-path-expect")]
-            {
+            for (needle, rule) in [
+                (".unwrap()", "hot-path-unwrap"),
+                (".expect(", "hot-path-expect"),
+            ] {
                 if code.contains(needle) {
                     push_allowed(
                         report,
@@ -570,9 +571,15 @@ mod tests {
         );
         assert_eq!(depth, 0);
         // Nested block comment spanning lines.
-        assert_eq!(strip_comments_and_strings("x /* outer /* inner", &mut depth), "x ");
+        assert_eq!(
+            strip_comments_and_strings("x /* outer /* inner", &mut depth),
+            "x "
+        );
         assert_eq!(depth, 2);
-        assert_eq!(strip_comments_and_strings("inner */ still out */ y", &mut depth), " y");
+        assert_eq!(
+            strip_comments_and_strings("inner */ still out */ y", &mut depth),
+            " y"
+        );
         assert_eq!(depth, 0);
     }
 
@@ -625,7 +632,10 @@ mod tests {\n\
     fn t() { Some(1).unwrap(); Some(2).expect(\"fine in tests\"); }\n\
 }\n";
         let mut report = ValidationReport::default();
-        let rules = Rules { hot: true, ..Rules::default() };
+        let rules = Rules {
+            hot: true,
+            ..Rules::default()
+        };
         lint_file(src, "x.rs", rules, &[], &mut [], &mut report);
         assert_eq!(report.error_count(), 1, "{report}");
         assert!(report.diagnostics[0].message.contains("x.rs:3"));
@@ -643,8 +653,19 @@ pub fn route_net_into(&mut self, out: &mut Vec<u32>) {\n\
 }\n\
 pub fn after() { let v = vec![1]; }\n";
         let mut report = ValidationReport::default();
-        let rules = Rules { hot: true, dp: true, ..Rules::default() };
-        lint_file(src, "crates/core/src/dp.rs", rules, &[], &mut [], &mut report);
+        let rules = Rules {
+            hot: true,
+            dp: true,
+            ..Rules::default()
+        };
+        lint_file(
+            src,
+            "crates/core/src/dp.rs",
+            rules,
+            &[],
+            &mut [],
+            &mut report,
+        );
         let fired: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
         assert_eq!(fired, vec!["dp-alloc"], "{report}");
         assert!(report.diagnostics[0].message.contains(":5:"));
@@ -658,8 +679,18 @@ pub fn share(graph: &RwLock<u32>) -> u32 {\n\
     *graph.read()\n\
 }\n";
         let mut report = ValidationReport::default();
-        let rules = Rules { rrr_lock: true, ..Rules::default() };
-        lint_file(src, "crates/core/src/rrr.rs", rules, &[], &mut [], &mut report);
+        let rules = Rules {
+            rrr_lock: true,
+            ..Rules::default()
+        };
+        lint_file(
+            src,
+            "crates/core/src/rrr.rs",
+            rules,
+            &[],
+            &mut [],
+            &mut report,
+        );
         let fired: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
         assert_eq!(fired, vec!["rrr-rwlock", "rrr-rwlock"], "{report}");
         // The same file with the rule off is clean; comments never count.
@@ -686,8 +717,18 @@ pub fn search_into(&self, scratch: &mut MazeScratch) {\n\
     scratch.path.push(extra.len());\n\
 }\n";
         let mut report = ValidationReport::default();
-        let rules = Rules { dp: true, ..Rules::default() };
-        lint_file(src, "crates/maze/src/router.rs", rules, &[], &mut [], &mut report);
+        let rules = Rules {
+            dp: true,
+            ..Rules::default()
+        };
+        lint_file(
+            src,
+            "crates/maze/src/router.rs",
+            rules,
+            &[],
+            &mut [],
+            &mut report,
+        );
         let fired: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
         assert_eq!(fired, vec!["dp-alloc"], "{report}");
     }
@@ -700,8 +741,18 @@ fn l_shape_into(&self, scratch: &mut DpScratch) {\n\
     scratch.w1.push(w);\n\
 }\n";
         let mut report = ValidationReport::default();
-        let rules = Rules { dp_direct: true, ..Rules::default() };
-        lint_file(src, "crates/core/src/dp.rs", rules, &[], &mut [], &mut report);
+        let rules = Rules {
+            dp_direct: true,
+            ..Rules::default()
+        };
+        lint_file(
+            src,
+            "crates/core/src/dp.rs",
+            rules,
+            &[],
+            &mut [],
+            &mut report,
+        );
         let fired: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
         assert_eq!(fired, vec!["dp-direct-cost"], "{report}");
         assert!(report.diagnostics[0].message.contains(":2:"), "{report}");
@@ -710,7 +761,14 @@ fn l_shape_into(&self, scratch: &mut DpScratch) {\n\
 //! wire_edge_cost is banned here — probe instead.\n\
 fn l_shape_into(&self) { let w = self.run_cost(l, a, b); }\n";
         let mut off = ValidationReport::default();
-        lint_file(clean, "crates/core/src/dp.rs", rules, &[], &mut [], &mut off);
+        lint_file(
+            clean,
+            "crates/core/src/dp.rs",
+            rules,
+            &[],
+            &mut [],
+            &mut off,
+        );
         assert!(off.is_clean(), "{off}");
     }
 
@@ -722,8 +780,18 @@ fn rebuild_wire_row_into(&self, graph: &GridGraph, row: usize) {\n\
     let _ = acc;\n\
 }\n";
         let mut report = ValidationReport::default();
-        let rules = Rules { dp: true, ..Rules::default() };
-        lint_file(src, "crates/grid/src/prober.rs", rules, &[], &mut [], &mut report);
+        let rules = Rules {
+            dp: true,
+            ..Rules::default()
+        };
+        lint_file(
+            src,
+            "crates/grid/src/prober.rs",
+            rules,
+            &[],
+            &mut [],
+            &mut report,
+        );
         let fired: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
         assert_eq!(fired, vec!["dp-alloc"], "{report}");
     }
@@ -743,8 +811,18 @@ mod tests {\n\
     fn t() { let _ = std::time::Instant::now(); }\n\
 }\n";
         let mut report = ValidationReport::default();
-        let rules = Rules { timing: true, ..Rules::default() };
-        lint_file(src, "crates/core/src/router.rs", rules, &[], &mut [], &mut report);
+        let rules = Rules {
+            timing: true,
+            ..Rules::default()
+        };
+        lint_file(
+            src,
+            "crates/core/src/router.rs",
+            rules,
+            &[],
+            &mut [],
+            &mut report,
+        );
         assert_eq!(report.error_count(), 1, "{report}");
         assert_eq!(report.diagnostics[0].rule, "timing-instant");
         assert!(report.diagnostics[0].message.contains(":4:"), "{report}");
@@ -760,7 +838,10 @@ mod tests {\n\
         let allow = parse_allowlist("hot-path-expect x.rs expect(\"queue open\")");
         let mut used = vec![false];
         let mut report = ValidationReport::default();
-        let rules = Rules { hot: true, ..Rules::default() };
+        let rules = Rules {
+            hot: true,
+            ..Rules::default()
+        };
         lint_file(src, "x.rs", rules, &allow, &mut used, &mut report);
         assert!(report.is_clean(), "{report}");
         assert!(used[0]);

@@ -424,9 +424,7 @@ mod tests {
     #[test]
     fn block_pool_launch_over_independent_blocks_is_clean() {
         // Blocks far apart: no conflicts at all.
-        let boxes: Vec<Rect> = (0..32)
-            .map(|i| rect(10 * i, 0, 10 * i + 3, 3))
-            .collect();
+        let boxes: Vec<Rect> = (0..32).map(|i| rect(10 * i, 0, 10 * i + 3, 3)).collect();
         let conflicts = ConflictGraph::from_bounding_boxes(&boxes);
         for workers in [1, 4] {
             let chk = RaceChecker::new(boxes.len());

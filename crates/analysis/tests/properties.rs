@@ -25,7 +25,10 @@ fn conflicts_of(design: &Design) -> (ConflictGraph, Vec<u32>) {
 /// The design-suite nets the mutation tests run over: a few tiny seeds
 /// plus one mid-size congested design.
 fn design_suite() -> Vec<Design> {
-    let mut designs: Vec<Design> = [1u64, 7, 42].iter().map(|&s| Generator::tiny(s).generate()).collect();
+    let mut designs: Vec<Design> = [1u64, 7, 42]
+        .iter()
+        .map(|&s| Generator::tiny(s).generate())
+        .collect();
     designs.push(
         Generator::new(GeneratorParams {
             name: "props-mid".to_owned(),
@@ -65,7 +68,10 @@ fn mutation_reversed_conflict_edge_is_always_rejected() {
         let (conflicts, order) = conflicts_of(&design);
         let schedule = Schedule::build(&order, &conflicts);
         let Some((a, b)) = schedule.edges().next() else {
-            panic!("{}: design suite nets must conflict somewhere", design.name());
+            panic!(
+                "{}: design suite nets must conflict somewhere",
+                design.name()
+            );
         };
         let mut view = ScheduleView::from_schedule(&schedule);
         assert!(view.reverse_edge(a, b));
@@ -95,7 +101,10 @@ fn mutation_merged_conflicting_batches_are_always_rejected() {
             "{}: merged conflicting batch not caught",
             design.name()
         );
-        assert!(report.diagnostics.iter().any(|d| d.rule == "batch-conflict"));
+        assert!(report
+            .diagnostics
+            .iter()
+            .any(|d| d.rule == "batch-conflict"));
     }
 }
 
@@ -125,7 +134,12 @@ fn race_checker_flags_forced_unordered_conflicting_pair() {
     let design = Generator::tiny(7).generate();
     let (conflicts, _) = conflicts_of(&design);
     let (a, b) = (0..conflicts.task_count() as u32)
-        .find_map(|t| conflicts.neighbors(t).first().map(|&n| (t.min(n), t.max(n))))
+        .find_map(|t| {
+            conflicts
+                .neighbors(t)
+                .first()
+                .map(|&n| (t.min(n), t.max(n)))
+        })
         .expect("tiny designs have conflicting nets");
     let checker = RaceChecker::new(conflicts.task_count());
     // Every other task runs ordered on worker 0; a and b race on 1 and 2.

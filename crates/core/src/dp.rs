@@ -517,7 +517,8 @@ impl<'g> PatternDp<'g> {
         self.via_prefix_into(node.position, &mut scratch.pre_s);
         scratch.probes += 1;
         for ls in 1..l {
-            let (cost, lo, hi) = best_interval(scratch, node, l, ls as u8, ls as u8, arena + ls * deg);
+            let (cost, lo, hi) =
+                best_interval(scratch, node, l, ls as u8, ls as u8, arena + ls * deg);
             scratch.cbc[ls] = cost;
             scratch.stack_lo[v * l + ls] = lo;
             scratch.stack_hi[v * l + ls] = hi;
@@ -813,7 +814,11 @@ fn best_interval(
     let deg = children.len();
     scratch.trial_layers.clear();
     scratch.trial_layers.resize(deg, 0);
-    let (lo_first, lo_last) = if node.is_pin { (0u8, 0u8) } else { (1u8, max_lo) };
+    let (lo_first, lo_last) = if node.is_pin {
+        (0u8, 0u8)
+    } else {
+        (1u8, max_lo)
+    };
     let mut best = (f64::INFINITY, 0u8, 0u8);
     for lo in lo_first..=lo_last {
         for hi in lo.max(min_hi)..l as u8 {

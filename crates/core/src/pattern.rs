@@ -375,7 +375,11 @@ mod tests {
         assert_eq!(serial.trees, parallel.trees);
         let a = serial_trace.modeled_device_seconds();
         let b = parallel_trace.modeled_device_seconds();
-        assert_eq!(a.to_bits(), b.to_bits(), "modelled time diverged: {a} vs {b}");
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "modelled time diverged: {a} vs {b}"
+        );
         let probes = serial_trace.counter("pattern.cost_probes");
         assert!(probes.is_some_and(|p| p > 0.0), "{probes:?}");
         assert_eq!(probes, parallel_trace.counter("pattern.cost_probes"));
@@ -415,10 +419,7 @@ mod tests {
             let (probed, gp, _) = run_probing(engine, PatternMode::HybridAll, true);
             let (direct, gd, _) = run_probing(engine, PatternMode::HybridAll, false);
             assert_eq!(probed.routes, direct.routes, "{engine:?}: routes diverge");
-            assert_eq!(
-                gp.report().total_wire_demand,
-                gd.report().total_wire_demand
-            );
+            assert_eq!(gp.report().total_wire_demand, gd.report().total_wire_demand);
         }
     }
 

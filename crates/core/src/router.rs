@@ -425,7 +425,10 @@ mod tests {
         // Telemetry must not perturb the routing result.
         assert_eq!(plain.routes, traced.routes);
         assert_eq!(plain.trace.nets_ripped(), traced.trace.nets_ripped());
-        assert_eq!(plain.trace.pattern_batches(), traced.trace.pattern_batches());
+        assert_eq!(
+            plain.trace.pattern_batches(),
+            traced.trace.pattern_batches()
+        );
         assert_eq!(plain.trace.pattern_shorts(), traced.trace.pattern_shorts());
     }
 

@@ -189,7 +189,8 @@ impl Device {
         let modeled_seconds = self.config.launch_overhead_seconds
             + max_block_time.max(total_block_time / self.config.sm_count as f64);
         let host_seconds = host_start.elapsed_seconds();
-        self.recorder.kernel(name, blocks, modeled_seconds, host_seconds);
+        self.recorder
+            .kernel(name, blocks, modeled_seconds, host_seconds);
         modeled_seconds
     }
 }
@@ -247,7 +248,9 @@ mod tests {
     fn slowest_block_dominates() {
         let cfg = DeviceConfig::tiny();
         let mut d = Device::new(cfg);
-        let s = d.launch("k", 2, |b| BlockProfile::new(1, if b == 0 { 1 } else { 10 }));
+        let s = d.launch("k", 2, |b| {
+            BlockProfile::new(1, if b == 0 { 1 } else { 10 })
+        });
         let body = s - cfg.launch_overhead_seconds;
         assert!((body - 10.0 * cfg.stage_seconds).abs() < 1e-12);
     }
@@ -269,7 +272,9 @@ mod tests {
         // faster than that block even with idle SMs.
         let cfg = DeviceConfig::tiny();
         let mut d = Device::new(cfg);
-        let s = d.launch("k", 3, |b| BlockProfile::new(1, if b == 0 { 100 } else { 1 }));
+        let s = d.launch("k", 3, |b| {
+            BlockProfile::new(1, if b == 0 { 100 } else { 1 })
+        });
         let body = s - cfg.launch_overhead_seconds;
         assert!(body >= 100.0 * cfg.stage_seconds - 1e-12);
     }
@@ -329,10 +334,7 @@ mod tests {
         assert_eq!(begins, 5);
         assert_eq!(ends, 5);
         assert!(trace.events().iter().all(|e| e.cat == "block"));
-        assert!(trace
-            .events()
-            .iter()
-            .any(|e| e.name == "pattern.block0"));
+        assert!(trace.events().iter().any(|e| e.name == "pattern.block0"));
     }
 
     #[test]

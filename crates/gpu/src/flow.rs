@@ -285,12 +285,7 @@ pub fn merge_min(candidates: &[Vec<f64>]) -> MinPlus {
 /// # Panics
 ///
 /// Panics if `rows` is empty or its length is not a multiple of `lanes`.
-pub fn merge_min_rows(
-    rows: &[f64],
-    lanes: usize,
-    values: &mut Vec<f64>,
-    argmin: &mut Vec<usize>,
-) {
+pub fn merge_min_rows(rows: &[f64], lanes: usize, values: &mut Vec<f64>, argmin: &mut Vec<usize>) {
     assert!(
         !rows.is_empty() && rows.len().is_multiple_of(lanes),
         "rows must hold a positive whole number of {lanes}-lane candidates"

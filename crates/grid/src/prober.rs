@@ -430,7 +430,10 @@ mod tests {
             .wire_run_cost(9, Point2::new(0, 0), Point2::new(3, 0))
             .is_infinite());
         // Degenerate probes are free.
-        assert_eq!(prober.wire_run_cost(1, Point2::new(2, 2), Point2::new(2, 2)), 0.0);
+        assert_eq!(
+            prober.wire_run_cost(1, Point2::new(2, 2), Point2::new(2, 2)),
+            0.0
+        );
     }
 
     #[test]

@@ -49,10 +49,7 @@ fn arb_route() -> impl Strategy<Value = Route> {
 type ThreadOps = Vec<(Route, bool)>;
 
 fn arb_thread_ops() -> impl Strategy<Value = ThreadOps> {
-    proptest::collection::vec(
-        (arb_route(), 0u8..2).prop_map(|(r, u)| (r, u == 1)),
-        0..8,
-    )
+    proptest::collection::vec((arb_route(), 0u8..2).prop_map(|(r, u)| (r, u == 1)), 0..8)
 }
 
 /// Asserts bit-identical demand on every wire and via edge of two graphs.

@@ -42,8 +42,16 @@ impl Potential {
         let params = graph.params();
         Self {
             target,
-            wire: if astar { cost_to_fixed(params.unit_wire) } else { 0 },
-            via: if astar { cost_to_fixed(params.unit_via) } else { 0 },
+            wire: if astar {
+                cost_to_fixed(params.unit_wire)
+            } else {
+                0
+            },
+            via: if astar {
+                cost_to_fixed(params.unit_via)
+            } else {
+                0
+            },
             first_horizontal: first(Direction::Horizontal) as u64,
             first_vertical: first(Direction::Vertical) as u64,
         }
@@ -418,7 +426,10 @@ impl MazeRouter {
         }
 
         let bbox = Rect::bounding(scratch.distinct.iter().copied()).expect("non-empty");
-        scratch.bind(graph, self.config.window(bbox, graph.width(), graph.height()));
+        scratch.bind(
+            graph,
+            self.config.window(bbox, graph.width(), graph.height()),
+        );
 
         // Component vertices (indices into the window), starting from the
         // first pin on layer 0.
@@ -553,7 +564,8 @@ impl MazeRouter {
         while i < path.len() {
             let dir = step_dir(scratch.point(path[i - 1]), scratch.point(path[i]));
             let mut j = i;
-            while j + 1 < path.len() && step_dir(scratch.point(path[j]), scratch.point(path[j + 1])) == dir
+            while j + 1 < path.len()
+                && step_dir(scratch.point(path[j]), scratch.point(path[j + 1])) == dir
             {
                 j += 1;
             }
@@ -677,14 +689,24 @@ mod tests {
         let router = MazeRouter::default();
         // Warm up with a good net, then fail, then route again.
         router
-            .route_into(&g, &[Point2::new(0, 0), Point2::new(7, 7)], &mut scratch, &mut out)
+            .route_into(
+                &g,
+                &[Point2::new(0, 0), Point2::new(7, 7)],
+                &mut scratch,
+                &mut out,
+            )
             .expect("routable");
         assert_eq!(
             router.route_into(&g, &[], &mut scratch, &mut out),
             Err(MazeError::EmptyNet)
         );
         router
-            .route_into(&g, &[Point2::new(2, 2), Point2::new(5, 1)], &mut scratch, &mut out)
+            .route_into(
+                &g,
+                &[Point2::new(2, 2), Point2::new(5, 1)],
+                &mut scratch,
+                &mut out,
+            )
             .expect("routable after error");
         assert!(out.is_connected());
     }

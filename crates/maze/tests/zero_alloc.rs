@@ -50,7 +50,9 @@ const H: u16 = 24;
 fn synthetic_nets(count: usize) -> Vec<Vec<Point2>> {
     let mut state = 0x9e3779b97f4a7c15u64;
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (state >> 33) as u16
     };
     (0..count)

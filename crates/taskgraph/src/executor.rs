@@ -325,7 +325,10 @@ mod tests {
             );
         }));
         assert!(result.is_err());
-        assert!(ran.into_inner().unwrap().is_empty(), "successors must be abandoned");
+        assert!(
+            ran.into_inner().unwrap().is_empty(),
+            "successors must be abandoned"
+        );
     }
 
     #[test]
@@ -349,8 +352,11 @@ mod tests {
         assert_eq!(begins.len(), 3);
         assert!(begins.contains(&"task0"));
         // Each event sits on its worker's track, in category `task`.
-        assert!(trace.events().iter().all(|e| e.cat == "task"
-            && (TRACK_WORKER_BASE..TRACK_WORKER_BASE + 2).contains(&e.track)));
+        assert!(trace
+            .events()
+            .iter()
+            .all(|e| e.cat == "task"
+                && (TRACK_WORKER_BASE..TRACK_WORKER_BASE + 2).contains(&e.track)));
         assert_eq!(trace.counter("sched.handoffs"), Some(3.0));
         // Disabled recorder: the same hooks record nothing.
         let off = Recorder::disabled();

@@ -172,7 +172,10 @@ mod tests {
     fn phases_and_args_round_trip() {
         let text = sample_json();
         let value = json::parse(&text).expect("parse");
-        let events = value.get("traceEvents").and_then(Value::as_array).expect("array");
+        let events = value
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .expect("array");
         let phase_of = |name: &str| {
             events
                 .iter()
@@ -201,7 +204,10 @@ mod tests {
     fn begin_end_pairs_balance_per_tid() {
         let text = sample_json();
         let value = json::parse(&text).expect("parse");
-        let events = value.get("traceEvents").and_then(Value::as_array).expect("array");
+        let events = value
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .expect("array");
         let mut depth = 0i64;
         for e in events {
             match e.get("ph").and_then(Value::as_str) {

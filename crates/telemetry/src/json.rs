@@ -72,7 +72,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -240,8 +244,8 @@ impl Parser<'_> {
                         b if b >= 0xE0 => 3,
                         _ => 2,
                     };
-                    let s = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    let s =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
                     out.push_str(s);
                     self.pos += len;
                 }

@@ -127,7 +127,9 @@ impl Recorder {
     /// Adds `delta` to a named counter (created at zero).
     pub fn accumulate(&self, name: &str, delta: f64) {
         if let Some(inner) = &self.inner {
-            *Inner::lock(&inner.counters).entry(name.to_owned()).or_insert(0.0) += delta;
+            *Inner::lock(&inner.counters)
+                .entry(name.to_owned())
+                .or_insert(0.0) += delta;
         }
     }
 

@@ -347,7 +347,9 @@ mod tests {
         assert_eq!(trace.modeled_device_seconds(), 1e-4);
         // Nothing recorded reads as +0.0, never the -0.0 of an empty sum.
         let (a, b) = (empty.span_seconds("a"), empty.sample_total("b"));
-        assert!([a, b, empty.modeled_device_seconds()].iter().all(|z| z.to_bits() == 0));
+        assert!([a, b, empty.modeled_device_seconds()]
+            .iter()
+            .all(|z| z.to_bits() == 0));
     }
 
     #[test]
@@ -363,7 +365,9 @@ mod tests {
         b.counter_samples[0].t_seconds = 0.1;
         b.events[0].t_seconds = 3.2;
         assert_eq!(a.deterministic_signature(), b.deterministic_signature());
-        assert!(a.deterministic_signature().contains("kernel pattern blocks=64"));
+        assert!(a
+            .deterministic_signature()
+            .contains("kernel pattern blocks=64"));
     }
 
     #[test]

@@ -24,9 +24,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("quality: {}", outcome.metrics);
     // Measured wall time and modelled device time never share a figure.
     let ms = |s: f64| s * 1e3;
-    let (planning, pattern) = (trace.span_seconds("planning"), trace.span_seconds("pattern"));
-    println!("measured: planning {:.3} ms, pattern {:.3} ms", ms(planning), ms(pattern));
-    println!("modelled: device {:.3} ms", ms(trace.modeled_device_seconds()));
+    let (planning, pattern) = (
+        trace.span_seconds("planning"),
+        trace.span_seconds("pattern"),
+    );
+    println!(
+        "measured: planning {:.3} ms, pattern {:.3} ms",
+        ms(planning),
+        ms(pattern)
+    );
+    println!(
+        "modelled: device {:.3} ms",
+        ms(trace.modeled_device_seconds())
+    );
     println!("pattern batches: {}", trace.pattern_batches());
     println!("congestion: {}", outcome.report);
     let ripped = trace.nets_ripped();

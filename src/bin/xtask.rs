@@ -270,7 +270,10 @@ fn conflict_oracle() -> bool {
                 .map(|&b| maze.window(b, design.width(), design.height()))
                 .collect();
             cases.push(("s19t9m".to_string(), boxes));
-            cases.push((format!("s19t9m inflated by {}", maze.window_margin), windows));
+            cases.push((
+                format!("s19t9m inflated by {}", maze.window_margin),
+                windows,
+            ));
         }
         None => {
             eprintln!("conflict-oracle: suite benchmark s19t9m is missing");

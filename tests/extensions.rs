@@ -25,7 +25,9 @@ fn congested_design(seed: u64) -> fastgr::design::Design {
 #[test]
 fn history_cost_reduces_shorts_with_extra_iterations() {
     let design = congested_design(41);
-    let plain = Router::new(RouterConfig::fastgr_l()).run(&design).expect("ok");
+    let plain = Router::new(RouterConfig::fastgr_l())
+        .run(&design)
+        .expect("ok");
     let with_history = RouterConfig {
         history_increment: 4.0,
         rrr_iterations: 8,
@@ -82,7 +84,9 @@ fn congestion_aware_planning_routes_cleanly() {
 #[test]
 fn per_layer_tallies_of_a_routed_design_match_the_metrics() {
     let design = congested_design(45);
-    let outcome = Router::new(RouterConfig::fastgr_h()).run(&design).expect("ok");
+    let outcome = Router::new(RouterConfig::fastgr_h())
+        .run(&design)
+        .expect("ok");
     let layers = design.layers() as usize;
     // Wirelength per layer, and single vias per layer boundary `l -> l + 1`.
     let mut wire = vec![0u64; layers];

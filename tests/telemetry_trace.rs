@@ -147,7 +147,10 @@ fn deterministic_signature_matches_golden_file() {
     let signature = traced_signature(2);
     // The incremental overflow detector must publish its counter pair into
     // the deterministic signature on every routed run.
-    assert!(signature.contains("counter rrr.dirty_edges ="), "{signature}");
+    assert!(
+        signature.contains("counter rrr.dirty_edges ="),
+        "{signature}"
+    );
     assert!(
         signature.contains("counter rrr.full_rescan_avoided ="),
         "{signature}"
