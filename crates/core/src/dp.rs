@@ -1046,26 +1046,46 @@ mod tests {
     fn probed_and_direct_engines_agree_exactly() {
         // The prober and the direct walks share the quantised cost domain,
         // so costs and routes are bit-identical — equality, not epsilon.
-        let g = graph(24, 24, 6);
+        // One net on a congested 24×24×6 grid, then on an open 128×128×10
+        // grid two-pin nets of span 8–96 and 3-, 8- and 16-pin nets.
+        let small = graph(24, 24, 6);
         let mut blocker = Route::new();
         blocker.push_segment(Segment::new(1, Point2::new(0, 8), Point2::new(20, 8)));
         for _ in 0..5 {
-            g.commit(&blocker).expect("valid");
+            small.commit(&blocker).expect("valid");
         }
-        let pts = [(2, 2), (20, 5), (11, 19), (4, 12)];
-        for mode in [
-            PatternMode::LShape,
-            PatternMode::ZShape,
-            PatternMode::HybridAll,
-            PatternMode::Hybrid(SelectionThresholds::new(2, 100)),
-        ] {
+        let large = graph(128, 128, 10);
+        let mut cases = vec![(&small, vec![(2, 2), (20, 5), (11, 19), (4, 12)])];
+        for span in [8u16, 24, 48, 96] {
+            cases.push((&large, vec![(1, 1), (span, span / 2)]));
+        }
+        for pins in [3u16, 8, 16] {
+            let pts = (0..pins).map(|t| ((t * 37) % 90 + 1, (t * 53) % 90 + 1));
+            cases.push((&large, pts.collect()));
+        }
+        for (g, pts) in cases {
             let tree = SteinerBuilder::new().build(&net_of(&pts));
-            let probed = route_with(&g, mode, &pts);
-            let direct = PatternDp::direct(&g, mode)
-                .route_net(&tree)
-                .expect("routable");
-            assert_eq!(probed.cost, direct.cost, "{mode:?}: costs diverge");
-            assert_eq!(probed.route, direct.route, "{mode:?}: routes diverge");
+            for mode in [
+                PatternMode::LShape,
+                PatternMode::ZShape,
+                PatternMode::HybridAll,
+                PatternMode::Hybrid(SelectionThresholds::new(2, 100)),
+                PatternMode::Hybrid(SelectionThresholds::new(10, 50)),
+            ] {
+                let probed = route_with(g, mode, &pts);
+                let direct = PatternDp::direct(g, mode)
+                    .route_net(&tree)
+                    .expect("routable");
+                assert_eq!(probed.cost, direct.cost, "{mode:?} {pts:?}: costs diverge");
+                assert_eq!(
+                    probed.route, direct.route,
+                    "{mode:?} {pts:?}: routes diverge"
+                );
+                assert!(
+                    probed.route.is_connected(),
+                    "{mode:?} {pts:?}: disconnected"
+                );
+            }
         }
     }
 

@@ -58,6 +58,11 @@ pub struct RrrOutcome {
     /// Number of nets ripped up in each iteration.
     pub nets_ripped: Vec<usize>,
     /// Modelled parallel seconds on `workers` workers under this strategy.
+    ///
+    /// The model list-schedules (or, for the batch barrier, chunks) the
+    /// *measured* wall seconds of each maze task, so unlike the device
+    /// model's seconds it moves with host load and is not reproducible
+    /// bit for bit.
     pub modeled_parallel_seconds: f64,
     /// Total wire edges whose demand changed, summed over iterations (the
     /// size of the incremental overflow recheck's work set).

@@ -106,32 +106,25 @@ fn zeroed_atomics(n: usize) -> Vec<AtomicU64> {
 /// Lock-free tracker of the wire edges whose demand changed since the last
 /// [`GridGraph::clear_dirty`].
 ///
-/// One bit per wire edge (planes concatenated in layer order) plus a count
-/// of the set bits. Both are updated with relaxed atomics; the tracker is
-/// only *read* between RRR iterations, after the executor has joined its
-/// workers, so the thread join supplies the happens-before edge the relaxed
-/// stores rely on.
+/// One bit per edge (planes concatenated in layer order), set with relaxed
+/// atomics; the tracker is only *read* between RRR iterations, after the
+/// executor has joined its workers, so the thread join supplies the
+/// happens-before edge the relaxed stores rely on.
 #[derive(Debug)]
 struct DirtyTracker {
     words: Vec<AtomicU64>,
-    /// Number of distinct edges dirtied since the last clear.
-    count: AtomicU64,
 }
 
 impl DirtyTracker {
     fn new(bits: usize) -> Self {
         Self {
             words: zeroed_atomics(bits.div_ceil(64)),
-            count: AtomicU64::new(0),
         }
     }
 
     /// Marks bit `bit` dirty.
     fn mark(&self, bit: usize) {
-        let mask = 1u64 << (bit & 63);
-        if self.words[bit >> 6].fetch_or(mask, Ordering::Relaxed) & mask == 0 {
-            self.count.fetch_add(1, Ordering::Relaxed);
-        }
+        self.words[bit >> 6].fetch_or(1u64 << (bit & 63), Ordering::Relaxed);
     }
 
     fn is_set(&self, bit: usize) -> bool {
@@ -142,7 +135,6 @@ impl DirtyTracker {
         for w in &mut self.words {
             *w.get_mut() = 0;
         }
-        *self.count.get_mut() = 0;
     }
 }
 
@@ -154,7 +146,6 @@ impl Clone for DirtyTracker {
                 .iter()
                 .map(|w| AtomicU64::new(w.load(Ordering::Relaxed)))
                 .collect(),
-            count: AtomicU64::new(self.count.load(Ordering::Relaxed)),
         }
     }
 }
@@ -644,7 +635,11 @@ impl GridGraph {
     /// [`GridGraph::clear_dirty`] (vias are excluded: they have no capacity
     /// and can never overflow).
     pub fn dirty_edges(&self) -> u64 {
-        self.dirty.count.load(Ordering::Relaxed)
+        self.dirty
+            .words
+            .iter()
+            .map(|w| u64::from(w.load(Ordering::Relaxed).count_ones()))
+            .sum()
     }
 
     /// Resets the dirty-edge tracker (wire *and* via bits); subsequent

@@ -202,18 +202,46 @@ mod tests {
 
     #[test]
     fn runs_every_task_exactly_once() {
-        let boxes: Vec<Rect> = (0..50).map(|i| rect(i * 2, 0, i * 2 + 3, 3)).collect(); // overlapping chain
-        let schedule = schedule_of(&boxes);
-        let counts: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        Executor::new(4).run(
-            &schedule,
-            |t| {
-                counts[t as usize].fetch_add(1, Ordering::Relaxed);
-            },
-            &(),
-        );
-        for c in &counts {
-            assert_eq!(c.load(Ordering::Relaxed), 1);
+        // An overlapping chain, and 2,000 seeded boxes of up to 6×6 G-cells
+        // on a 140×140 grid: a wide, deep schedule whose ready queue is
+        // contended at every worker count.
+        let chain: Vec<Rect> = (0..50).map(|i| rect(i * 2, 0, i * 2 + 3, 3)).collect();
+        let mut state = 42u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % bound) as u16
+        };
+        let random: Vec<Rect> = (0..2000)
+            .map(|_| {
+                let (x, y) = (next(134), next(134));
+                rect(x, y, x + 1 + next(6), y + 1 + next(6))
+            })
+            .collect();
+        for (boxes, workers) in [(chain, &[4][..]), (random, &[1, 2, 4][..])] {
+            let schedule = schedule_of(&boxes);
+            for &w in workers {
+                // Each task takes a ticket from one clock. The executor's
+                // AcqRel handoff makes a predecessor's `fetch_add` happen
+                // before its successor's, so even a relaxed clock must give
+                // every edge's predecessor the earlier ticket.
+                let clock = AtomicUsize::new(0);
+                let ticket: Vec<AtomicUsize> = boxes.iter().map(|_| AtomicUsize::new(0)).collect();
+                Executor::new(w).run(
+                    &schedule,
+                    |t| {
+                        let now = clock.fetch_add(1, Ordering::Relaxed) + 1;
+                        assert_eq!(ticket[t as usize].swap(now, Ordering::Relaxed), 0);
+                    },
+                    &(),
+                );
+                assert_eq!(clock.into_inner(), boxes.len(), "{w} workers");
+                for (pred, succ) in schedule.edges() {
+                    let (a, b) = (&ticket[pred as usize], &ticket[succ as usize]);
+                    assert!(a.load(Ordering::Relaxed) < b.load(Ordering::Relaxed));
+                }
+            }
         }
     }
 

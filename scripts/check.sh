@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Full local gate, mirroring CI: build, tests, clippy, and the
+# Full local gate, mirroring CI: formatting, build, tests, clippy, and the
 # fastgr-analysis correctness checks (`cargo xtask check` — workspace lint
 # pass, static schedule validation, happens-before race check, mutation
 # sweep). Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== formatting =="
+cargo fmt --all -- --check
 
 echo "== build (release) =="
 cargo build --release
@@ -56,12 +59,6 @@ FASTGR_WORKERS=2 cargo run --release --offline -q -p fastgr-bench --bin stress -
 
 echo "== table VIII smoke (paper accounting read from the run trace) =="
 cargo run --release --offline -q -p fastgr-bench --bin reproduce -- table8 >/dev/null
-
-echo "== pattern kernel bench smoke =="
-FASTGR_BENCH_MS=20 cargo bench -q -p fastgr-bench --bench pattern_kernels >/dev/null
-
-echo "== scheduler bench smoke =="
-FASTGR_BENCH_MS=20 cargo bench -q -p fastgr-bench --bench scheduler >/dev/null
 
 echo "== end-to-end bench script smoke =="
 scripts/bench_e2e.sh --seconds 1 --out "$trace_tmp/BENCH_e2e.json"

@@ -19,6 +19,11 @@
 //!     routing guides, an SVG rendering, or a Chrome `trace_event` profile
 //!     (load in Perfetto / chrome://tracing).
 //! ```
+//!
+//! Of the two `modelled:` figures, `device` comes from the device timing
+//! model alone and repeats exactly from run to run. `rrr parallel` is
+//! list-scheduled from the measured seconds of each maze task, so it moves
+//! with host load like the `measured:` spans do.
 
 use std::fs;
 use std::process::ExitCode;
