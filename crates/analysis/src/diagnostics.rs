@@ -1,34 +1,11 @@
-//! Structured diagnostics shared by the validator, the race checker and
-//! the lint pass.
+//! Structured diagnostics shared by the validator and the race checker.
 
 use std::fmt;
 
-/// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Informational (reported, never fails a check).
-    Note,
-    /// Suspicious but not a proven soundness violation.
-    Warning,
-    /// A proven violation of a checked invariant.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Note => "note",
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        })
-    }
-}
-
-/// One finding: which rule fired, on what, and the evidence.
+/// One finding — a proven violation of a checked invariant: which rule
+/// fired, on what, and the evidence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
-    /// Severity of the finding.
-    pub severity: Severity,
     /// Stable rule identifier (kebab-case), e.g. `conflict-edge-unoriented`.
     pub rule: &'static str,
     /// Human-readable description of the violation.
@@ -42,10 +19,9 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// An error-severity diagnostic.
+    /// A diagnostic for `rule` with no task pair or witness yet.
     pub fn error(rule: &'static str, message: impl Into<String>) -> Self {
         Self {
-            severity: Severity::Error,
             rule,
             message: message.into(),
             tasks: None,
@@ -68,7 +44,7 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} [{}] {}", self.severity, self.rule, self.message)?;
+        write!(f, "error [{}] {}", self.rule, self.message)?;
         if let Some((a, b)) = self.tasks {
             write!(f, " (tasks {a}, {b})")?;
         }
@@ -99,17 +75,9 @@ pub struct ValidationReport {
 }
 
 impl ValidationReport {
-    /// Whether no error-severity diagnostic was found.
+    /// Whether no diagnostic was found.
     pub fn is_clean(&self) -> bool {
-        self.error_count() == 0
-    }
-
-    /// Number of error-severity diagnostics.
-    pub fn error_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count()
+        self.diagnostics.is_empty()
     }
 
     /// Panics with every diagnostic if the report is not clean — the
@@ -117,7 +85,7 @@ impl ValidationReport {
     ///
     /// # Panics
     ///
-    /// If any error-severity diagnostic was recorded.
+    /// If any diagnostic was recorded.
     pub fn assert_clean(&self, context: &str) {
         assert!(self.is_clean(), "{context}: {self}");
     }
@@ -197,7 +165,7 @@ mod tests {
         b.tasks_checked = 3;
         a.merge(b);
         assert_eq!(a.tasks_checked, 5);
-        assert_eq!(a.error_count(), 1);
+        assert_eq!(a.diagnostics.len(), 1);
         assert!(!a.is_clean());
     }
 }

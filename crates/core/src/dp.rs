@@ -33,6 +33,8 @@
 //! only steady-state allocations left on that path are the geometry
 //! buffers of the `Route` it returns by value.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::cell::RefCell;
 
 use fastgr_gpu::flow::{merge_min_rows, stack_min_plus_into};

@@ -12,6 +12,8 @@
 //! the routed geometry — and the modelled device time — are byte-identical
 //! for every worker count.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::OnceLock;
 
 use fastgr_design::Design;

@@ -1,7 +1,9 @@
 //! Verifies the zero-allocation guarantee of the pattern DP hot path:
 //! once a [`DpScratch`] and an output [`Route`] have grown to the largest
 //! net (one warm-up pass), [`PatternDp::route_net_into`] must not touch
-//! the heap at all.
+//! the heap at all — in every pattern mode, through the probed and the
+//! direct cost source alike, so every `fn *_into` body it calls is
+//! covered.
 //!
 //! This lives in its own integration-test binary because it installs a
 //! counting global allocator. The counter is per thread, so neither the
@@ -10,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fastgr_core::{DpScratch, PatternDp, PatternMode};
+use fastgr_core::{DpScratch, PatternDp, PatternMode, SelectionThresholds};
 use fastgr_design::Generator;
 use fastgr_gpu::HostPool;
 use fastgr_grid::{CostParams, CostProber, Point2, Route, Segment};
@@ -62,13 +64,20 @@ fn route_net_into_is_allocation_free_in_steady_state() {
     let trees: Vec<_> = design.nets().iter().map(|n| builder.build(n)).collect();
     assert!(!trees.is_empty());
 
-    for mode in [
+    let prober = CostProber::build(&graph);
+    let modes = [
         PatternMode::LShape,
         PatternMode::ZShape,
         PatternMode::HybridAll,
-    ] {
-        let prober = CostProber::build(&graph);
-        let dp = PatternDp::with_prober(&graph, mode, &prober);
+        PatternMode::Hybrid(SelectionThresholds::default()),
+    ];
+    let engines = modes.into_iter().flat_map(|mode| {
+        [
+            ("probed", PatternDp::with_prober(&graph, mode, &prober)),
+            ("direct", PatternDp::direct(&graph, mode)),
+        ]
+    });
+    for (source, dp) in engines {
         let mut scratch = DpScratch::new();
         let mut route = Route::new();
 
@@ -88,8 +97,10 @@ fn route_net_into_is_allocation_free_in_steady_state() {
         }
         let steady = allocs() - before;
         assert_eq!(
-            steady, 0,
-            "{mode:?}: {steady} allocations on the steady-state pass"
+            steady,
+            0,
+            "{:?} ({source}): {steady} allocations on the steady-state pass",
+            dp.mode()
         );
     }
 }

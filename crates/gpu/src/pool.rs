@@ -125,6 +125,10 @@ impl HostPool {
     /// Maps `f` over `0..n` in parallel, returning results in index order.
     /// Deterministic: the output depends only on `f`, never on thread
     /// interleaving.
+    #[expect(
+        clippy::expect_used,
+        reason = "`for_each` runs `f` once for every index, so every slot is set"
+    )]
     pub fn map<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send + Sync,

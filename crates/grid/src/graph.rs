@@ -843,6 +843,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "checks the walk against one edge"
+    )]
     fn run_cost_scales_with_length_when_uncongested() {
         let g = graph();
         let c1 = g.wire_run_cost(1, Point2::new(0, 0), Point2::new(1, 0));
@@ -1028,6 +1032,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "reads the cost of one edge")]
     fn history_raises_cost_only_on_overflowed_edges() {
         let mut g = graph();
         let edge_cost = |g: &GridGraph| {

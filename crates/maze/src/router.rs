@@ -258,6 +258,10 @@ impl MazeScratch {
     /// Rebinds the scratch to a new search window, growing the dense
     /// arrays to the high-water mark (never shrinking), and snapshots the
     /// window's edge costs from `graph`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the maze prices each unit edge, so it snapshots them one by one"
+    )]
     fn bind(&mut self, graph: &GridGraph, rect: Rect) {
         self.rect = rect;
         self.w = rect.width() as usize;
@@ -839,6 +843,10 @@ mod tests {
 
     /// Q44.20 distance from every vertex of `scratch`'s window to `target`
     /// on layer 0, by a plain Dijkstra over live `graph` costs.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the oracle reads live edge costs"
+    )]
     fn window_distances(graph: &GridGraph, scratch: &MazeScratch, target: Point2) -> Vec<u64> {
         let n = scratch.w * scratch.h * graph.num_layers() as usize;
         let mut dist = vec![u64::MAX; n];

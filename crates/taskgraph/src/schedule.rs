@@ -191,6 +191,10 @@ impl Schedule {
     /// # Panics
     ///
     /// Panics if `workers == 0` or `costs.len() != task_count()`.
+    #[expect(
+        clippy::expect_used,
+        reason = "list scheduling always has a running task while work remains"
+    )]
     pub fn simulate_workers(&self, costs: &[f64], workers: usize) -> f64 {
         assert!(workers > 0, "need at least one worker");
         assert_eq!(costs.len(), self.task_count(), "one cost per task");

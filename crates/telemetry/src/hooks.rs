@@ -6,6 +6,8 @@
 //! bridge ([`TraceHooks`]) and the happens-before race checker in
 //! `fastgr-analysis` consume the same events, so each is written once.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::recorder::Recorder;
 use crate::trace::TRACK_WORKER_BASE;
 

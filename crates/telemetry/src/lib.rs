@@ -6,8 +6,8 @@
 //!
 //! * [`Stopwatch`] — the workspace's **single clock**. Every crate that
 //!   measures wall time uses it; `Instant::now()` anywhere else is
-//!   rejected by the `timing-instant` rule of the `fastgr-analysis` lint
-//!   pass, so all timing flows through one place.
+//!   rejected by clippy's `disallowed_methods` (root `clippy.toml`), so
+//!   all timing flows through one place.
 //! * [`WorkerHooks`] — the one observation contract of the block pool
 //!   and the task-graph executor; [`TraceHooks`] bridges it into a
 //!   [`Recorder`] as per-worker begin/end events.

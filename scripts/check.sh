@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Full local gate, mirroring CI: formatting, build, tests, clippy, and the
-# fastgr-analysis correctness checks (`cargo xtask check` — workspace lint
-# pass, static schedule validation, happens-before race check, mutation
-# sweep). Run from anywhere inside the repository.
+# Full local gate, mirroring CI: formatting, build, tests, clippy (which
+# also enforces the workspace lint policy: crate-root lint attributes and
+# the root clippy.toml), and the fastgr-analysis correctness checks
+# (`cargo xtask check` — static schedule validation, happens-before race
+# check, mutation sweep). Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -2,9 +2,6 @@
 //!
 //! Subcommands (see DESIGN.md §5):
 //!
-//! * `cargo xtask lint` — the `fastgr-analysis` workspace lint pass
-//!   (forbid-unsafe everywhere, no hot-path `unwrap`/`expect`, zero-alloc
-//!   DP bodies) against `lint-allow.txt`;
 //! * `cargo xtask validate` — checks the bucketised conflict graph against
 //!   the all-pairs oracle on real net boxes, builds schedules over the
 //!   design-suite nets and proves them sound with the static validator,
@@ -16,20 +13,17 @@
 //! * `cargo xtask validate-trace <trace.json>` — parses a Chrome
 //!   `trace_event` file written by `fastgr route --trace` and checks the
 //!   schema (event phases, required fields, begin/end balance);
-//! * `cargo xtask check` — lint + lint-fixture + validate + mutation;
-//!   what CI runs. The lint-fixture step seeds known-bad sources (a
-//!   `wire_edge_cost` call in a DP kernel, an allocation in a prober
-//!   rebuild body) and demands the lint rules reject them, so a rule
-//!   that silently stops firing fails the build.
+//! * `cargo xtask check` — validate + mutation; what CI runs.
+//!
+//! The source-level workspace rules are not here: rustc and clippy enforce
+//! them (crate-root lint attributes and the root `clippy.toml`).
 
 #![forbid(unsafe_code)]
 
-use std::path::Path;
 use std::process::ExitCode;
 
 use fastgr_analysis::{
-    lint_file, lint_workspace, validate_batches, validate_schedule, validate_view, RaceChecker,
-    Rules, ScheduleView, ValidationReport,
+    validate_batches, validate_schedule, validate_view, RaceChecker, ScheduleView,
 };
 use fastgr_core::{Router, RouterConfig};
 use fastgr_design::{BenchmarkSpec, Design, Generator, GeneratorParams};
@@ -42,19 +36,14 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("check");
     let ok = match cmd {
-        "lint" => lint(),
         "validate" => validate(),
         "mutation" => mutation(),
         "validate-trace" => validate_trace(args.get(1).map(String::as_str)),
-        "check" => {
-            let mut ok = lint();
-            ok &= lint_fixture();
-            ok &= validate();
-            ok &= mutation();
-            ok
-        }
+        // `&`, not `&&`: the mutation sweep runs even if validation failed.
+        "check" => validate() & mutation(),
         "help" | "--help" | "-h" => {
-            println!("usage: cargo xtask [check|lint|validate|mutation|validate-trace FILE]");
+            println!("usage: cargo xtask [check|validate|mutation|validate-trace FILE]");
+            println!("workspace lint rules: cargo clippy --workspace --all-targets -- -D warnings");
             true
         }
         other => {
@@ -69,12 +58,6 @@ fn main() -> ExitCode {
         eprintln!("xtask {cmd}: FAILED");
         ExitCode::FAILURE
     }
-}
-
-/// The workspace root: xtask runs via `cargo xtask`, so the manifest dir of
-/// this package *is* the root.
-fn workspace_root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
 /// The nets every schedule-level check runs over: a few tiny seeds plus two
@@ -109,51 +92,6 @@ fn conflicts_of(design: &Design) -> (ConflictGraph, Vec<u32>) {
     let bboxes = net_boxes(design);
     let order: Vec<u32> = (0..bboxes.len() as u32).collect();
     (ConflictGraph::from_bounding_boxes(&bboxes), order)
-}
-
-fn lint() -> bool {
-    let report = lint_workspace(workspace_root());
-    println!("lint: {report}");
-    report.is_clean()
-}
-
-/// Seeded lint violations: known-bad sources the rules *must* flag. A rule
-/// that rots (needle renamed, scope predicate broken) passes the clean
-/// workspace silently; this step catches that by demanding rejection.
-fn lint_fixture() -> bool {
-    let mut ok = true;
-    let mut case = |name: &str, src: &str, rel: &str, rules: Rules, want_rule: &str| {
-        let mut report = ValidationReport::default();
-        lint_file(src, rel, rules, &[], &mut [], &mut report);
-        let fired = report.diagnostics.iter().any(|d| d.rule == want_rule);
-        if fired {
-            println!("lint-fixture {name}: rejected (good)");
-        } else {
-            eprintln!("lint-fixture {name}: NOT rejected — `{want_rule}` is blind");
-            ok = false;
-        }
-    };
-    case(
-        "dp-direct-cost",
-        "fn l_shape_into(&self) {\n    let w = params.wire_edge_cost(demand, cap);\n}\n",
-        "crates/core/src/dp.rs",
-        Rules {
-            dp_direct: true,
-            ..Rules::default()
-        },
-        "dp-direct-cost",
-    );
-    case(
-        "prober-dp-alloc",
-        "fn rebuild_wire_row_into(&self, row: usize) {\n    let v: Vec<u64> = Vec::new();\n}\n",
-        "crates/grid/src/prober.rs",
-        Rules {
-            dp: true,
-            ..Rules::default()
-        },
-        "dp-alloc",
-    );
-    ok
 }
 
 /// Checks a Chrome `trace_event` file as written by `fastgr route --trace`:

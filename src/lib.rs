@@ -12,8 +12,8 @@
 //! * [`core`] — the FastGR router itself (pattern stage + RRR + scoring),
 //! * [`dr`] — the Dr.CU-substitute detailed router used for evaluation,
 //! * [`viz`] — SVG rendering of routes and congestion maps,
-//! * [`analysis`] — schedule soundness validator, happens-before race
-//!   checker and the workspace lint pass (`cargo xtask check`),
+//! * [`analysis`] — schedule soundness validator and happens-before race
+//!   checker (`cargo xtask check`),
 //! * [`telemetry`] — the run-trace recorder: stage spans, counters and
 //!   kernel events aggregated into a [`RunTrace`], exportable as a summary
 //!   table or Chrome `trace_event` JSON (`fastgr route --trace out.json`).
