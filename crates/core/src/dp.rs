@@ -67,8 +67,9 @@ pub enum PatternMode {
 pub struct NetDpResult {
     /// The winning geometry (connected; includes pin-access via stacks).
     pub route: Route,
-    /// The DP cost of the winning solution under the current congestion.
-    pub cost: f64,
+    /// The DP cost of the winning solution under the current congestion,
+    /// in the grid's Q44.20 cost domain.
+    pub cost: u64,
     /// Simulated device flow profile of this net's block.
     pub profile: BlockProfile,
     /// Cost probes this net made (see [`DpSummary::probes`]).
@@ -80,8 +81,9 @@ pub struct NetDpResult {
 /// into the caller's [`Route`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpSummary {
-    /// The DP cost of the winning solution under the current congestion.
-    pub cost: f64,
+    /// The DP cost of the winning solution under the current congestion,
+    /// in the grid's Q44.20 cost domain.
+    pub cost: u64,
     /// Simulated device flow profile of this net's block.
     pub profile: BlockProfile,
     /// Cost probes this net made: each wire-run probe and each via-prefix
@@ -116,7 +118,8 @@ const CAND_PURE_VIA: u32 = u32::MAX;
 /// buffers have seen the largest net, so repeated
 /// [`PatternDp::route_net_into`] calls through one scratch allocate
 /// nothing. One scratch serves one thread at a time; the worker-pool
-/// engines keep one per thread.
+/// engines keep one per thread. Every cost is a Q44.20 `u64`, with
+/// `u64::MAX` as infinity (see [`fastgr_gpu::flow`]).
 #[derive(Debug)]
 pub struct DpScratch {
     /// Bottom-up edge order of the current tree.
@@ -125,7 +128,7 @@ pub struct DpScratch {
     dfs_stack: Vec<u32>,
     /// `edge_cost[v * L + lt]`: DP cost of edge `v -> parent(v)` arriving
     /// on layer `lt`.
-    edge_cost: Vec<f64>,
+    edge_cost: Vec<u64>,
     /// Backtracking record per `(edge, lt)` lane.
     edge_choice: Vec<EdgeChoice>,
     /// Winning via-stack interval per `(node, ls)` lane.
@@ -138,27 +141,27 @@ pub struct DpScratch {
     /// `ls * d + child_index`.
     layer_arena: Vec<u8>,
     /// Bottom-children cost `cbc(Ps, ls)` of the edge in flight.
-    cbc: Vec<f64>,
+    cbc: Vec<u64>,
     /// Child arrival layers of the interval currently being tried.
     trial_layers: Vec<u8>,
     /// Output lanes of the edge in flight (copied into `edge_cost` /
     /// `edge_choice` once complete — the copy keeps borrows disjoint).
-    out_cost: Vec<f64>,
+    out_cost: Vec<u64>,
     out_choice: Vec<EdgeChoice>,
     /// Source-side flow operand `w1` of Eqs. 5 and 11.
-    w1: Vec<f64>,
+    w1: Vec<u64>,
     /// Via-stack prefix rows of the G-cell in flight and, in the Z/hybrid
     /// flow, of the target-side bend: `cv(p, a, b) = |pre[b] − pre[a]|`.
-    pre_s: Vec<f64>,
-    pre_t: Vec<f64>,
+    pre_s: Vec<u64>,
+    pre_t: Vec<u64>,
     /// Chain intermediates: best source per bridge layer.
-    mid_values: Vec<f64>,
+    mid_values: Vec<u64>,
     mid_argmin: Vec<usize>,
     /// Per-candidate flow output lanes.
-    lane_values: Vec<f64>,
+    lane_values: Vec<u64>,
     lane_argmin: Vec<usize>,
     /// All candidates' lanes, flattened `candidate * L + lt`.
-    cand_values: Vec<f64>,
+    cand_values: Vec<u64>,
     cand_src: Vec<u32>,
     cand_mid: Vec<u32>,
     /// Winning candidate per lane after the Eq. 10 merge.
@@ -168,8 +171,8 @@ pub struct DpScratch {
     /// Per-layer wire terms following each via stack: `cw(B, T, lt)` of
     /// Eq. 6, `cw(Bs, Bt, lb)` of Eq. 12, `cw(Bt, T, lt)` of Eq. 13, and
     /// zero for a pure-via edge. Lane 0 (the pin layer) is infinite.
-    run2: Vec<f64>,
-    run3: Vec<f64>,
+    run2: Vec<u64>,
+    run3: Vec<u64>,
     /// Backtracking stack of `(edge, arrival layer)`.
     bt_stack: Vec<(TreeEdge, u8)>,
     /// Cost probes of the net in flight ([`DpSummary::probes`]).
@@ -309,7 +312,7 @@ impl<'g> PatternDp<'g> {
 
     /// Cost `cw(a, b, l)` of a straight run, from the active cost source.
     #[inline]
-    fn run_cost(&self, l: u8, a: Point2, b: Point2) -> f64 {
+    fn run_cost(&self, l: u8, a: Point2, b: Point2) -> u64 {
         match &self.costs {
             CostSource::Prober(p) => p.wire_run_cost(l, a, b),
             CostSource::Direct => self.graph.wire_run_cost(l, a, b),
@@ -317,10 +320,8 @@ impl<'g> PatternDp<'g> {
     }
 
     /// The via-stack prefix row of G-cell `p` from the active cost source:
-    /// `out[l] = cv(p, 0, l)`, so `cv(p, a, b) = |out[b] − out[a]|`
-    /// exactly (Q44.20 values below 2⁵³; see
-    /// [`CostProber::via_prefix_into`]).
-    fn via_prefix_into(&self, p: Point2, out: &mut Vec<f64>) {
+    /// `out[l] = cv(p, 0, l)`, so `cv(p, a, b) = |out[b] − out[a]|`.
+    fn via_prefix_into(&self, p: Point2, out: &mut Vec<u64>) {
         match &self.costs {
             CostSource::Prober(pr) => pr.via_prefix_into(p, out),
             CostSource::Direct => {
@@ -335,9 +336,9 @@ impl<'g> PatternDp<'g> {
     /// The wire term that follows a via stack at `a`, per layer: lane 0
     /// (the pin layer carries no wire) is infinite, lane `b` is
     /// `cw(a, c, b)`. Makes `l - 1` wire-run probes.
-    fn bridge_runs_into(&self, a: Point2, c: Point2, l: usize, out: &mut Vec<f64>) {
+    fn bridge_runs_into(&self, a: Point2, c: Point2, l: usize, out: &mut Vec<u64>) {
         out.clear();
-        out.push(f64::INFINITY);
+        out.push(u64::MAX);
         out.extend((1..l).map(|b| self.run_cost(b as u8, a, c)));
     }
 
@@ -393,7 +394,7 @@ impl<'g> PatternDp<'g> {
         if scratch.edges.is_empty() {
             // Single-node net: no geometry needed.
             return Some(DpSummary {
-                cost: 0.0,
+                cost: 0,
                 profile: BlockProfile::new(1, 1),
                 probes: 0,
             });
@@ -401,7 +402,7 @@ impl<'g> PatternDp<'g> {
 
         let n_nodes = tree.node_count();
         scratch.edge_cost.clear();
-        scratch.edge_cost.resize(n_nodes * l, f64::INFINITY);
+        scratch.edge_cost.resize(n_nodes * l, u64::MAX);
         scratch.edge_choice.clear();
         scratch.edge_choice.resize(n_nodes * l, EDGE_CHOICE_EMPTY);
         scratch.stack_lo.clear();
@@ -514,7 +515,7 @@ impl<'g> PatternDp<'g> {
         let node = tree.node(v as u32);
         let deg = node.children.len();
         scratch.cbc.clear();
-        scratch.cbc.resize(l, f64::INFINITY);
+        scratch.cbc.resize(l, u64::MAX);
         let arena = scratch.arena_offset[v] as usize;
         self.via_prefix_into(node.position, &mut scratch.pre_s);
         scratch.probes += 1;
@@ -531,7 +532,7 @@ impl<'g> PatternDp<'g> {
     /// edge, minimising over every interval. The winning child arrival
     /// layers land in the root's `ls = 0` arena lane; returns
     /// `(total, lo, hi)` or `None` when infeasible.
-    fn root_cost_into(&self, tree: &RouteTree, scratch: &mut DpScratch) -> Option<(f64, u8, u8)> {
+    fn root_cost_into(&self, tree: &RouteTree, scratch: &mut DpScratch) -> Option<(u64, u8, u8)> {
         let l = self.graph.num_layers() as usize;
         let root = tree.root();
         let node = tree.node(root);
@@ -539,7 +540,7 @@ impl<'g> PatternDp<'g> {
         scratch.probes += 1;
         let lane = scratch.arena_offset[root as usize] as usize;
         let best = best_interval(scratch, node, l, l as u8 - 1, 1, lane);
-        best.0.is_finite().then_some(best)
+        (best.0 != u64::MAX).then_some(best)
     }
 
     /// Degenerate edge whose endpoints share a G-cell: a pure via stack.
@@ -550,8 +551,8 @@ impl<'g> PatternDp<'g> {
         self.via_prefix_into(pos, &mut scratch.pre_s);
         scratch.probes += 1;
         scratch.run2.clear();
-        scratch.run2.push(f64::INFINITY);
-        scratch.run2.resize(l, 0.0);
+        scratch.run2.push(u64::MAX);
+        scratch.run2.resize(l, 0);
         stack_min_plus_into(
             &scratch.cbc,
             &scratch.pre_s,
@@ -578,7 +579,7 @@ impl<'g> PatternDp<'g> {
         let l = scratch.cbc.len();
         let bends = [Point2::new(pt.x, ps.y), Point2::new(ps.x, pt.y)];
         scratch.cand_values.clear();
-        scratch.cand_values.resize(2 * l, f64::INFINITY);
+        scratch.cand_values.resize(2 * l, u64::MAX);
         scratch.cand_src.clear();
         scratch.cand_src.resize(2 * l, 0);
         for (ci, &bend) in bends.iter().enumerate() {
@@ -588,7 +589,7 @@ impl<'g> PatternDp<'g> {
             w1.extend(
                 cbc.iter()
                     .enumerate()
-                    .map(|(ls, &c)| c + self.run_cost(ls as u8, ps, bend)),
+                    .map(|(ls, &c)| c.saturating_add(self.run_cost(ls as u8, ps, bend))),
             );
             // w2[ls][lt] = cv(B, ls, lt) + cw(B, T, lt)       (Eq. 6)
             // is the via-prefix row of B plus one wire probe per lt >= 1.
@@ -653,7 +654,7 @@ impl<'g> PatternDp<'g> {
         debug_assert!(n_pairs > 0);
 
         scratch.cand_values.clear();
-        scratch.cand_values.resize(n_pairs * l, f64::INFINITY);
+        scratch.cand_values.resize(n_pairs * l, u64::MAX);
         scratch.cand_src.clear();
         scratch.cand_src.resize(n_pairs * l, 0);
         scratch.cand_mid.clear();
@@ -666,7 +667,7 @@ impl<'g> PatternDp<'g> {
             w1.extend(
                 cbc.iter()
                     .enumerate()
-                    .map(|(ls, &c)| c + self.run_cost(ls as u8, ps, bs)),
+                    .map(|(ls, &c)| c.saturating_add(self.run_cost(ls as u8, ps, bs))),
             );
             // w2[ls][lb] = cv(Bs, ls, lb) + cw(Bs, Bt, lb)    (Eq. 12)
             // w3[lb][lt] = cv(Bt, lb, lt) + cw(Bt, T, lt)     (Eq. 13)
@@ -802,7 +803,7 @@ impl<'g> PatternDp<'g> {
 /// `lo >= 1` elsewhere), the stack cost from the row in `scratch.pre_s`
 /// plus each child's cheapest arrival layer inside the interval. Returns the
 /// first strict minimum in `lo`-then-`hi` order as `(cost, lo, hi)`, or
-/// `(INFINITY, 0, 0)` when no interval is finite, and copies its child
+/// `(u64::MAX, 0, 0)` when no interval is finite, and copies its child
 /// arrival layers to `scratch.layer_arena[lane..]`.
 fn best_interval(
     scratch: &mut DpScratch,
@@ -811,7 +812,7 @@ fn best_interval(
     max_lo: u8,
     min_hi: u8,
     lane: usize,
-) -> (f64, u8, u8) {
+) -> (u64, u8, u8) {
     let children = &node.children;
     let deg = children.len();
     scratch.trial_layers.clear();
@@ -821,24 +822,25 @@ fn best_interval(
     } else {
         (1u8, max_lo)
     };
-    let mut best = (f64::INFINITY, 0u8, 0u8);
+    let mut best = (u64::MAX, 0u8, 0u8);
     for lo in lo_first..=lo_last {
         for hi in lo.max(min_hi)..l as u8 {
-            let mut total = scratch.pre_s[hi as usize] - scratch.pre_s[lo as usize];
-            if !total.is_finite() {
+            // An off-grid G-cell's row is all `u64::MAX`.
+            if scratch.pre_s[hi as usize] == u64::MAX {
                 continue;
             }
+            let mut total = scratch.pre_s[hi as usize] - scratch.pre_s[lo as usize];
             for (ci, &c) in children.iter().enumerate() {
                 let costs = &scratch.edge_cost[c as usize * l..(c as usize + 1) * l];
                 let from = lo.max(1) as usize;
-                let (mut best_l, mut best_c) = (from, f64::INFINITY);
+                let (mut best_l, mut best_c) = (from, u64::MAX);
                 for (cl, &cost) in costs.iter().enumerate().take(hi as usize + 1).skip(from) {
                     if cost < best_c {
                         best_c = cost;
                         best_l = cl;
                     }
                 }
-                total += best_c;
+                total = total.saturating_add(best_c);
                 scratch.trial_layers[ci] = best_l as u8;
             }
             if total < best.0 {
@@ -851,25 +853,27 @@ fn best_interval(
 }
 
 /// Brute-force reference for tests: enumerate every L-shape combination of
-/// one two-pin net with both endpoints pins, no children. Uses the
-/// quantised (`_fixed`) grid walks — the arithmetic domain the DP's cost
-/// sources share — so the comparison is exact.
+/// one two-pin net with both endpoints pins, no children. Uses the grid's
+/// quantised walks — the arithmetic domain the DP's cost sources share —
+/// so the comparison is exact.
 #[cfg(test)]
-fn brute_force_two_pin_l(graph: &GridGraph, ps: Point2, pt: Point2) -> f64 {
+fn brute_force_two_pin_l(graph: &GridGraph, ps: Point2, pt: Point2) -> u64 {
     let l = graph.num_layers();
-    let mut best = f64::INFINITY;
+    let mut best = u64::MAX;
     for bend in [Point2::new(pt.x, ps.y), Point2::new(ps.x, pt.y)] {
         for ls in 1..l {
             for lt in 1..l {
                 // Pin access: stack 0 -> ls at Ps, 0 -> lt at Pt.
-                let c = graph.via_stack_cost(ps, 0, ls)
-                    + graph.wire_run_cost(ls, ps, bend)
-                    + graph.via_stack_cost(bend, ls, lt)
-                    + graph.wire_run_cost(lt, bend, pt)
-                    + graph.via_stack_cost(pt, 0, lt);
-                if c < best {
-                    best = c;
-                }
+                let c = [
+                    graph.via_stack_cost(ps, 0, ls),
+                    graph.wire_run_cost(ls, ps, bend),
+                    graph.via_stack_cost(bend, ls, lt),
+                    graph.wire_run_cost(lt, bend, pt),
+                    graph.via_stack_cost(pt, 0, lt),
+                ]
+                .into_iter()
+                .fold(0, u64::saturating_add);
+                best = best.min(c);
             }
         }
     }
@@ -915,12 +919,7 @@ mod tests {
         let (ps, pt) = (Point2::new(2, 3), Point2::new(11, 9));
         let r = route_with(&g, PatternMode::LShape, &[(2, 3), (11, 9)]);
         let expect = brute_force_two_pin_l(&g, ps, pt);
-        assert!(
-            (r.cost - expect).abs() < 1e-9,
-            "dp {} vs brute {}",
-            r.cost,
-            expect
-        );
+        assert_eq!(r.cost, expect, "dp vs brute force");
     }
 
     #[test]
@@ -935,11 +934,10 @@ mod tests {
             let r = route_with(&g, mode, &[(1, 1), (14, 3), (7, 16), (3, 9)]);
             // The DP prices tree legs independently; normalised geometry
             // costs at most that (equality when no legs overlap). Both are
-            // Q44.20-quantised sums; the bound keeps the slack of the
-            // quantisation (< 2^-21 per edge).
+            // sums of the same per-edge Q44.20 costs.
             let recost = g.route_cost(&r.route);
             assert!(
-                recost <= r.cost + 1e-3,
+                recost <= r.cost,
                 "{mode:?}: geometry {} costs more than the dp bound {}",
                 recost,
                 r.cost
@@ -974,14 +972,10 @@ mod tests {
         let l = route_with(&g, PatternMode::LShape, &[(2, 2), (20, 18)]);
         let h = route_with(&g, PatternMode::HybridAll, &[(2, 2), (20, 18)]);
         assert!(
-            h.cost <= l.cost + 1e-9,
-            "hybrid {} must not lose to L {}",
+            h.cost < l.cost,
+            "expected a strictly better Z path than L: {} vs {}",
             h.cost,
             l.cost
-        );
-        assert!(
-            h.cost < l.cost - 1e-9,
-            "expected a strictly better Z path here"
         );
     }
 
@@ -1000,7 +994,7 @@ mod tests {
         let g = graph(8, 8, 4);
         let r = route_with(&g, PatternMode::LShape, &[(3, 3)]);
         assert!(r.route.is_empty());
-        assert_eq!(r.cost, 0.0);
+        assert_eq!(r.cost, 0);
     }
 
     #[test]
@@ -1187,9 +1181,8 @@ mod tests {
             let pts: Vec<(u16, u16)> = pts.into_iter().collect();
             let r = route_with(&g, mode, &pts);
             prop_assert!(r.route.is_connected());
-            // DP cost upper-bounds the normalised geometry cost (modulo
-            // Q44.20 quantisation slack).
-            prop_assert!(g.route_cost(&r.route) <= r.cost + 1e-3);
+            // DP cost upper-bounds the normalised geometry cost.
+            prop_assert!(g.route_cost(&r.route) <= r.cost);
         }
 
         #[test]
@@ -1201,7 +1194,7 @@ mod tests {
             let l = route_with(&g, PatternMode::LShape, &pts);
             let h = route_with(&g, PatternMode::HybridAll, &pts);
             // The hybrid candidate set is a superset of the L set.
-            prop_assert!(h.cost <= l.cost + 1e-9);
+            prop_assert!(h.cost <= l.cost);
         }
     }
 }

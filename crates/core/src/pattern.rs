@@ -1,10 +1,10 @@
 //! The pattern routing stage driver (paper Sections III-C/D/E/F, Fig. 7).
 //!
-//! Planning (Steiner trees + net ordering + batch extraction) happens on the
-//! host; routing is then one loop over *commit groups*. For the GPU engine
-//! a group is a conflict-free batch, launched as one kernel with one block
-//! per net. For the baseline engine a group is a single net in sorted
-//! order, which is CUGR's net-by-net commit.
+//! Planning (Steiner trees + net ordering, and batch extraction for the GPU
+//! engine) happens on the host; routing is then one loop over *commit
+//! groups*. For the GPU engine a group is a conflict-free batch, launched
+//! as one kernel with one block per net. For the baseline engine a group is
+//! a single net in sorted order, which is CUGR's net-by-net commit.
 //!
 //! Parallel execution is deterministic by construction: every concurrent
 //! phase (Steiner planning, block execution) writes to index-disjoint
@@ -44,7 +44,8 @@ pub enum PatternEngine {
 pub struct PatternOutcome {
     /// Routed geometry per net id (committed to the grid).
     pub routes: Vec<Route>,
-    /// Number of conflict-free batches the scheduler produced.
+    /// Number of commit groups: the conflict-free batches of the GPU
+    /// engine, or one per net for the sequential engine.
     pub batch_count: usize,
 }
 
@@ -163,16 +164,27 @@ impl PatternStage {
         let nets = design.nets();
         let trees: Vec<RouteTree> = pool.map(nets.len(), |i| builder.build(&nets[i]));
         let order = self.sorting.sorted_ids(design.nets());
-        let bboxes: Vec<Rect> = design.nets().iter().map(|n| n.bounding_box()).collect();
-        let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
-        let batches = extract_batches(&order, &conflicts);
-        if self.validate {
-            fastgr_analysis::validate_batches(&batches, &conflicts)
+        // Conflict-free batches, for the GPU engine only: the CUGR baseline
+        // commits net by net and needs no conflict graph. The graph is held
+        // to the end of the stage, so a run's memory peak stays here, where
+        // every run allocates the same, and not in the threaded RRR stage,
+        // whose per-thread allocator footprint varies with scheduling.
+        let conflicts = match self.engine {
+            PatternEngine::GpuFlow(_) => {
+                let bboxes: Vec<Rect> = nets.iter().map(|n| n.bounding_box()).collect();
+                Some(ConflictGraph::from_bounding_boxes(&bboxes))
+            }
+            PatternEngine::SequentialCpu => None,
+        };
+        let batches = conflicts
+            .as_ref()
+            .map_or_else(Vec::new, |c| extract_batches(&order, c));
+        if let (true, Some(c)) = (self.validate, &conflicts) {
+            fastgr_analysis::validate_batches(&batches, c)
                 .assert_clean("pattern stage batch extraction");
         }
         plan_span.finish();
         recorder.accumulate("pattern.nets", nets.len() as f64);
-        recorder.accumulate("pattern.batches", batches.len() as f64);
 
         // --- Routing. ---
         let route_span = recorder.span("pattern", "stage");
@@ -205,6 +217,8 @@ impl PatternStage {
             Some(_) => batches.iter().map(Vec::as_slice).collect(),
             None => order.chunks(1).collect(),
         };
+        recorder.accumulate("pattern.batches", groups.len() as f64);
+        let batch_count = groups.len();
         let mut cost_probes = 0u64;
         for group in groups {
             if let Some(p) = prober.as_mut() {
@@ -259,7 +273,7 @@ impl PatternStage {
         route_span.finish();
         Ok(PatternOutcome {
             routes,
-            batch_count: batches.len(),
+            batch_count,
         })
     }
 }

@@ -442,6 +442,19 @@ mod tests {
     use fastgr_design::{Generator, GeneratorParams};
     use fastgr_grid::CostParams;
 
+    /// Witness of the root `clippy.toml` ban on `std::sync::RwLock`: if the
+    /// ban's path stops resolving, this expectation goes unfulfilled and
+    /// `cargo clippy -- -D warnings` fails.
+    #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "names the banned lock to keep the ban live"
+    )]
+    fn rwlock_ban_is_live() {
+        let lock = std::sync::RwLock::new(0u8);
+        assert_eq!(lock.into_inner().ok(), Some(0));
+    }
+
     /// A congested design: low capacity forces pattern-stage overflow.
     fn congested() -> (fastgr_design::Design, GridGraph, Vec<Route>) {
         let design = Generator::new(GeneratorParams {

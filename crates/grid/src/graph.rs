@@ -42,9 +42,9 @@ fn fixed_to_demand(raw: u64) -> f64 {
 /// [`crate::CostProber`] and the maze router's per-window cost snapshot.
 ///
 /// Edge costs are nonnegative and bounded (the logistic congestion model
-/// saturates; the zero-capacity sentinel is `overflow_weight * 16`), so a
-/// row-length prefix sum stays far below 2^53 and converts back to `f64`
-/// exactly. Because quantisation happens *per edge* before summation,
+/// saturates; the zero-capacity sentinel is `overflow_weight * 16`), so
+/// every route and DP sum stays far below `u64::MAX`, the domain's
+/// infinity. Because quantisation happens *per edge* before summation,
 /// integer prefix differences are bit-identical to naive integer summation
 /// — the exactness property the prober's proptests pin down.
 pub(crate) const COST_FRAC_BITS: u32 = 20;
@@ -55,11 +55,6 @@ const COST_SCALE: f64 = (1u64 << COST_FRAC_BITS) as f64;
 pub fn cost_to_fixed(cost: f64) -> u64 {
     debug_assert!(cost.is_finite() && cost >= 0.0);
     (cost * COST_SCALE).round() as u64
-}
-
-/// Converts a Q44.20 cost sum back to `f64` (exact below 2^53).
-pub fn fixed_cost_to_f64(raw: u64) -> f64 {
-    raw as f64 / COST_SCALE
 }
 
 /// Per-layer storage of wire-edge capacity, demand and history cost.
@@ -178,13 +173,13 @@ impl Clone for DirtyTracker {
 /// let mut g = GridGraph::new(8, 8, 4, CostParams::default())?;
 /// g.fill_capacity(4.0);
 ///
-/// // Horizontal run on M1 (horizontal layer): finite cost.
+/// // Horizontal run on M1 (horizontal layer): finite Q44.20 cost.
 /// let c = g.wire_run_cost(1, Point2::new(0, 0), Point2::new(5, 0));
-/// assert!(c.is_finite());
+/// assert!(c < u64::MAX);
 ///
 /// // A vertical run on a horizontal layer is not a legal pattern leg.
 /// let c = g.wire_run_cost(1, Point2::new(0, 0), Point2::new(0, 5));
-/// assert!(c.is_infinite());
+/// assert_eq!(c, u64::MAX);
 /// # Ok(())
 /// # }
 /// ```
@@ -460,10 +455,9 @@ impl GridGraph {
 
     /// Cost `cw(a, b, l)` of a straight run on layer `l` between aligned
     /// G-cells `a` and `b`, in the Q44.20 quantised cost domain: each unit
-    /// edge is quantised with `cost_to_fixed` *before* summation and the
-    /// integer total converted back to `f64` (exact below 2^53).
+    /// edge is quantised with `cost_to_fixed` *before* summation.
     ///
-    /// Returns 0 for `a == b`; returns `f64::INFINITY` when the run does not
+    /// Returns 0 for `a == b`; returns `u64::MAX` when the run does not
     /// follow the layer's preferred direction, leaves the grid, or `l` is
     /// out of range — so the value can be fed to the pattern-routing DP
     /// directly, where illegal candidates simply never win the `min`.
@@ -471,60 +465,44 @@ impl GridGraph {
     /// This is the naive walk the prefix-sum [`crate::CostProber`] matches
     /// bit-for-bit, and the arithmetic the pattern DP uses in its direct
     /// (prober-off) mode, so probed and direct routing agree exactly.
-    pub fn wire_run_cost(&self, l: u8, a: Point2, b: Point2) -> f64 {
+    pub fn wire_run_cost(&self, l: u8, a: Point2, b: Point2) -> u64 {
         if a == b {
-            return 0.0;
+            return 0;
         }
         if (l as usize) >= self.layers.len() || !self.contains(a) || !self.contains(b) {
-            return f64::INFINITY;
+            return u64::MAX;
         }
-        let dir = self.layers[l as usize].direction;
-        let run_dir = if a.y == b.y {
-            Direction::Horizontal
-        } else if a.x == b.x {
-            Direction::Vertical
-        } else {
-            return f64::INFINITY;
-        };
-        if dir != run_dir {
-            return f64::INFINITY;
-        }
-        let mut total = 0u64;
-        match dir {
-            Direction::Horizontal => {
-                let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
+        // The run's first edge index in its row or column, and its span.
+        let (base, lo, hi) = match self.layers[l as usize].direction {
+            Direction::Horizontal if a.y == b.y => {
                 let base = a.y as usize * (self.width as usize - 1);
-                for x in x0..x1 {
-                    total += self.wire_edge_cost_fixed_at(l as usize, base + x as usize);
-                }
+                (base, a.x.min(b.x), a.x.max(b.x))
             }
-            Direction::Vertical => {
-                let (y0, y1) = (a.y.min(b.y), a.y.max(b.y));
+            Direction::Vertical if a.x == b.x => {
                 let base = a.x as usize * (self.height as usize - 1);
-                for y in y0..y1 {
-                    total += self.wire_edge_cost_fixed_at(l as usize, base + y as usize);
-                }
+                (base, a.y.min(b.y), a.y.max(b.y))
             }
-        }
-        fixed_cost_to_f64(total)
+            _ => return u64::MAX,
+        };
+        (lo..hi)
+            .map(|i| self.wire_edge_cost_fixed_at(l as usize, base + i as usize))
+            .sum()
     }
 
     /// Cost `cv(p, l1, l2)` of a via stack at `p` from layer `l1` to `l2`,
     /// in the Q44.20 quantised cost domain; the naive walk that differences
     /// of [`crate::CostProber::via_prefix_into`] rows match bit-for-bit.
     ///
-    /// Returns 0 when `l1 == l2`; `f64::INFINITY` when out of range.
-    pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
+    /// Returns 0 when `l1 == l2`; `u64::MAX` when out of range.
+    pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> u64 {
         let (lo, hi) = (l1.min(l2), l1.max(l2));
         if hi as usize >= self.layers.len() || !self.contains(p) {
-            return f64::INFINITY;
+            return u64::MAX;
         }
         let pos = p.y as usize * self.width as usize + p.x as usize;
-        let mut total = 0u64;
-        for l in lo..hi {
-            total += self.via_edge_cost_fixed_at(l as usize, pos);
-        }
-        fixed_cost_to_f64(total)
+        (lo..hi)
+            .map(|l| self.via_edge_cost_fixed_at(l as usize, pos))
+            .sum()
     }
 
     /// Adds `amount` demand (may be negative) to every unit wire edge of the
@@ -673,16 +651,18 @@ impl GridGraph {
 
     /// Evaluates the current cost of `route` against the present demand
     /// state (counting the route's own demand if committed): the sum of its
-    /// quantised wire-run and via-stack walks.
-    pub fn route_cost(&self, route: &Route) -> f64 {
-        let mut total = 0.0;
-        for s in route.segments() {
-            total += self.wire_run_cost(s.layer, s.from, s.to);
-        }
-        for v in route.vias() {
-            total += self.via_stack_cost(v.at, v.lo, v.hi);
-        }
-        total
+    /// quantised wire-run and via-stack walks (`u64::MAX` if any of them
+    /// is illegal).
+    pub fn route_cost(&self, route: &Route) -> u64 {
+        let wires = route
+            .segments()
+            .iter()
+            .map(|s| self.wire_run_cost(s.layer, s.from, s.to));
+        let vias = route
+            .vias()
+            .iter()
+            .map(|v| self.via_stack_cost(v.at, v.lo, v.hi));
+        wires.chain(vias).fold(0, u64::saturating_add)
     }
 
     /// Whether any unit wire edge covered by `route` is overflowing
@@ -819,27 +799,23 @@ mod tests {
     fn run_cost_respects_preferred_direction() {
         let g = graph();
         // M1 horizontal, M2 vertical.
-        assert!(g
-            .wire_run_cost(1, Point2::new(0, 0), Point2::new(4, 0))
-            .is_finite());
-        assert!(g
-            .wire_run_cost(1, Point2::new(0, 0), Point2::new(0, 4))
-            .is_infinite());
-        assert!(g
-            .wire_run_cost(2, Point2::new(0, 0), Point2::new(0, 4))
-            .is_finite());
-        assert!(g
-            .wire_run_cost(2, Point2::new(0, 0), Point2::new(4, 0))
-            .is_infinite());
-        // Diagonal runs are never legal.
-        assert!(g
-            .wire_run_cost(1, Point2::new(0, 0), Point2::new(3, 3))
-            .is_infinite());
-        // Zero-length runs are free on any layer.
+        assert!(g.wire_run_cost(1, Point2::new(0, 0), Point2::new(4, 0)) < u64::MAX);
         assert_eq!(
-            g.wire_run_cost(2, Point2::new(5, 5), Point2::new(5, 5)),
-            0.0
+            g.wire_run_cost(1, Point2::new(0, 0), Point2::new(0, 4)),
+            u64::MAX
         );
+        assert!(g.wire_run_cost(2, Point2::new(0, 0), Point2::new(0, 4)) < u64::MAX);
+        assert_eq!(
+            g.wire_run_cost(2, Point2::new(0, 0), Point2::new(4, 0)),
+            u64::MAX
+        );
+        // Diagonal runs are never legal.
+        assert_eq!(
+            g.wire_run_cost(1, Point2::new(0, 0), Point2::new(3, 3)),
+            u64::MAX
+        );
+        // Zero-length runs are free on any layer.
+        assert_eq!(g.wire_run_cost(2, Point2::new(5, 5), Point2::new(5, 5)), 0);
     }
 
     #[test]
@@ -852,12 +828,12 @@ mod tests {
         let c1 = g.wire_run_cost(1, Point2::new(0, 0), Point2::new(1, 0));
         let c5 = g.wire_run_cost(1, Point2::new(0, 0), Point2::new(5, 0));
         // Equal edges quantise identically, so the sum is exact.
-        assert_eq!(c5, 5.0 * c1);
+        assert_eq!(c5, 5 * c1);
         // The walk sums the per-edge quantised costs.
         let quantised = g
             .wire_edge_cost_fixed(1, Point2::new(0, 0))
             .expect("edge exists");
-        assert_eq!(c1, fixed_cost_to_f64(quantised));
+        assert_eq!(c1, quantised);
     }
 
     #[test]
@@ -1004,9 +980,9 @@ mod tests {
         let p = Point2::new(4, 4);
         let one = g.via_stack_cost(p, 1, 2);
         let three = g.via_stack_cost(p, 1, 4);
-        assert_eq!(three, 3.0 * one);
-        assert_eq!(g.via_stack_cost(p, 2, 2), 0.0);
-        assert!(g.via_stack_cost(p, 1, 9).is_infinite());
+        assert_eq!(three, 3 * one);
+        assert_eq!(g.via_stack_cost(p, 2, 2), 0);
+        assert_eq!(g.via_stack_cost(p, 1, 9), u64::MAX);
     }
 
     #[test]
@@ -1015,7 +991,7 @@ mod tests {
         let free = g.wire_run_cost(1, Point2::new(0, 8), Point2::new(4, 8));
         g.scale_region_capacity(1, Rect::new(Point2::new(0, 0), Point2::new(5, 5)), 0.0);
         let blocked = g.wire_run_cost(1, Point2::new(0, 3), Point2::new(4, 3));
-        assert!(blocked > free * 10.0);
+        assert!(blocked > free * 10);
     }
 
     #[test]
@@ -1036,10 +1012,8 @@ mod tests {
     fn history_raises_cost_only_on_overflowed_edges() {
         let mut g = graph();
         let edge_cost = |g: &GridGraph| {
-            fixed_cost_to_f64(
-                g.wire_edge_cost_fixed(1, Point2::new(0, 0))
-                    .expect("edge exists"),
-            )
+            g.wire_edge_cost_fixed(1, Point2::new(0, 0))
+                .expect("edge exists")
         };
         let quiet = edge_cost(&g);
         // Overflow one edge.
@@ -1058,7 +1032,7 @@ mod tests {
         }
         let haunted = edge_cost(&g);
         // Both sides are quantised per edge: at most one Q44.20 unit apart.
-        assert!((haunted - (quiet + 10.0)).abs() < 1e-5);
+        assert!(haunted.abs_diff(quiet + cost_to_fixed(10.0)) <= 1);
     }
 
     #[test]
@@ -1084,6 +1058,6 @@ mod tests {
         let expected = g.wire_run_cost(1, Point2::new(0, 0), Point2::new(4, 0))
             + g.via_stack_cost(Point2::new(4, 0), 1, 2)
             + g.wire_run_cost(2, Point2::new(4, 0), Point2::new(4, 3));
-        assert!((g.route_cost(&route) - expected).abs() < 1e-9);
+        assert_eq!(g.route_cost(&route), expected);
     }
 }

@@ -52,7 +52,7 @@ pub use congestion::CongestionReport;
 pub use cost::CostParams;
 pub use error::GridError;
 pub use geom::{Point2, Point3, Rect};
-pub use graph::{cost_to_fixed, fixed_cost_to_f64, GridGraph};
+pub use graph::{cost_to_fixed, GridGraph};
 pub use layer::{Direction, LayerInfo};
 pub use prober::CostProber;
 pub use route::{Route, Segment, Via};

@@ -40,7 +40,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fastgr_gpu::HostPool;
 
-use crate::graph::fixed_cost_to_f64;
 use crate::layer::Direction;
 use crate::{GridGraph, Point2};
 
@@ -296,12 +295,12 @@ impl CostProber {
     /// [`GridGraph::wire_run_cost`], bit-identical to it whenever the
     /// cache is fresh.
     ///
-    /// Returns 0 for `a == b` and `f64::INFINITY` for runs that leave the
-    /// grid or fight the layer's preferred direction, exactly like the
-    /// naive walk.
-    pub fn wire_run_cost(&self, l: u8, a: Point2, b: Point2) -> f64 {
+    /// Returns 0 for `a == b` and `u64::MAX` for runs that leave the grid
+    /// or fight the layer's preferred direction, exactly like the naive
+    /// walk.
+    pub fn wire_run_cost(&self, l: u8, a: Point2, b: Point2) -> u64 {
         if a == b {
-            return 0.0;
+            return 0;
         }
         let (w, h) = (self.width, self.height);
         if (l as usize) >= self.layers
@@ -310,34 +309,18 @@ impl CostProber {
             || b.x as usize >= w
             || b.y as usize >= h
         {
-            return f64::INFINITY;
+            return u64::MAX;
         }
-        let dir = self.dirs[l as usize];
-        let run_dir = if a.y == b.y {
-            Direction::Horizontal
-        } else if a.x == b.x {
-            Direction::Vertical
-        } else {
-            return f64::INFINITY;
+        // The run's row or column in `wire_pref`, and its span.
+        let (row, lo, hi) = match self.dirs[l as usize] {
+            Direction::Horizontal if a.y == b.y => (a.y as usize * w, a.x.min(b.x), a.x.max(b.x)),
+            Direction::Vertical if a.x == b.x => (a.x as usize * h, a.y.min(b.y), a.y.max(b.y)),
+            _ => return u64::MAX,
         };
-        if dir != run_dir {
-            return f64::INFINITY;
-        }
-        let raw = match dir {
-            Direction::Horizontal => {
-                let pbase = l as usize * self.wh + a.y as usize * w;
-                let (x0, x1) = (a.x.min(b.x) as usize, a.x.max(b.x) as usize);
-                self.wire_pref[pbase + x1].load(Ordering::Relaxed)
-                    - self.wire_pref[pbase + x0].load(Ordering::Relaxed)
-            }
-            Direction::Vertical => {
-                let pbase = l as usize * self.wh + a.x as usize * h;
-                let (y0, y1) = (a.y.min(b.y) as usize, a.y.max(b.y) as usize);
-                self.wire_pref[pbase + y1].load(Ordering::Relaxed)
-                    - self.wire_pref[pbase + y0].load(Ordering::Relaxed)
-            }
+        let pref = |i: u16| {
+            self.wire_pref[l as usize * self.wh + row + i as usize].load(Ordering::Relaxed)
         };
-        fixed_cost_to_f64(raw)
+        pref(hi) - pref(lo)
     }
 
     /// Fills `out` with the `L` via-stack prefix costs of G-cell `p`:
@@ -345,21 +328,20 @@ impl CostProber {
     /// `cv(p, a, b) = |out[b] − out[a]|` for every layer pair — one row
     /// read in place of `L²` via-stack probes.
     ///
-    /// Each entry is a Q44.20 integer below 2⁵³ converted to `f64`, so it
-    /// and every difference of two entries are exact: the row difference
-    /// is bit-identical to [`GridGraph::via_stack_cost`]. Off-grid cells
-    /// fill `out` with `f64::INFINITY`. Reuses `out`'s capacity.
-    pub fn via_prefix_into(&self, p: Point2, out: &mut Vec<f64>) {
+    /// The row is non-decreasing, and its differences are bit-identical to
+    /// [`GridGraph::via_stack_cost`]. Off-grid cells fill `out` with
+    /// `u64::MAX`. Reuses `out`'s capacity.
+    pub fn via_prefix_into(&self, p: Point2, out: &mut Vec<u64>) {
         out.clear();
         if p.x as usize >= self.width || p.y as usize >= self.height {
-            out.resize(self.layers, f64::INFINITY);
+            out.resize(self.layers, u64::MAX);
             return;
         }
         let pos = p.y as usize * self.width + p.x as usize;
         out.extend(
             self.via_pref[pos * self.layers..(pos + 1) * self.layers]
                 .iter()
-                .map(|cell| fixed_cost_to_f64(cell.load(Ordering::Relaxed))),
+                .map(|cell| cell.load(Ordering::Relaxed)),
         );
     }
 
@@ -414,26 +396,18 @@ mod tests {
     fn probe_matches_illegal_run_semantics() {
         let g = graph();
         let prober = CostProber::build(&g);
+        let probe = |l, (ax, ay), (bx, by)| {
+            prober.wire_run_cost(l, Point2::new(ax, ay), Point2::new(bx, by))
+        };
         // Wrong direction (layer 1 is horizontal).
-        assert!(prober
-            .wire_run_cost(1, Point2::new(0, 0), Point2::new(0, 4))
-            .is_infinite());
+        assert_eq!(probe(1, (0, 0), (0, 4)), u64::MAX);
         // Diagonal.
-        assert!(prober
-            .wire_run_cost(1, Point2::new(0, 0), Point2::new(3, 3))
-            .is_infinite());
+        assert_eq!(probe(1, (0, 0), (3, 3)), u64::MAX);
         // Out of grid / out of layers.
-        assert!(prober
-            .wire_run_cost(1, Point2::new(0, 0), Point2::new(40, 0))
-            .is_infinite());
-        assert!(prober
-            .wire_run_cost(9, Point2::new(0, 0), Point2::new(3, 0))
-            .is_infinite());
+        assert_eq!(probe(1, (0, 0), (40, 0)), u64::MAX);
+        assert_eq!(probe(9, (0, 0), (3, 0)), u64::MAX);
         // Degenerate probes are free.
-        assert_eq!(
-            prober.wire_run_cost(1, Point2::new(2, 2), Point2::new(2, 2)),
-            0.0
-        );
+        assert_eq!(probe(1, (2, 2), (2, 2)), 0);
     }
 
     #[test]
@@ -500,11 +474,11 @@ mod tests {
         assert_eq!(row.len(), 5);
         for a in 0..5u8 {
             for b in 0..5u8 {
-                let diff = (row[b as usize] - row[a as usize]).abs();
+                let diff = row[b as usize].abs_diff(row[a as usize]);
                 assert_eq!(diff, g.via_stack_cost(p, a, b));
             }
         }
         prober.via_prefix_into(Point2::new(40, 0), &mut row);
-        assert!(row.iter().all(|v| v.is_infinite()));
+        assert_eq!(row, vec![u64::MAX; 5]);
     }
 }

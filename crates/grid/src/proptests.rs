@@ -119,9 +119,9 @@ proptest! {
     fn cost_monotone_in_demand(route in arb_route()) {
         let g = graph(16, 16, 5, 4.0);
         let before = g.route_cost(&route);
-        prop_assert!(before.is_finite());
+        prop_assert!(before < u64::MAX);
         g.commit(&route).expect("valid route");
         let after = g.route_cost(&route);
-        prop_assert!(after + 1e-12 >= before);
+        prop_assert!(after >= before);
     }
 }

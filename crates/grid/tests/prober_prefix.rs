@@ -85,7 +85,7 @@ fn assert_probes_match(prober: &CostProber, g: &GridGraph) {
                     // The row difference the pattern kernels use, both ways
                     // round.
                     assert_eq!(row[hi as usize] - row[lo as usize], naive);
-                    assert_eq!((row[lo as usize] - row[hi as usize]).abs(), naive);
+                    assert_eq!(row[lo as usize].abs_diff(row[hi as usize]), naive);
                 }
             }
         }

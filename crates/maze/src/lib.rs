@@ -28,10 +28,9 @@
 //! (`GridGraph::{wire,via}_edge_cost_fixed`, the quantiser the pattern DP
 //! and the cost prober share), and all the net's searches read those, so
 //! the search detours around overflowed edges without calling back into
-//! the grid per arc. [`MazeStats::path_cost`] is in the same units:
-//! [`fastgr_grid::fixed_cost_to_f64`] of it equals
-//! [`GridGraph::route_cost`](fastgr_grid::GridGraph::route_cost) of a
-//! two-pin route exactly. The A* potential is the exact distance to the
+//! the grid per arc. [`MazeStats::path_cost`] is in the same units: it
+//! equals [`GridGraph::route_cost`](fastgr_grid::GridGraph::route_cost) of
+//! a two-pin route exactly. The A* potential is the exact distance to the
 //! target with every edge at its cost floor (unit wire per step, unit via
 //! per layer change, quantised by [`fastgr_grid::cost_to_fixed`]), which
 //! makes it admissible and consistent.

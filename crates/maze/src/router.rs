@@ -161,7 +161,7 @@ pub struct MazeStats {
     pub searches: u32,
     /// Cost of the found paths in the grid's Q44.20 cost domain
     /// ([`fastgr_grid::cost_to_fixed`] units), summed over the two-pin
-    /// searches; [`fastgr_grid::fixed_cost_to_f64`] converts it back.
+    /// searches.
     pub path_cost: u64,
 }
 
@@ -605,7 +605,7 @@ fn step_dir(a: Point3, b: Point3) -> StepDir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastgr_grid::{fixed_cost_to_f64, CostParams};
+    use fastgr_grid::CostParams;
     use proptest::prelude::*;
 
     fn graph(w: u16, h: u16, layers: u8) -> GridGraph {
@@ -898,6 +898,18 @@ mod tests {
         dist
     }
 
+    /// The A* snapshot of a two-pin search from `a` to `b` on a 14×14
+    /// `congested_graph`: the bound scratch, the target's potential and the
+    /// oracle distances to `b`.
+    fn bound_search(g: &GridGraph, a: Point2, b: Point2) -> (MazeScratch, Potential, Vec<u64>) {
+        let bbox = Rect::bounding([a, b]).expect("two pins");
+        let rect = MazeConfig::default().window(bbox, 14, 14);
+        let mut scratch = MazeScratch::new();
+        scratch.bind(g, rect);
+        let dist = window_distances(g, &scratch, b);
+        (scratch, Potential::new(g, true, b), dist)
+    }
+
     proptest! {
         /// The via-aware potential never overestimates: at every window
         /// vertex it is at most the true distance to the target.
@@ -912,16 +924,46 @@ mod tests {
         ) {
             let blocked = 1 + blocked_pick % (layers - 1);
             let g = congested_graph(14, layers, blocked, &nets, copies, history as f64);
-            let (a, b) = (Point2::new(ax, ay), Point2::new(bx, by));
-            let bbox = Rect::bounding([a, b]).expect("two pins");
-            let rect = MazeConfig::default().window(bbox, 14, 14);
-            let mut scratch = MazeScratch::new();
-            scratch.bind(&g, rect);
-            let pot = Potential::new(&g, true, b);
-            let dist = window_distances(&g, &scratch, b);
+            let (scratch, pot, dist) = bound_search(&g, Point2::new(ax, ay), Point2::new(bx, by));
             for (i, &d) in dist.iter().enumerate() {
                 let p = scratch.point(i);
                 prop_assert!(pot.at(p) <= d, "potential {} > distance {d} at {p}", pot.at(p));
+            }
+        }
+
+        /// The potential is consistent: `h(u) <= c(u, v) + h(v)` on every
+        /// arc of the bound snapshot, both ways round, so an A* key never
+        /// falls below the last popped key. The oracle distances obey the
+        /// same inequality on every arc, which ties the snapshot's arcs to
+        /// the live grid.
+        #[test]
+        fn potential_is_consistent_on_every_snapshot_arc(
+            layers in 3u8..7,
+            blocked_pick in 0u8..8,
+            nets in proptest::collection::vec((0u16..14, 0u16..14, 0u16..14, 0u16..14), 0..12),
+            copies in 1usize..6,
+            history in 0u8..6,
+            (ax, ay, bx, by) in (0u16..14, 0u16..14, 0u16..14, 0u16..14),
+        ) {
+            let blocked = 1 + blocked_pick % (layers - 1);
+            let g = congested_graph(14, layers, blocked, &nets, copies, history as f64);
+            let (scratch, pot, dist) = bound_search(&g, Point2::new(ax, ay), Point2::new(bx, by));
+            let plane = scratch.w * scratch.h;
+            for (u, &du) in dist.iter().enumerate() {
+                let p = scratch.point(u);
+                let stride = match g.layer(p.layer).direction {
+                    Direction::Horizontal => 1,
+                    Direction::Vertical => scratch.w,
+                };
+                for (v, c) in [(u + stride, scratch.wire[u]), (u + plane, scratch.via[u])] {
+                    if c == u64::MAX {
+                        continue;
+                    }
+                    let (q, dv) = (scratch.point(v), dist[v]);
+                    prop_assert!(pot.at(p) <= c + pot.at(q), "h({p}) > {c} + h({q})");
+                    prop_assert!(pot.at(q) <= c + pot.at(p), "h({q}) > {c} + h({p})");
+                    prop_assert!(du <= c.saturating_add(dv) && dv <= c.saturating_add(du));
+                }
             }
         }
 
@@ -968,7 +1010,7 @@ mod tests {
             if let Ok(stats) =
                 MazeRouter::default().route_into(&g, &pins, &mut MazeScratch::new(), &mut route)
             {
-                prop_assert_eq!(fixed_cost_to_f64(stats.path_cost), g.route_cost(&route));
+                prop_assert_eq!(stats.path_cost, g.route_cost(&route));
             }
         }
 

@@ -35,9 +35,6 @@ target/release/fastgr generate tiny --out "$trace_tmp/tiny.txt"
 target/release/fastgr route "$trace_tmp/tiny.txt" --trace "$trace_tmp/trace.json" >/dev/null
 cargo xtask validate-trace "$trace_tmp/trace.json"
 
-echo "== probe equivalence =="
-cargo test -q -p fastgr-core --test probe_equivalence
-
 echo "== suite design route + trace smoke =="
 target/release/fastgr route s18t5m --preset fastgr-l --trace "$trace_tmp/suite_trace.json" >/dev/null
 cargo xtask validate-trace "$trace_tmp/suite_trace.json"

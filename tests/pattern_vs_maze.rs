@@ -3,13 +3,8 @@
 //! a two-pin net can never cost more than the pattern route (it searches a
 //! superset of the pattern paths), and both must connect the same pins.
 //!
-//! Tolerances: the pattern DP and `GridGraph::route_cost` both price edges
-//! in the Q44.20 fixed-point domain of the prefix-sum cost prober (each
-//! edge rounds by at most 2^-21), while the maze search minimises its own
-//! quantisation of the per-edge costs — so its optimum under the Q44.20
-//! walk may differ by rounding, and pattern-vs-maze comparisons allow 1e-3
-//! of quantisation drift. Pattern-vs-pattern comparisons are quantised
-//! identically on both sides and stay at 1e-9.
+//! The pattern DP, the maze search and `GridGraph::route_cost` all sum the
+//! same per-edge Q44.20 costs, so every comparison is exact.
 
 use fastgr::core::{PatternDp, PatternMode};
 use fastgr::design::{Net, NetId, Pin};
@@ -54,7 +49,7 @@ fn maze_never_loses_to_patterns_on_an_empty_grid() {
             .expect("routable");
         let maze_cost = g.route_cost(&maze_route);
         assert!(
-            maze_cost <= pattern.cost + 1e-3,
+            maze_cost <= pattern.cost,
             "maze {maze_cost} must not exceed pattern {} for {a:?}->{b:?}",
             pattern.cost
         );
@@ -78,8 +73,8 @@ fn hybrid_pattern_closes_the_gap_to_maze() {
         .route(&g, &net.distinct_positions())
         .expect("ok");
     let m = g.route_cost(&maze_route);
-    assert!(m <= h.cost + 1e-3);
-    assert!(h.cost <= l.cost + 1e-9);
+    assert!(m <= h.cost);
+    assert!(h.cost <= l.cost);
 }
 
 #[test]
@@ -94,7 +89,7 @@ fn pattern_and_maze_agree_on_straight_connections() {
     let maze_route = MazeRouter::default()
         .route(&g, &net.distinct_positions())
         .expect("routable");
-    assert!((g.route_cost(&maze_route) - pattern.cost).abs() < 1e-3);
+    assert_eq!(g.route_cost(&maze_route), pattern.cost);
     assert_eq!(maze_route.wirelength(), pattern.route.wirelength());
 }
 
@@ -119,5 +114,5 @@ fn maze_beats_patterns_around_a_blockage() {
     let maze_route = MazeRouter::default()
         .route(&g, &net.distinct_positions())
         .expect("routable");
-    assert!(g.route_cost(&maze_route) < pattern.cost - 1e-6);
+    assert!(g.route_cost(&maze_route) < pattern.cost);
 }
