@@ -227,12 +227,15 @@ thread_local! {
     static ROUTE_NET_SCRATCH: RefCell<DpScratch> = RefCell::new(DpScratch::new());
 }
 
-/// Where the DP reads its wire-run and via-stack costs from.
+/// Where the DP reads its wire-run costs from.
 ///
 /// Both variants work in the same Q44.20 quantised cost domain, so a
 /// probed DP and a direct DP produce bit-identical costs and routes — the
 /// prober only changes *how fast* a cost is obtained (O(1) prefix
-/// difference vs O(run-length) walk).
+/// difference vs O(run-length) walk). Via stacks come from the grid's
+/// cached via costs in both ([`GridGraph::via_prefix_into`]); the pattern
+/// stage commits a batch only after routing all of it, so they match the
+/// prober's snapshot.
 #[derive(Debug)]
 enum CostSource<'g> {
     /// A caller-managed prober, refreshed between batches by the pattern
@@ -316,20 +319,6 @@ impl<'g> PatternDp<'g> {
         match &self.costs {
             CostSource::Prober(p) => p.wire_run_cost(l, a, b),
             CostSource::Direct => self.graph.wire_run_cost(l, a, b),
-        }
-    }
-
-    /// The via-stack prefix row of G-cell `p` from the active cost source:
-    /// `out[l] = cv(p, 0, l)`, so `cv(p, a, b) = |out[b] − out[a]|`.
-    fn via_prefix_into(&self, p: Point2, out: &mut Vec<u64>) {
-        match &self.costs {
-            CostSource::Prober(pr) => pr.via_prefix_into(p, out),
-            CostSource::Direct => {
-                out.clear();
-                out.extend(
-                    (0..self.graph.num_layers()).map(|l| self.graph.via_stack_cost(p, 0, l)),
-                );
-            }
         }
     }
 
@@ -517,7 +506,8 @@ impl<'g> PatternDp<'g> {
         scratch.cbc.clear();
         scratch.cbc.resize(l, u64::MAX);
         let arena = scratch.arena_offset[v] as usize;
-        self.via_prefix_into(node.position, &mut scratch.pre_s);
+        self.graph
+            .via_prefix_into(node.position, &mut scratch.pre_s);
         scratch.probes += 1;
         for ls in 1..l {
             let (cost, lo, hi) =
@@ -536,7 +526,8 @@ impl<'g> PatternDp<'g> {
         let l = self.graph.num_layers() as usize;
         let root = tree.root();
         let node = tree.node(root);
-        self.via_prefix_into(node.position, &mut scratch.pre_s);
+        self.graph
+            .via_prefix_into(node.position, &mut scratch.pre_s);
         scratch.probes += 1;
         let lane = scratch.arena_offset[root as usize] as usize;
         let best = best_interval(scratch, node, l, l as u8 - 1, 1, lane);
@@ -548,7 +539,7 @@ impl<'g> PatternDp<'g> {
     fn pure_via_into(&self, pos: Point2, scratch: &mut DpScratch) -> BlockProfile {
         let l = scratch.cbc.len();
         // out[lt] = min_ls (cbc[ls] + cv(pos, ls, lt)), lt >= 1.
-        self.via_prefix_into(pos, &mut scratch.pre_s);
+        self.graph.via_prefix_into(pos, &mut scratch.pre_s);
         scratch.probes += 1;
         scratch.run2.clear();
         scratch.run2.push(u64::MAX);
@@ -593,7 +584,7 @@ impl<'g> PatternDp<'g> {
             );
             // w2[ls][lt] = cv(B, ls, lt) + cw(B, T, lt)       (Eq. 6)
             // is the via-prefix row of B plus one wire probe per lt >= 1.
-            self.via_prefix_into(bend, &mut scratch.pre_s);
+            self.graph.via_prefix_into(bend, &mut scratch.pre_s);
             self.bridge_runs_into(bend, pt, l, &mut scratch.run2);
             // L wire probes for w1, L - 1 for run2 and one row read.
             scratch.probes += 2 * l as u64;
@@ -672,8 +663,8 @@ impl<'g> PatternDp<'g> {
             // w2[ls][lb] = cv(Bs, ls, lb) + cw(Bs, Bt, lb)    (Eq. 12)
             // w3[lb][lt] = cv(Bt, lb, lt) + cw(Bt, T, lt)     (Eq. 13)
             // Each is a via-prefix row plus one wire probe per layer >= 1.
-            self.via_prefix_into(bs, &mut scratch.pre_s);
-            self.via_prefix_into(bt, &mut scratch.pre_t);
+            self.graph.via_prefix_into(bs, &mut scratch.pre_s);
+            self.graph.via_prefix_into(bt, &mut scratch.pre_t);
             self.bridge_runs_into(bs, bt, l, &mut scratch.run2);
             self.bridge_runs_into(bt, pt, l, &mut scratch.run3);
             // L wire probes for w1, L - 1 each for run2 and run3, two rows.

@@ -9,17 +9,18 @@
 //!
 //! Tasks share the grid through `&GridGraph`: commits and uncommits go
 //! through the lock-free atomic congestion store
-//! ([`GridGraph::commit`]). Two tasks conflict when their maze search
-//! windows ([`MazeConfig::window`] of the net bounding box) overlap, and
-//! the schedule runs
-//! conflicting tasks in task order. A search reads and writes costs only
-//! inside its window, so concurrent tasks never observe each other's
-//! commits and every thread count reproduces the serial run in task order.
-//! The rare widened-window retries fall outside the conflict graph and run
-//! as a serial tail after the schedule. Each worker thread routes through
-//! a thread-local [`MazeScratch`], making the steady-state search loop
-//! allocation-free, and overflow detection is incremental: only routes
-//! crossing edges whose demand changed during an iteration are rechecked.
+//! ([`GridGraph::commit`]). Each task's box is its maze search window
+//! ([`MazeConfig::window`] of the net bounding box) grown to cover the old
+//! route it rips up; two tasks conflict when their boxes overlap, and the
+//! schedule runs conflicting tasks in task order. A task reads and writes
+//! costs only inside its box, so concurrent tasks never observe each
+//! other's commits and every thread count reproduces the serial run in
+//! task order. The rare widened-window retries fall outside the conflict
+//! graph and run as a serial tail after the schedule. Each worker thread
+//! routes through a thread-local [`MazeScratch`], making the steady-state
+//! search loop allocation-free, and overflow detection is incremental:
+//! only routes crossing edges whose demand changed during an iteration
+//! are rechecked.
 //!
 //! On this container the executor runs with however many CPUs exist; in
 //! addition to measured wall time, each strategy reports a *modelled*
@@ -33,7 +34,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use fastgr_design::Design;
 use fastgr_gpu::HostPool;
 use fastgr_grid::{GridGraph, Point2, Rect, Route};
-use fastgr_maze::{MazeConfig, MazeError, MazeRouter, MazeScratch, MazeStats};
+use fastgr_maze::{MazeConfig, MazeRouter, MazeScratch, MazeStats};
 use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, Schedule};
 use fastgr_telemetry::{Recorder, Stopwatch, TraceHooks};
 
@@ -104,7 +105,9 @@ pub struct RrrStage {
     /// validator, task-graph executions run under the vector-clock
     /// happens-before race checker, batch-barrier batches are checked
     /// for independence, and after every iteration each cached overflow
-    /// flag is compared with a full `route_has_overflow` rescan.
+    /// flag is compared with a full `route_has_overflow` rescan. On entry
+    /// and after every iteration the grid's cached edge costs are compared
+    /// with a recomputation ([`GridGraph::stale_cost_cells`]).
     /// Violations panic with structured diagnostics.
     pub validate: bool,
 }
@@ -124,7 +127,7 @@ const BARRIER_SYNC_SECONDS: f64 = 50e-6;
 struct TaskSlot {
     seconds: f64,
     route: Route,
-    error: Option<MazeError>,
+    error: Option<RouteError>,
     maze: MazeStats,
 }
 
@@ -197,6 +200,10 @@ impl RrrStage {
         // iteration's schedule has run.
         let wide_router = MazeRouter::new(self.maze.widened());
 
+        if self.validate {
+            assert_cost_cache_exact(graph, "rrr entry");
+        }
+
         // Per-net overflow flags: one full scan up front, then maintained
         // incrementally from the dirty-edge set (replacing the
         // O(nets x route-length) rescan at the top of every iteration).
@@ -215,17 +222,13 @@ impl RrrStage {
             recorder.counter_sample("rrr.nets_ripped", violating.len() as f64);
             nets_ripped.push(violating.len());
 
-            // Conflict graph over the tasks' maze windows. Tasks whose
-            // windows overlap serialise in task order, and a search reads
-            // and writes costs only inside its window, so every task sees
-            // the state of the serial run in task order whatever the
-            // thread count.
+            // Conflict graph over the task boxes. Tasks whose boxes overlap
+            // serialise in task order, and a task reads and writes costs
+            // only inside its box, so every task sees the state of the
+            // serial run in task order whatever the thread count.
             let bboxes: Vec<Rect> = violating
                 .iter()
-                .map(|&id| {
-                    let bbox = design.net(fastgr_design::NetId(id)).bounding_box();
-                    self.maze.window(bbox, design.width(), design.height())
-                })
+                .map(|&id| self.task_box(design, id, &routes[id as usize]))
                 .collect();
             let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
             let order: Vec<u32> = (0..violating.len() as u32).collect();
@@ -250,7 +253,7 @@ impl RrrStage {
             // identical across strategies; only the scheduling differs.
             // Commits and uncommits go straight to the lock-free congestion
             // store. A failed search restores the old route and leaves the
-            // error in the slot.
+            // error in the slot, as does a failed commit or uncommit.
             let run_task = |graph: &GridGraph, task: u32, router: &MazeRouter| {
                 let t0 = Stopwatch::start();
                 let net_id = violating[task as usize];
@@ -259,7 +262,13 @@ impl RrrStage {
                     let mut slot = lock(&slots[task as usize]);
                     std::mem::take(&mut slot.route)
                 };
-                graph.uncommit(&old).expect("previously committed route");
+                if let Err(e) = graph.uncommit(&old) {
+                    let mut slot = lock(&slots[task as usize]);
+                    slot.route = old;
+                    slot.error = Some(e.into());
+                    slot.seconds = t0.elapsed_seconds();
+                    return;
+                }
                 SCRATCH.with(|cell| {
                     let scratch = &mut *cell.borrow_mut();
                     net.distinct_positions_into(&mut scratch.pins);
@@ -271,23 +280,23 @@ impl RrrStage {
                     );
                     let mut slot = lock(&slots[task as usize]);
                     slot.maze += scratch.maze.stats();
-                    match result {
+                    // On success, swap the new geometry out of the scratch
+                    // (the ripped route's buffers become the scratch's
+                    // output storage for the next task); on failure, keep
+                    // the old route so the state stays sound. Either way,
+                    // commit what the slot will hold.
+                    let search_error = match result {
                         Ok(_) => {
-                            // Swap the new geometry out of the scratch; the
-                            // ripped route's buffers become the scratch's
-                            // output storage for the next task.
                             std::mem::swap(&mut scratch.out, &mut old);
-                            graph.commit(&old).expect("maze route is valid");
-                            slot.route = old;
-                            slot.error = None;
+                            None
                         }
-                        Err(e) => {
-                            // Restore the old route so the state stays sound.
-                            graph.commit(&old).expect("previously committed route");
-                            slot.route = old;
-                            slot.error = Some(e);
-                        }
-                    }
+                        Err(e) => Some(RouteError::Maze(e)),
+                    };
+                    slot.error = match graph.commit(&old) {
+                        Ok(()) => search_error,
+                        Err(e) => Some(e.into()),
+                    };
+                    slot.route = old;
                     slot.seconds = t0.elapsed_seconds();
                 });
             };
@@ -356,13 +365,14 @@ impl RrrStage {
                     makespan
                 }
             };
-            // Widened retries run as one serial tail in task order, after
-            // the schedule: their wider windows are not in the conflict
-            // graph, so they must not run beside other tasks.
+            // Widened retries of failed searches run as one serial tail in
+            // task order, after the schedule: their wider windows are not
+            // in the conflict graph, so they must not run beside other
+            // tasks.
             let mut tail_seconds = 0.0;
             let shared: &GridGraph = graph;
             for task in 0..violating.len() as u32 {
-                if lock(&slots[task as usize]).error.is_some() {
+                if matches!(lock(&slots[task as usize]).error, Some(RouteError::Maze(_))) {
                     run_task(shared, task, &wide_router);
                     tail_seconds += lock(&slots[task as usize]).seconds;
                 }
@@ -384,7 +394,7 @@ impl RrrStage {
                 }
             }
             if let Some(e) = first_error {
-                return Err(RouteError::Maze(e));
+                return Err(e);
             }
 
             // Incremental overflow maintenance: only routes crossing an
@@ -400,15 +410,6 @@ impl RrrStage {
                     avoided += 1;
                 }
             }
-            if self.validate {
-                for (i, r) in routes.iter().enumerate() {
-                    assert_eq!(
-                        overflow[i],
-                        graph.route_has_overflow(r),
-                        "rrr iteration {iteration}: cached overflow flag of net {i} is stale"
-                    );
-                }
-            }
             total_dirty += dirty;
             total_avoided += avoided;
             recorder.counter_sample("rrr.dirty_edges", dirty as f64);
@@ -421,6 +422,16 @@ impl RrrStage {
             if self.history_increment > 0.0 {
                 graph.add_history_on_overflow(self.history_increment);
             }
+            if self.validate {
+                for (i, r) in routes.iter().enumerate() {
+                    assert_eq!(
+                        overflow[i],
+                        graph.route_has_overflow(r),
+                        "rrr iteration {iteration}: cached overflow flag of net {i} is stale"
+                    );
+                }
+                assert_cost_cache_exact(graph, &format!("rrr iteration {iteration}"));
+            }
             iter_span.finish();
         }
 
@@ -432,6 +443,32 @@ impl RrrStage {
             maze,
         })
     }
+
+    /// The region a task for net `net` reads and writes: its maze window,
+    /// grown to cover `staged`, the old route it rips up. A route left by
+    /// a widened retry can lie outside the window, and its uncommit must
+    /// not run beside a task whose window it crosses.
+    fn task_box(&self, design: &Design, net: u32, staged: &Route) -> Rect {
+        let bbox = design.net(fastgr_design::NetId(net)).bounding_box();
+        let mut area = self.maze.window(bbox, design.width(), design.height());
+        for s in staged.segments() {
+            area.expand_to(s.from);
+            area.expand_to(s.to);
+        }
+        for v in staged.vias() {
+            area.expand_to(v.at);
+        }
+        area
+    }
+}
+
+/// Panics unless every cached edge cost of `graph` equals a recomputation.
+fn assert_cost_cache_exact(graph: &GridGraph, when: &str) {
+    assert_eq!(
+        graph.stale_cost_cells(),
+        0,
+        "{when}: cached edge costs disagree with the cost model"
+    );
 }
 
 #[cfg(test)]
@@ -440,7 +477,7 @@ mod tests {
     use crate::dp::PatternMode;
     use crate::pattern::{PatternEngine, PatternStage};
     use fastgr_design::{Generator, GeneratorParams};
-    use fastgr_grid::CostParams;
+    use fastgr_grid::{CostParams, Segment, Via};
 
     /// Witness of the root `clippy.toml` ban on `std::sync::RwLock`: if the
     /// ban's path stops resolving, this expectation goes unfulfilled and
@@ -494,6 +531,60 @@ mod tests {
             history_increment: 0.0,
             validate: true,
         }
+    }
+
+    #[test]
+    fn staged_route_outside_its_window_conflicts() {
+        let (design, _, routes) = congested();
+        let s = stage(RrrStrategy::TaskGraph);
+        let nets = design.nets();
+        let window = |id: usize| {
+            s.maze
+                .window(nets[id].bounding_box(), design.width(), design.height())
+        };
+        // Two nets whose windows are disjoint.
+        let (a, b) = (0..nets.len())
+            .flat_map(|a| (a + 1..nets.len()).map(move |b| (a, b)))
+            .find(|&(a, b)| !window(a).intersects(&window(b)))
+            .expect("a disjoint pair");
+        // Hand-place a route for `a`, as a widened retry could leave it,
+        // that runs from its first pin into the middle of `b`'s window.
+        let from = nets[a].pins()[0].position;
+        let wb = window(b);
+        let to = Point2::new((wb.lo.x + wb.hi.x) / 2, (wb.lo.y + wb.hi.y) / 2);
+        let corner = Point2::new(to.x, from.y);
+        let mut far = Route::new();
+        far.push_via(Via::new(from, 0, 1));
+        far.push_segment(Segment::new(1, from, corner));
+        far.push_via(Via::new(corner, 1, 2));
+        far.push_segment(Segment::new(2, corner, to));
+        assert!(far.is_connected());
+
+        let boxes = [
+            s.task_box(&design, a as u32, &far),
+            s.task_box(&design, b as u32, &routes[b]),
+        ];
+        assert!(boxes[0].contains(to));
+        assert!(ConflictGraph::from_bounding_boxes(&boxes).conflicts(0, 1));
+        // Without the staged route, the two tasks would not conflict.
+        let windows_only = [
+            s.task_box(&design, a as u32, &Route::new()),
+            s.task_box(&design, b as u32, &Route::new()),
+        ];
+        assert!(!ConflictGraph::from_bounding_boxes(&windows_only).conflicts(0, 1));
+    }
+
+    #[test]
+    fn grid_errors_surface_through_the_task_slot() {
+        let (design, mut graph, mut routes) = congested();
+        let net = (0..routes.len())
+            .find(|&i| graph.route_has_overflow(&routes[i]))
+            .expect("an overflowing net");
+        // An off-grid via makes the rip-up fail.
+        routes[net].push_via(Via::new(Point2::new(999, 999), 1, 2));
+        let result = stage(RrrStrategy::TaskGraph).run(&design, &mut graph, &mut routes);
+        assert!(matches!(result, Err(RouteError::Grid(_))), "{result:?}");
+        assert_eq!(routes[net].vias().last().map(|v| v.at.x), Some(999));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub fn cost_to_fixed(cost: f64) -> u64 {
     (cost * COST_SCALE).round() as u64
 }
 
-/// Per-layer storage of wire-edge capacity, demand and history cost.
+/// Per-layer storage of wire-edge capacity, demand, history and cost.
 ///
 /// Demand lives in atomic fixed-point cells (see [`demand_to_fixed`]) so
 /// routes can be committed and ripped up from many threads without a lock.
@@ -68,9 +68,13 @@ pub fn cost_to_fixed(cost: f64) -> u64 {
 struct Plane {
     capacity: Vec<f64>,
     demand: Vec<AtomicU64>,
+    /// Cached Q44.20 cost of each edge, rewritten whenever its demand,
+    /// capacity or history changes (see [`GridGraph::commit`]).
+    cost: Vec<AtomicU64>,
     /// Accumulated negotiation history (NTHU-Route / Archer style): edges
     /// that keep overflowing accrue extra cost so later iterations learn to
     /// avoid them even when their instantaneous congestion looks tolerable.
+    /// Empty (all zero) until the first nonzero history round.
     history: Vec<f64>,
 }
 
@@ -78,17 +82,53 @@ impl Plane {
     fn demand_at(&self, i: usize) -> f64 {
         fixed_to_demand(self.demand[i].load(Ordering::Relaxed))
     }
+
+    fn history_at(&self, i: usize) -> f64 {
+        self.history.get(i).copied().unwrap_or(0.0)
+    }
+
+    /// The quantised cost of edge `i` at raw fixed-point demand `raw` —
+    /// the one wire-edge quantisation site.
+    fn price(&self, params: &CostParams, i: usize, raw: u64) -> u64 {
+        cost_to_fixed(
+            params.wire_edge_cost(fixed_to_demand(raw), self.capacity[i]) + self.history_at(i),
+        )
+    }
+
+    /// Rewrites the cached cost of edge `i` from its demand (quiescent).
+    fn reprice(&mut self, params: &CostParams, i: usize) {
+        let raw = *self.demand[i].get_mut();
+        let cost = self.price(params, i, raw);
+        *self.cost[i].get_mut() = cost;
+    }
+
+    /// Rewrites every cached cost of the plane (quiescent). Runs of edges
+    /// with equal demand, capacity and history — a fresh plane is one run
+    /// — share one evaluation of the cost model.
+    fn reprice_all(&mut self, params: &CostParams) {
+        let mut memo = None;
+        for i in 0..self.cost.len() {
+            let key = (
+                *self.demand[i].get_mut(),
+                self.capacity[i],
+                self.history_at(i),
+            );
+            let cost = match memo {
+                Some((k, c)) if k == key => c,
+                _ => self.price(params, i, key.0),
+            };
+            memo = Some((key, cost));
+            *self.cost[i].get_mut() = cost;
+        }
+    }
 }
 
 impl Clone for Plane {
     fn clone(&self) -> Self {
         Self {
             capacity: self.capacity.clone(),
-            demand: self
-                .demand
-                .iter()
-                .map(|d| AtomicU64::new(d.load(Ordering::Relaxed)))
-                .collect(),
+            demand: copied_atomics(&self.demand),
+            cost: copied_atomics(&self.cost),
             history: self.history.clone(),
         }
     }
@@ -96,6 +136,41 @@ impl Clone for Plane {
 
 fn zeroed_atomics(n: usize) -> Vec<AtomicU64> {
     (0..n).map(|_| AtomicU64::new(0)).collect()
+}
+
+fn copied_atomics(cells: &[AtomicU64]) -> Vec<AtomicU64> {
+    cells
+        .iter()
+        .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
+        .collect()
+}
+
+/// The quantised cost of one via cell at raw fixed-point demand `raw` —
+/// the one via quantisation site.
+fn via_price(params: &CostParams, raw: u64) -> u64 {
+    cost_to_fixed(params.via_edge_cost(fixed_to_demand(raw)))
+}
+
+/// Adds `delta` to `demand`, then stores the price of the demand in
+/// `cost`, lock-free under concurrent updates of the same cell.
+///
+/// Each writer stores the price of the demand it loaded, then re-loads the
+/// demand and retries if it moved. Every access is `SeqCst`, so the
+/// accesses of all writers fall in one total order. No demand change can
+/// follow the last cost store in that order, because the writer that made
+/// it stores a cost afterwards; so the last store's re-load read the final
+/// demand, and that store priced it.
+fn add_and_reprice(demand: &AtomicU64, cost: &AtomicU64, delta: u64, price: impl Fn(u64) -> u64) {
+    demand.fetch_add(delta, Ordering::SeqCst);
+    let mut raw = demand.load(Ordering::SeqCst);
+    loop {
+        cost.store(price(raw), Ordering::SeqCst);
+        let now = demand.load(Ordering::SeqCst);
+        if now == raw {
+            return;
+        }
+        raw = now;
+    }
 }
 
 /// Lock-free tracker of the wire edges whose demand changed since the last
@@ -136,11 +211,7 @@ impl DirtyTracker {
 impl Clone for DirtyTracker {
     fn clone(&self) -> Self {
         Self {
-            words: self
-                .words
-                .iter()
-                .map(|w| AtomicU64::new(w.load(Ordering::Relaxed)))
-                .collect(),
+            words: copied_atomics(&self.words),
         }
     }
 }
@@ -159,6 +230,10 @@ impl Clone for DirtyTracker {
 /// work through a shared reference and concurrent updates from disjoint
 /// tasks never contend on a lock. All read accessors return the quantised
 /// value; integral and small dyadic amounts round-trip exactly.
+///
+/// Every wire edge and via cell also caches its Q44.20 cost, rewritten by
+/// each update of its demand, capacity or history, so reading a cost is a
+/// load rather than a logistic evaluation.
 ///
 /// Layer 0 is the pin layer: it carries no routing capacity by convention
 /// (its capacity defaults to 0 and [`GridGraph::fill_capacity`] leaves it
@@ -196,11 +271,9 @@ pub struct GridGraph {
     /// Via demand indexed `[boundary * w * h + y * w + x]` where `boundary`
     /// is the lower layer of the hop (0..layers-1).
     via_demand: Vec<AtomicU64>,
+    /// Cached Q44.20 cost of each via cell, same indexing.
+    via_cost: Vec<AtomicU64>,
     dirty: DirtyTracker,
-    /// Dirty bits over `via_demand` cells, same indexing, consumed by the
-    /// [`crate::CostProber`] to rebuild only the via columns whose demand
-    /// changed since the last [`GridGraph::clear_dirty`].
-    via_dirty: DirtyTracker,
 }
 
 impl GridGraph {
@@ -233,15 +306,18 @@ impl GridGraph {
                 };
                 edge_offsets.push(total_edges);
                 total_edges += n;
-                Plane {
+                let mut plane = Plane {
                     capacity: vec![0.0; n],
                     demand: zeroed_atomics(n),
-                    history: vec![0.0; n],
-                }
+                    cost: zeroed_atomics(n),
+                    history: Vec::new(),
+                };
+                plane.reprice_all(&params);
+                plane
             })
             .collect();
         let via_cells = (layers as usize - 1) * width as usize * height as usize;
-        let via_demand = zeroed_atomics(via_cells);
+        let idle_via = via_price(&params, 0);
         Ok(Self {
             width,
             height,
@@ -249,9 +325,9 @@ impl GridGraph {
             params,
             planes,
             edge_offsets,
-            via_demand,
+            via_demand: zeroed_atomics(via_cells),
+            via_cost: (0..via_cells).map(|_| AtomicU64::new(idle_via)).collect(),
             dirty: DirtyTracker::new(total_edges),
-            via_dirty: DirtyTracker::new(via_cells),
         })
     }
 
@@ -296,6 +372,7 @@ impl GridGraph {
                 continue;
             }
             plane.capacity.fill(capacity);
+            plane.reprice_all(&self.params);
             self.layers[l].default_capacity = capacity;
         }
     }
@@ -306,7 +383,9 @@ impl GridGraph {
     ///
     /// Panics if `l` is out of range.
     pub fn set_layer_capacity(&mut self, l: u8, capacity: f64) {
-        self.planes[l as usize].capacity.fill(capacity);
+        let plane = &mut self.planes[l as usize];
+        plane.capacity.fill(capacity);
+        plane.reprice_all(&self.params);
         self.layers[l as usize].default_capacity = capacity;
     }
 
@@ -320,6 +399,7 @@ impl GridGraph {
             for x in region.lo.x..=region.hi.x.min(w - 1) {
                 if let Some(idx) = Self::edge_index_raw(dir, w, h, Point2::new(x, y)) {
                     plane.capacity[idx] *= factor;
+                    plane.reprice(&self.params, idx);
                 }
             }
         }
@@ -375,16 +455,16 @@ impl GridGraph {
         })
     }
 
-    /// Q44.20 cost of the single wire edge on layer `l` leaving `p` in the
-    /// layer's preferred direction (`cw` of the paper for one unit edge,
-    /// history included), or `None` when no such edge exists.
+    /// Cached Q44.20 cost of the single wire edge on layer `l` leaving `p`
+    /// in the layer's preferred direction (`cw` of the paper for one unit
+    /// edge, history included), or `None` when no such edge exists.
     pub fn wire_edge_cost_fixed(&self, l: u8, p: Point2) -> Option<u64> {
         self.edge_index(l, p)
             .map(|i| self.wire_edge_cost_fixed_at(l as usize, i))
     }
 
-    /// Q44.20 cost of the via edge between layers `l` and `l + 1` at `p`,
-    /// or `None` when out of range.
+    /// Cached Q44.20 cost of the via edge between layers `l` and `l + 1` at
+    /// `p`, or `None` when out of range.
     pub fn via_edge_cost_fixed(&self, l: u8, p: Point2) -> Option<u64> {
         self.via_index(l, p).map(|i| self.via_cost_fixed_at(i))
     }
@@ -392,7 +472,7 @@ impl GridGraph {
     /// Accumulated history cost of the wire edge leaving `p` on layer `l`.
     pub fn wire_history(&self, l: u8, p: Point2) -> Option<f64> {
         self.edge_index(l, p)
-            .map(|i| self.planes[l as usize].history[i])
+            .map(|i| self.planes[l as usize].history_at(i))
     }
 
     /// Adds `increment` history cost to every currently overflowing wire
@@ -402,40 +482,62 @@ impl GridGraph {
         for plane in self.planes.iter_mut().skip(1) {
             for i in 0..plane.demand.len() {
                 if fixed_to_demand(*plane.demand[i].get_mut()) > plane.capacity[i] {
-                    plane.history[i] += increment;
                     penalised += 1;
+                    if increment != 0.0 {
+                        if plane.history.is_empty() {
+                            plane.history = vec![0.0; plane.demand.len()];
+                        }
+                        plane.history[i] += increment;
+                        plane.reprice(&self.params, i);
+                    }
                 }
             }
         }
         penalised
     }
 
-    /// Q44.20 quantised cost of the wire edge at flat plane index `i` on
-    /// layer `l` (congestion model + history, quantised per edge). Used by
-    /// the prefix-sum [`crate::CostProber`], the quantised reference walks
-    /// below and [`GridGraph::wire_edge_cost_fixed`]; keeping a single
-    /// quantisation site guarantees they agree bit-for-bit.
+    /// Cached Q44.20 cost of the wire edge at flat plane index `i` on layer
+    /// `l` (congestion model + history, quantised per edge). Used by the
+    /// prefix-sum [`crate::CostProber`], the quantised reference walks
+    /// below and [`GridGraph::wire_edge_cost_fixed`], so they agree
+    /// bit-for-bit.
     pub(crate) fn wire_edge_cost_fixed_at(&self, l: usize, i: usize) -> u64 {
-        let plane = &self.planes[l];
-        cost_to_fixed(
-            self.params
-                .wire_edge_cost(plane.demand_at(i), plane.capacity[i])
-                + plane.history[i],
-        )
+        self.planes[l].cost[i].load(Ordering::Relaxed)
     }
 
-    /// Q44.20 quantised cost of the via hop between layers `l` and `l + 1`
-    /// at flat G-cell index `pos` (`y * width + x`).
-    pub(crate) fn via_edge_cost_fixed_at(&self, l: usize, pos: usize) -> u64 {
+    /// Cached Q44.20 cost of the via hop between layers `l` and `l + 1` at
+    /// flat G-cell index `pos` (`y * width + x`).
+    fn via_edge_cost_fixed_at(&self, l: usize, pos: usize) -> u64 {
         self.via_cost_fixed_at(l * self.width as usize * self.height as usize + pos)
     }
 
-    /// Q44.20 quantised cost of the via cell at flat `via_demand` index `i`.
+    /// Cached Q44.20 cost of the via cell at flat `via_demand` index `i`.
     fn via_cost_fixed_at(&self, i: usize) -> u64 {
-        cost_to_fixed(
-            self.params
-                .via_edge_cost(fixed_to_demand(self.via_demand[i].load(Ordering::Relaxed))),
-        )
+        self.via_cost[i].load(Ordering::Relaxed)
+    }
+
+    /// Number of cached wire and via costs that differ from a fresh
+    /// quantisation of the cost model at the current demand, capacity and
+    /// history: always 0 once concurrent updates have been joined. The
+    /// cache self-check behind the RRR stage's `validate` mode.
+    pub fn stale_cost_cells(&self) -> usize {
+        let wires = self.planes.iter().map(|plane| {
+            (0..plane.cost.len())
+                .filter(|&i| {
+                    let raw = plane.demand[i].load(Ordering::Relaxed);
+                    plane.cost[i].load(Ordering::Relaxed) != plane.price(&self.params, i, raw)
+                })
+                .count()
+        });
+        let vias = self
+            .via_demand
+            .iter()
+            .zip(&self.via_cost)
+            .filter(|(d, c)| {
+                c.load(Ordering::Relaxed) != via_price(&self.params, d.load(Ordering::Relaxed))
+            })
+            .count();
+        wires.sum::<usize>() + vias
     }
 
     /// First dirty-bitset bit of layer `l`'s wire edges.
@@ -446,11 +548,6 @@ impl GridGraph {
     /// Raw words of the wire-edge dirty bitset (for dirty harvesting).
     pub(crate) fn dirty_words(&self) -> &[AtomicU64] {
         &self.dirty.words
-    }
-
-    /// Raw words of the via-cell dirty bitset (for dirty harvesting).
-    pub(crate) fn via_dirty_words(&self) -> &[AtomicU64] {
-        &self.via_dirty.words
     }
 
     /// Cost `cw(a, b, l)` of a straight run on layer `l` between aligned
@@ -491,7 +588,7 @@ impl GridGraph {
 
     /// Cost `cv(p, l1, l2)` of a via stack at `p` from layer `l1` to `l2`,
     /// in the Q44.20 quantised cost domain; the naive walk that differences
-    /// of [`crate::CostProber::via_prefix_into`] rows match bit-for-bit.
+    /// of [`GridGraph::via_prefix_into`] rows match bit-for-bit.
     ///
     /// Returns 0 when `l1 == l2`; `u64::MAX` when out of range.
     pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> u64 {
@@ -503,6 +600,31 @@ impl GridGraph {
         (lo..hi)
             .map(|l| self.via_edge_cost_fixed_at(l as usize, pos))
             .sum()
+    }
+
+    /// Fills `out` with the `L` via-stack prefix costs of G-cell `p`:
+    /// `out[l]` is the cost of the stack from layer 0 up to `l`, so
+    /// `cv(p, a, b) = |out[b] − out[a]|` for every layer pair — one pass
+    /// over the cell's `L − 1` cached via costs in place of `L²` via-stack
+    /// walks.
+    ///
+    /// The row is non-decreasing, and its differences are bit-identical to
+    /// [`GridGraph::via_stack_cost`]. Off-grid cells fill `out` with
+    /// `u64::MAX`. Reuses `out`'s capacity.
+    pub fn via_prefix_into(&self, p: Point2, out: &mut Vec<u64>) {
+        out.clear();
+        let layers = self.layers.len();
+        if !self.contains(p) {
+            out.resize(layers, u64::MAX);
+            return;
+        }
+        let pos = p.y as usize * self.width as usize + p.x as usize;
+        let mut acc = 0u64;
+        out.push(acc);
+        for l in 0..layers - 1 {
+            acc += self.via_edge_cost_fixed_at(l, pos);
+            out.push(acc);
+        }
     }
 
     /// Adds `amount` demand (may be negative) to every unit wire edge of the
@@ -533,7 +655,9 @@ impl GridGraph {
         let offset = self.edge_offsets[l as usize];
         for (from, _to) in seg.unit_edges() {
             let idx = self.edge_index(l, from).expect("validated in-bounds");
-            plane.demand[idx].fetch_add(fx, Ordering::Relaxed);
+            add_and_reprice(&plane.demand[idx], &plane.cost[idx], fx, |raw| {
+                plane.price(&self.params, idx, raw)
+            });
             self.dirty.mark(offset + idx);
         }
         Ok(())
@@ -555,8 +679,9 @@ impl GridGraph {
         let fx = demand_to_fixed(amount) as u64;
         for l in lo..hi {
             let i = self.via_index(l, p).expect("validated in-bounds");
-            self.via_demand[i].fetch_add(fx, Ordering::Relaxed);
-            self.via_dirty.mark(i);
+            add_and_reprice(&self.via_demand[i], &self.via_cost[i], fx, |raw| {
+                via_price(&self.params, raw)
+            });
         }
         Ok(())
     }
@@ -564,11 +689,14 @@ impl GridGraph {
     /// Commits the demand of `route` (adds 1 track to every covered edge)
     /// through a shared reference.
     ///
-    /// Every covered edge gains one track of demand via a relaxed
-    /// `fetch_add` on its fixed-point cell; tasks whose routes touch
-    /// disjoint edges never contend, and overlapping updates are exact
-    /// commutative integer additions, so the final demand state is
-    /// bit-identical to any sequential ordering of the same operations.
+    /// Every covered edge gains one track of demand via a `fetch_add` on
+    /// its fixed-point cell, then rewrites its cached cost from the new
+    /// demand; tasks whose routes touch disjoint edges never contend, and
+    /// overlapping updates are exact commutative integer additions, so the
+    /// final demand state is bit-identical to any sequential ordering of
+    /// the same operations. Each cost writer re-checks the demand after its
+    /// store and retries if it moved, so once every update has returned
+    /// the cached costs equal those of the sequential ordering too.
     ///
     /// **Benign-race contract**: a concurrent *reader* (a maze search
     /// costing edges inside its window margin) may observe another task's
@@ -620,12 +748,10 @@ impl GridGraph {
             .sum()
     }
 
-    /// Resets the dirty-edge tracker (wire *and* via bits); subsequent
-    /// demand updates start a new dirty set. Requires `&mut self` and
-    /// therefore quiescence.
+    /// Resets the dirty-edge tracker; subsequent demand updates start a
+    /// new dirty set. Requires `&mut self` and therefore quiescence.
     pub fn clear_dirty(&mut self) {
         self.dirty.clear();
-        self.via_dirty.clear();
     }
 
     /// Whether any unit wire edge covered by `route` is in the current
@@ -742,13 +868,9 @@ impl Clone for GridGraph {
             params: self.params,
             planes: self.planes.clone(),
             edge_offsets: self.edge_offsets.clone(),
-            via_demand: self
-                .via_demand
-                .iter()
-                .map(|d| AtomicU64::new(d.load(Ordering::Relaxed)))
-                .collect(),
+            via_demand: copied_atomics(&self.via_demand),
+            via_cost: copied_atomics(&self.via_cost),
             dirty: self.dirty.clone(),
-            via_dirty: self.via_dirty.clone(),
         }
     }
 }
@@ -983,6 +1105,26 @@ mod tests {
         assert_eq!(three, 3 * one);
         assert_eq!(g.via_stack_cost(p, 2, 2), 0);
         assert_eq!(g.via_stack_cost(p, 1, 9), u64::MAX);
+    }
+
+    #[test]
+    fn via_prefix_row_differences_are_stack_probes() {
+        let g = graph();
+        let mut route = Route::new();
+        route.push_via(Via::new(Point2::new(3, 4), 0, 3));
+        g.commit(&route).expect("valid");
+        let mut row = Vec::new();
+        let p = Point2::new(3, 4);
+        g.via_prefix_into(p, &mut row);
+        assert_eq!(row.len(), 5);
+        for a in 0..5u8 {
+            for b in 0..5u8 {
+                let diff = row[b as usize].abs_diff(row[a as usize]);
+                assert_eq!(diff, g.via_stack_cost(p, a, b));
+            }
+        }
+        g.via_prefix_into(Point2::new(40, 0), &mut row);
+        assert_eq!(row, vec![u64::MAX; 5]);
     }
 
     #[test]

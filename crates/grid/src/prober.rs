@@ -1,17 +1,19 @@
-//! Prefix-sum cost prober: O(1) wire-run and via-stack cost probes.
+//! Prefix-sum cost prober: O(1) wire-run cost probes.
 //!
 //! The pattern kernels (Eqs. 5–14 of the paper) evaluate
 //! [`GridGraph::wire_run_cost`]-style straight-run costs inside `L×L` layer
 //! loops per candidate bend, which makes every probe an O(run-length) walk
-//! over raw congestion state. CUGR (whose 3-D cost model this grid
+//! over the grid's edge costs. CUGR (whose 3-D cost model this grid
 //! inherits) and GAMER-style GPU routers instead hoist congestion costs
 //! into per-layer prefix sums so that any run cost is a two-lookup
-//! difference. [`CostProber`] is that cache:
+//! difference. [`CostProber`] is that cache: per layer, the grid's cached
+//! Q44.20 fixed-point ([`super::graph::COST_FRAC_BITS`]) cost of every unit
+//! edge is prefix-summed along its row (horizontal layers) or column
+//! (vertical layers).
 //!
-//! * per layer, the Q44.20 fixed-point ([`super::graph::COST_FRAC_BITS`])
-//!   quantised `wire_edge_cost + history` of every unit edge is prefix-
-//!   summed along its row (horizontal layers) or column (vertical layers);
-//! * per G-cell, the quantised via hop costs are prefix-summed over layers.
+//! Via stacks need no cache here: a G-cell's via-stack prefix row is `L`
+//! loads of the grid's cached via costs
+//! ([`GridGraph::via_prefix_into`]).
 //!
 //! Because each edge cost is quantised *before* summation, a prefix
 //! difference is an exact integer subtraction — bit-identical to the naive
@@ -22,19 +24,21 @@
 //! # Batch-staleness contract
 //!
 //! Probes reflect the congestion state at the last [`CostProber::build`] /
-//! [`CostProber::refresh`], *not* the live demand cells. The pattern stage
+//! [`CostProber::refresh`], *not* the live cost cells. The pattern stage
 //! refreshes the cache between batches (and between nets in sequential
-//! mode): within one batch every net deliberately sees the same congestion
+//! mode) and commits a batch's routes only after the whole batch is
+//! routed, so within one batch every net sees the same congestion
 //! snapshot, matching the paper's batch semantics. [`CostProber::refresh`]
-//! consumes the grid's [`DirtyTracker`](GridGraph::dirty_edges) bitsets to
-//! re-sum only the rows/columns/via stacks whose demand changed since the
-//! last refresh — O(changed rows), not O(grid).
+//! consumes the grid's [`DirtyTracker`](GridGraph::dirty_edges) bitset to
+//! re-sum only the rows/columns whose demand changed since the last
+//! refresh — O(changed rows), not O(grid).
 //!
 //! **Caveat**: demand commits are dirty-tracked; history and capacity
 //! mutations ([`GridGraph::add_history_on_overflow`],
-//! [`GridGraph::fill_capacity`], …) are not. After mutating history or
-//! capacity, rebuild from scratch with [`CostProber::build`] — the pattern
-//! stage never mutates either mid-stage, so its per-batch refresh is sound.
+//! [`GridGraph::fill_capacity`], …) rewrite the grid's cached costs but
+//! mark no row dirty. After mutating history or capacity, rebuild from
+//! scratch with [`CostProber::build`] — the pattern stage never mutates
+//! either mid-stage, so its per-batch refresh is sound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,15 +55,11 @@ struct RebuildScratch {
     rows: Vec<u32>,
     /// Generation stamp per global wire row.
     row_gen: Vec<u32>,
-    /// Flat G-cell positions whose via stack is pending rebuild.
-    via_cells: Vec<u32>,
-    /// Generation stamp per flat G-cell position.
-    via_gen: Vec<u32>,
     /// Current harvest generation (stamps equal to this are "seen").
     generation: u32,
 }
 
-/// Prefix-sum cache of quantised wire and via costs over a [`GridGraph`].
+/// Prefix-sum cache of quantised wire costs over a [`GridGraph`].
 ///
 /// See the module docs above for the exactness and staleness contracts.
 ///
@@ -99,18 +99,13 @@ pub struct CostProber {
     /// `forbid(unsafe_code)`; all accesses are relaxed and the pool's
     /// scoped-thread join supplies the happens-before edge.
     wire_pref: Vec<AtomicU64>,
-    /// `via_pref[pos*layers + l]` = sum of quantised via hop costs below
-    /// layer `l` at flat cell `pos`, for `l` in `0..layers`. A cell's stack
-    /// is contiguous, so [`CostProber::via_prefix_into`] reads one run of
-    /// `layers` cells.
-    via_pref: Vec<AtomicU64>,
     /// Per-layer offset into the global wire-row numbering (horizontal
     /// layers contribute `height` rows, vertical layers `width` columns);
     /// length `layers + 1`.
     row_off: Vec<usize>,
     /// Number of builds + refreshes performed.
     builds: u64,
-    /// Total rows/columns/via stacks re-summed across all builds.
+    /// Total rows/columns re-summed across all builds.
     rows_rebuilt: u64,
     scratch: RebuildScratch,
 }
@@ -147,15 +142,12 @@ impl CostProber {
             wh,
             dirs,
             wire_pref: (0..layers * wh).map(|_| AtomicU64::new(0)).collect(),
-            via_pref: (0..layers * wh).map(|_| AtomicU64::new(0)).collect(),
             row_off,
             builds: 0,
             rows_rebuilt: 0,
             scratch: RebuildScratch {
                 rows: Vec::with_capacity(total_rows),
                 row_gen: vec![0; total_rows],
-                via_cells: Vec::with_capacity(wh),
-                via_gen: vec![0; wh],
                 generation: 0,
             },
         };
@@ -163,20 +155,18 @@ impl CostProber {
         prober
     }
 
-    /// Re-sums every row/column and via stack (used at build time and after
-    /// non-dirty-tracked mutations such as history updates).
+    /// Re-sums every row/column (used at build time).
     fn rebuild_all(&mut self, graph: &GridGraph, pool: &HostPool) {
         let total_rows = self.row_off[self.layers];
         let this: &Self = self;
         pool.for_each(total_rows, |r| this.rebuild_wire_row_into(graph, r));
-        pool.for_each(self.wh, |pos| this.rebuild_via_column_into(graph, pos));
         self.builds += 1;
-        self.rows_rebuilt += (total_rows + self.wh) as u64;
+        self.rows_rebuilt += total_rows as u64;
     }
 
-    /// Incrementally refreshes the cache against `graph`'s current demand,
-    /// re-summing only the rows/columns and via stacks marked dirty since
-    /// the last [`GridGraph::clear_dirty`], then clears the dirty bitsets.
+    /// Incrementally refreshes the cache against `graph`'s current costs,
+    /// re-summing only the rows/columns marked dirty since the last
+    /// [`GridGraph::clear_dirty`], then clears the dirty bitset.
     ///
     /// Steady-state allocation-free: the harvest buffers are sized at build
     /// time and reused. Rebuilds run in parallel on `pool`.
@@ -187,12 +177,10 @@ impl CostProber {
         self.scratch.generation = self.scratch.generation.wrapping_add(1);
         if self.scratch.generation == 0 {
             self.scratch.row_gen.fill(0);
-            self.scratch.via_gen.fill(0);
             self.scratch.generation = 1;
         }
         let generation = self.scratch.generation;
         self.scratch.rows.clear();
-        self.scratch.via_cells.clear();
 
         // Harvest dirty wire edges into distinct global rows. Bits arrive
         // in ascending order, so a single layer cursor suffices.
@@ -219,30 +207,13 @@ impl CostProber {
             }
         }
 
-        // Harvest dirty via cells into distinct flat positions.
-        for (wi, word) in graph.via_dirty_words().iter().enumerate() {
-            let mut bits = word.load(Ordering::Relaxed);
-            while bits != 0 {
-                let bit = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let pos = bit % self.wh;
-                if self.scratch.via_gen[pos] != generation {
-                    self.scratch.via_gen[pos] = generation;
-                    self.scratch.via_cells.push(pos as u32);
-                }
-            }
-        }
-
         let this: &Self = self;
         let g: &GridGraph = graph;
         pool.for_each(this.scratch.rows.len(), |i| {
             this.rebuild_wire_row_into(g, this.scratch.rows[i] as usize);
         });
-        pool.for_each(this.scratch.via_cells.len(), |i| {
-            this.rebuild_via_column_into(g, this.scratch.via_cells[i] as usize);
-        });
         self.builds += 1;
-        self.rows_rebuilt += (self.scratch.rows.len() + self.scratch.via_cells.len()) as u64;
+        self.rows_rebuilt += self.scratch.rows.len() as u64;
         graph.clear_dirty();
     }
 
@@ -275,17 +246,6 @@ impl CostProber {
                         acc += graph.wire_edge_cost_fixed_at(layer, ebase + y);
                     }
                 }
-            }
-        }
-    }
-
-    /// Re-sums one G-cell's via-stack prefix cells from `graph`.
-    fn rebuild_via_column_into(&self, graph: &GridGraph, pos: usize) {
-        let mut acc = 0u64;
-        for l in 0..self.layers {
-            self.via_pref[pos * self.layers + l].store(acc, Ordering::Relaxed);
-            if l + 1 < self.layers {
-                acc += graph.via_edge_cost_fixed_at(l, pos);
             }
         }
     }
@@ -323,35 +283,13 @@ impl CostProber {
         pref(hi) - pref(lo)
     }
 
-    /// Fills `out` with the `L` via-stack prefix costs of G-cell `p`:
-    /// `out[l]` is the cached cost of the stack from layer 0 up to `l`, so
-    /// `cv(p, a, b) = |out[b] − out[a]|` for every layer pair — one row
-    /// read in place of `L²` via-stack probes.
-    ///
-    /// The row is non-decreasing, and its differences are bit-identical to
-    /// [`GridGraph::via_stack_cost`]. Off-grid cells fill `out` with
-    /// `u64::MAX`. Reuses `out`'s capacity.
-    pub fn via_prefix_into(&self, p: Point2, out: &mut Vec<u64>) {
-        out.clear();
-        if p.x as usize >= self.width || p.y as usize >= self.height {
-            out.resize(self.layers, u64::MAX);
-            return;
-        }
-        let pos = p.y as usize * self.width + p.x as usize;
-        out.extend(
-            self.via_pref[pos * self.layers..(pos + 1) * self.layers]
-                .iter()
-                .map(|cell| cell.load(Ordering::Relaxed)),
-        );
-    }
-
     /// Number of cache builds + incremental refreshes performed.
     pub fn builds(&self) -> u64 {
         self.builds
     }
 
-    /// Total rows/columns/via stacks re-summed across all builds and
-    /// refreshes (a full build counts every row plus every via stack).
+    /// Total rows/columns re-summed across all builds and refreshes (a
+    /// full build counts every row and column).
     pub fn rows_rebuilt(&self) -> u64 {
         self.rows_rebuilt
     }
@@ -377,17 +315,6 @@ mod tests {
                 let a = Point2::new(1, y);
                 let b = Point2::new(7, y);
                 assert_eq!(prober.wire_run_cost(l, a, b), g.wire_run_cost(l, a, b));
-            }
-        }
-        let p = Point2::new(3, 4);
-        let mut row = Vec::new();
-        prober.via_prefix_into(p, &mut row);
-        for lo in 0..5u8 {
-            for hi in lo..5u8 {
-                assert_eq!(
-                    row[hi as usize] - row[lo as usize],
-                    g.via_stack_cost(p, lo, hi)
-                );
             }
         }
     }
@@ -425,21 +352,19 @@ mod tests {
         g.commit(&route).expect("valid");
 
         prober.refresh(&mut g, &pool);
-        // One wire row on layer 1, one column on layer 2, one via cell.
-        assert_eq!(prober.rows_rebuilt(), full_rows + 3);
+        // One wire row on layer 1 and one column on layer 2; the via
+        // needs no rebuild.
+        assert_eq!(prober.rows_rebuilt(), full_rows + 2);
         assert_eq!(prober.builds(), 2);
         assert_eq!(g.dirty_edges(), 0);
 
         let a = Point2::new(0, 2);
         let b = Point2::new(9, 2);
         assert_eq!(prober.wire_run_cost(1, a, b), g.wire_run_cost(1, a, b));
-        let mut row = Vec::new();
-        prober.via_prefix_into(Point2::new(6, 2), &mut row);
-        assert_eq!(row[4], g.via_stack_cost(Point2::new(6, 2), 0, 4));
 
         // A refresh with nothing dirty rebuilds nothing.
         prober.refresh(&mut g, &pool);
-        assert_eq!(prober.rows_rebuilt(), full_rows + 3);
+        assert_eq!(prober.rows_rebuilt(), full_rows + 2);
     }
 
     #[test]
@@ -458,27 +383,5 @@ mod tests {
                 parallel.wire_run_cost(1, a, b)
             );
         }
-        let (mut serial_row, mut parallel_row) = (Vec::new(), Vec::new());
-        serial.via_prefix_into(Point2::new(4, 3), &mut serial_row);
-        parallel.via_prefix_into(Point2::new(4, 3), &mut parallel_row);
-        assert_eq!(serial_row, parallel_row);
-    }
-
-    #[test]
-    fn via_prefix_row_differences_are_stack_probes() {
-        let g = graph();
-        let prober = CostProber::build(&g);
-        let mut row = Vec::new();
-        let p = Point2::new(3, 4);
-        prober.via_prefix_into(p, &mut row);
-        assert_eq!(row.len(), 5);
-        for a in 0..5u8 {
-            for b in 0..5u8 {
-                let diff = row[b as usize].abs_diff(row[a as usize]);
-                assert_eq!(diff, g.via_stack_cost(p, a, b));
-            }
-        }
-        prober.via_prefix_into(Point2::new(40, 0), &mut row);
-        assert_eq!(row, vec![u64::MAX; 5]);
     }
 }

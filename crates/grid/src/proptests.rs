@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use crate::{CostParams, GridGraph, Point2, Route, Segment, Via};
+use crate::{cost_to_fixed, CostParams, GridGraph, Point2, Rect, Route, Segment, Via};
 
 fn graph(w: u16, h: u16, layers: u8, cap: f64) -> GridGraph {
     let mut g = GridGraph::new(w, h, layers, CostParams::default()).expect("valid dims");
@@ -40,7 +40,112 @@ fn arb_route() -> impl Strategy<Value = Route> {
         })
 }
 
+/// One step of a random edit sequence on the 16x16, 5-layer test grid.
+#[derive(Debug, Clone)]
+enum Edit {
+    Commit(Route),
+    /// Uncommits the committed route at this index (modulo their count).
+    Uncommit(usize),
+    History(f64),
+    ScaleRegion(u8, Rect, f64),
+    SetLayerCapacity(u8, f64),
+}
+
+fn arb_edit() -> impl Strategy<Value = Edit> {
+    let corners = (0u16..16, 0u16..16, 0u16..16, 0u16..16);
+    (0u8..8, arb_route(), 0usize..64, 1u8..5, corners, 0u8..6).prop_map(
+        |(kind, route, index, layer, (x0, y0, x1, y1), q)| match kind {
+            0..=2 => Edit::Commit(route),
+            3..=4 => Edit::Uncommit(index),
+            5 => Edit::History(f64::from(q % 4) * 0.75),
+            6 => Edit::ScaleRegion(
+                layer,
+                Rect::new(Point2::new(x0, y0), Point2::new(x1, y1)),
+                f64::from(q % 3) * 0.5,
+            ),
+            _ => Edit::SetLayerCapacity(layer, f64::from(q)),
+        },
+    )
+}
+
+/// Asserts that every cached wire and via cost of `g` is the quantised
+/// cost model at the edge's current demand, capacity and history.
+#[expect(clippy::disallowed_methods, reason = "checks every edge's cached cost")]
+fn assert_costs_match_model(g: &GridGraph) {
+    let params = g.params();
+    for l in 0..g.num_layers() {
+        for y in 0..g.height() {
+            for x in 0..g.width() {
+                let p = Point2::new(x, y);
+                if let Some(cached) = g.wire_edge_cost_fixed(l, p) {
+                    let (d, c, h) = (
+                        g.wire_demand(l, p).expect("edge exists"),
+                        g.wire_capacity(l, p).expect("edge exists"),
+                        g.wire_history(l, p).expect("edge exists"),
+                    );
+                    assert_eq!(cached, cost_to_fixed(params.wire_edge_cost(d, c) + h));
+                }
+                if let Some(cached) = g.via_edge_cost_fixed(l, p) {
+                    let d = g.via_demand(l, p).expect("via exists");
+                    assert_eq!(cached, cost_to_fixed(params.via_edge_cost(d)));
+                }
+            }
+        }
+    }
+    assert_eq!(g.stale_cost_cells(), 0);
+}
+
+/// Asserts that two graphs cache the same cost on every wire and via edge.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "compares every edge's cached cost"
+)]
+fn assert_same_costs(a: &GridGraph, b: &GridGraph) {
+    for l in 0..a.num_layers() {
+        for y in 0..a.height() {
+            for x in 0..a.width() {
+                let p = Point2::new(x, y);
+                assert_eq!(a.wire_edge_cost_fixed(l, p), b.wire_edge_cost_fixed(l, p));
+                assert_eq!(a.via_edge_cost_fixed(l, p), b.via_edge_cost_fixed(l, p));
+            }
+        }
+    }
+}
+
 proptest! {
+    /// After every step of a random mix of commits, uncommits, history
+    /// rounds and capacity edits, every cached edge cost equals the
+    /// quantised cost model; a clone carries the cache.
+    #[test]
+    fn cached_costs_follow_every_edit(edits in proptest::collection::vec(arb_edit(), 1..16)) {
+        let mut g = graph(16, 16, 5, 3.0);
+        assert_costs_match_model(&g);
+        let mut committed: Vec<Route> = Vec::new();
+        for edit in edits {
+            match edit {
+                Edit::Commit(r) => {
+                    g.commit(&r).expect("valid route");
+                    committed.push(r);
+                }
+                Edit::Uncommit(i) => {
+                    if !committed.is_empty() {
+                        let r = committed.swap_remove(i % committed.len());
+                        g.uncommit(&r).expect("valid route");
+                    }
+                }
+                Edit::History(increment) => {
+                    g.add_history_on_overflow(increment);
+                }
+                Edit::ScaleRegion(l, region, factor) => g.scale_region_capacity(l, region, factor),
+                Edit::SetLayerCapacity(l, capacity) => g.set_layer_capacity(l, capacity),
+            }
+            assert_costs_match_model(&g);
+        }
+        let copy = g.clone();
+        assert_costs_match_model(&copy);
+        assert_same_costs(&g, &copy);
+    }
+
     /// Committing and uncommitting any set of valid routes restores the
     /// pristine demand state exactly (exact f64 arithmetic on small ints).
     #[test]

@@ -1,8 +1,11 @@
 //! Concurrency contract of the atomic congestion store: any interleaving of
 //! `commit` / `uncommit` through a shared `&GridGraph` from many threads
-//! leaves the demand state bit-identical to the same multiset of operations
-//! applied sequentially. Demand updates are exact fixed-point integer
-//! additions, so this is an equality test, not an epsilon test.
+//! leaves the demand state, and the cost cached on every edge, bit-identical
+//! to the same multiset of operations applied sequentially. Demand updates
+//! are exact fixed-point integer additions, so this is an equality test,
+//! not an epsilon test.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
@@ -68,6 +71,32 @@ fn assert_demand_identical(a: &GridGraph, b: &GridGraph) {
     assert_eq!(a.report(), b.report());
 }
 
+/// Asserts the same cached cost on every wire and via edge of two graphs.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "compares every edge's cached cost"
+)]
+fn assert_costs_identical(a: &GridGraph, b: &GridGraph) {
+    for l in 0..LAYERS {
+        for y in 0..H {
+            for x in 0..W {
+                let p = Point2::new(x, y);
+                assert_eq!(
+                    a.wire_edge_cost_fixed(l, p),
+                    b.wire_edge_cost_fixed(l, p),
+                    "wire cost {l} {p:?}"
+                );
+                assert_eq!(
+                    a.via_edge_cost_fixed(l, p),
+                    b.via_edge_cost_fixed(l, p),
+                    "via cost {l} {p:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(a.stale_cost_cells(), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -103,6 +132,9 @@ proptest! {
         }
 
         assert_demand_identical(&shared, &ledger);
+        // Overlapping concurrent writers leave the last cost store matching
+        // the final demand.
+        assert_costs_identical(&shared, &ledger);
         // The dirty set is the union of dirtied edges — order independent.
         prop_assert_eq!(shared.dirty_edges(), ledger.dirty_edges());
     }
@@ -133,7 +165,49 @@ fn balanced_hammering_cancels_exactly() {
     assert_eq!(report.total_wire_demand, 0.0);
     assert_eq!(report.total_via_demand, 0.0);
     assert_eq!(report.overflowing_edges, 0);
+    assert_costs_identical(&shared, &graph());
     // Every touched edge is in the dirty set exactly once.
     assert_eq!(shared.dirty_edges(), 12);
     assert!(shared.route_touches_dirty(&route));
+}
+
+/// Stress of the cost writers: rounds of two threads, released together
+/// by a spin start, one committing and one ripping up the same route (15
+/// wire edges and a 4-hop via stack) a few times, so the demand stays near
+/// capacity where every track changes the cost. A writer that stored the
+/// price of its own update without re-checking the demand leaves a stale
+/// cost whenever the last two updates of an edge interleave: on a 2-vCPU
+/// host, in about one round in 150.
+#[test]
+fn racing_cost_writers_leave_exact_costs() {
+    let shared = graph();
+    let mut route = Route::new();
+    route.push_segment(Segment::new(1, Point2::new(0, 4), Point2::new(15, 4)));
+    route.push_via(Via::new(Point2::new(4, 4), 0, 4));
+    for _ in 0..3 {
+        shared.commit(&route).expect("valid route");
+    }
+    for _ in 0..2000 {
+        let arrived = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for rip_up in [false, true] {
+                let (shared, route, arrived) = (&shared, &route, &arrived);
+                s.spawn(move || {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    while arrived.load(Ordering::SeqCst) < 2 {
+                        std::hint::spin_loop();
+                    }
+                    for _ in 0..3 {
+                        if rip_up {
+                            shared.uncommit(route).expect("valid route");
+                        } else {
+                            shared.commit(route).expect("valid route");
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(shared.stale_cost_cells(), 0);
+    }
+    assert_eq!(shared.wire_demand(1, Point2::new(4, 4)), Some(3.0));
 }

@@ -1,5 +1,5 @@
-//! Exactness contract of the prefix-sum cost prober: an O(1) prefix
-//! difference (a wire-run probe, or two entries of a via-prefix row) is
+//! Exactness contract of the prefix sums: an O(1) prefix difference (a
+//! prober wire-run probe, or two entries of the grid's via-prefix row) is
 //! *bit-for-bit equal* to the naive fixed-point gcell walk
 //! ([`GridGraph::wire_run_cost`] / [`GridGraph::via_stack_cost`])
 //! for arbitrary demand and history states. Costs are quantised per edge
@@ -77,7 +77,7 @@ fn assert_probes_match(prober: &CostProber, g: &GridGraph) {
     for x in 0..W {
         for y in 0..H {
             let p = Point2::new(x, y);
-            prober.via_prefix_into(p, &mut row);
+            g.via_prefix_into(p, &mut row);
             assert_eq!(row.len(), LAYERS as usize);
             for lo in 0..LAYERS {
                 for hi in lo..LAYERS {

@@ -257,10 +257,10 @@ impl MazeScratch {
 
     /// Rebinds the scratch to a new search window, growing the dense
     /// arrays to the high-water mark (never shrinking), and snapshots the
-    /// window's edge costs from `graph`.
+    /// window's edge costs from `graph` — one load of each cached cost.
     #[expect(
         clippy::disallowed_methods,
-        reason = "the maze prices each unit edge, so it snapshots them one by one"
+        reason = "the maze prices each unit edge, so it copies their cached costs one by one"
     )]
     fn bind(&mut self, graph: &GridGraph, rect: Rect) {
         self.rect = rect;

@@ -49,6 +49,11 @@ FASTGR_WORKERS=1 target/release/fastgr route s19t9m --preset fastgr-l --guides "
 FASTGR_WORKERS=2 target/release/fastgr route s19t9m --preset fastgr-l --guides "$trace_tmp/s19t9m_w2.guide" >/dev/null
 cmp "$trace_tmp/s19t9m_w1.guide" "$trace_tmp/s19t9m_w2.guide"
 
+echo "== suite CUGR determinism (s19t9m cugr guides, one vs two workers) =="
+FASTGR_WORKERS=1 target/release/fastgr route s19t9m --preset cugr --guides "$trace_tmp/s19t9m_cugr_w1.guide" >/dev/null
+FASTGR_WORKERS=2 target/release/fastgr route s19t9m --preset cugr --guides "$trace_tmp/s19t9m_cugr_w2.guide" >/dev/null
+cmp "$trace_tmp/s19t9m_cugr_w1.guide" "$trace_tmp/s19t9m_cugr_w2.guide"
+
 echo "== stress smoke (10 random designs x 3 presets, one worker) =="
 FASTGR_WORKERS=1 cargo run --release --offline -q -p fastgr-bench --bin stress -- 10 >/dev/null
 
