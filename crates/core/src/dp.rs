@@ -120,7 +120,7 @@ const CAND_PURE_VIA: u32 = u32::MAX;
 /// nothing. One scratch serves one thread at a time; the worker-pool
 /// engines keep one per thread. Every cost is a Q44.20 `u64`, with
 /// `u64::MAX` as infinity (see [`fastgr_gpu::flow`]).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DpScratch {
     /// Bottom-up edge order of the current tree.
     edges: Vec<TreeEdge>,
@@ -182,42 +182,7 @@ pub struct DpScratch {
 impl DpScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
-        Self {
-            edges: Vec::new(),
-            dfs_stack: Vec::new(),
-            edge_cost: Vec::new(),
-            edge_choice: Vec::new(),
-            stack_lo: Vec::new(),
-            stack_hi: Vec::new(),
-            arena_offset: Vec::new(),
-            layer_arena: Vec::new(),
-            cbc: Vec::new(),
-            trial_layers: Vec::new(),
-            out_cost: Vec::new(),
-            out_choice: Vec::new(),
-            w1: Vec::new(),
-            pre_s: Vec::new(),
-            pre_t: Vec::new(),
-            mid_values: Vec::new(),
-            mid_argmin: Vec::new(),
-            lane_values: Vec::new(),
-            lane_argmin: Vec::new(),
-            cand_values: Vec::new(),
-            cand_src: Vec::new(),
-            cand_mid: Vec::new(),
-            merged_argmin: Vec::new(),
-            pairs: Vec::new(),
-            run2: Vec::new(),
-            run3: Vec::new(),
-            bt_stack: Vec::new(),
-            probes: 0,
-        }
-    }
-}
-
-impl Default for DpScratch {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 

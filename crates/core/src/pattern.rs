@@ -90,10 +90,11 @@ pub struct PatternStage {
     /// map of the design so trees bend away from predicted hot spots
     /// (CUGR's planning behaviour). Off by default.
     pub congestion_aware_planning: bool,
-    /// Prefix-sum cost probing: the kernels read wire-run and via-stack
-    /// costs from a [`CostProber`] cache (built once, incrementally
-    /// refreshed at every commit boundary from the grid's dirty bitsets)
-    /// instead of walking raw congestion per probe. Bit-identical routes
+    /// Prefix-sum cost probing: the kernels read wire-run costs from a
+    /// [`CostProber`] cache (built once, incrementally refreshed at every
+    /// commit boundary from the grid's dirty bitsets) instead of walking
+    /// the grid's cached edge costs per probe. Via stacks come from
+    /// [`GridGraph::via_prefix_into`] in both modes. Bit-identical routes
     /// either way — both paths share the Q44.20 quantised cost domain —
     /// so this is purely the per-net host speedup from O((M+N)²·L) to
     /// O((M+N)·L) probe work.

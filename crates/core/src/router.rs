@@ -52,8 +52,9 @@ pub struct RouterConfig {
     pub history_increment: f64,
     /// Congestion-aware (RUDY-guided) edge shifting during planning.
     pub congestion_aware_planning: bool,
-    /// Prefix-sum cost prober in the pattern stage: wire-run and via-stack
-    /// costs become O(1) prefix differences instead of O(span) gcell walks.
+    /// Prefix-sum cost prober in the pattern stage: wire-run costs become
+    /// O(1) prefix differences instead of O(span) gcell walks (via stacks
+    /// are read from the grid's via-prefix rows either way).
     /// Routes are bit-identical either way; this only changes the work the
     /// kernels do. On in every preset; off is an ablation knob.
     pub cost_probing: bool,

@@ -6,6 +6,7 @@
 //! [`GridGraph::commit`] for the exact contract.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::congestion::CongestionReport;
@@ -13,7 +14,7 @@ use crate::cost::CostParams;
 use crate::error::GridError;
 use crate::geom::{Point2, Rect};
 use crate::layer::{Direction, LayerInfo};
-use crate::route::Route;
+use crate::route::{Route, Segment};
 
 /// Number of fractional bits in the fixed-point demand representation.
 ///
@@ -57,34 +58,166 @@ pub fn cost_to_fixed(cost: f64) -> u64 {
     (cost * COST_SCALE).round() as u64
 }
 
-/// Per-layer storage of wire-edge capacity, demand, history and cost.
+/// A vector of `AtomicU64` cells that clones by value (a relaxed load of
+/// each cell): the storage of every lock-free grid and prober array.
+#[derive(Debug)]
+pub(crate) struct AtomicCells(Vec<AtomicU64>);
+
+impl AtomicCells {
+    /// `n` cells holding `value`.
+    pub(crate) fn new(n: usize, value: u64) -> Self {
+        Self((0..n).map(|_| AtomicU64::new(value)).collect())
+    }
+}
+
+impl Clone for AtomicCells {
+    fn clone(&self) -> Self {
+        Self(
+            self.iter()
+                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
+                .collect(),
+        )
+    }
+}
+
+impl Deref for AtomicCells {
+    type Target = [AtomicU64];
+
+    fn deref(&self) -> &[AtomicU64] {
+        &self.0
+    }
+}
+
+impl DerefMut for AtomicCells {
+    fn deref_mut(&mut self) -> &mut [AtomicU64] {
+        &mut self.0
+    }
+}
+
+/// Where the wire edges of a grid live: the one home of the index
+/// arithmetic behind every run walker of [`GridGraph`] and the
+/// [`crate::CostProber`].
+///
+/// Layer `l`'s plane is a stack of rows, each one contiguous range of
+/// edge indices: a horizontal layer has one row of `width - 1` edges per
+/// grid row, a vertical layer one row of `height - 1` edges per grid
+/// column. Edge `k` of row `r` joins G-cells `k` and `k + 1` along the row
+/// and has plane index `r * row_len + k`, so a straight run is one index
+/// range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WireLayout {
+    width: u16,
+    height: u16,
+    layers: u8,
+}
+
+impl WireLayout {
+    /// Number of layers, one plane each.
+    pub(crate) fn layers(self) -> usize {
+        self.layers as usize
+    }
+
+    /// Rows of layer `l`'s plane and edges per row.
+    pub(crate) fn plane_shape(self, l: usize) -> (usize, usize) {
+        let (w, h) = (self.width as usize, self.height as usize);
+        match Direction::of_layer(l as u8) {
+            Direction::Horizontal => (h, w - 1),
+            Direction::Vertical => (w, h - 1),
+        }
+    }
+
+    fn contains(self, p: Point2) -> bool {
+        p.x < self.width && p.y < self.height
+    }
+
+    /// The row of G-cell `p` in layer `l`'s plane, its position along the
+    /// row and the row's edge count; `None` off the grid or when `l` names
+    /// no layer.
+    fn locate(self, l: u8, p: Point2) -> Option<(usize, usize, usize)> {
+        if l >= self.layers || !self.contains(p) {
+            return None;
+        }
+        let (row, along) = match Direction::of_layer(l) {
+            Direction::Horizontal => (p.y, p.x),
+            Direction::Vertical => (p.x, p.y),
+        };
+        Some((row as usize, along as usize, self.plane_shape(l as usize).1))
+    }
+
+    /// The row of the straight run `a -> b` on layer `l` and the range of
+    /// plane indices of its edges, in either endpoint order; an empty
+    /// range when `a == b`. `None` when the run goes against the layer's
+    /// direction, leaves the grid or `l` names no layer.
+    pub(crate) fn run(self, l: u8, a: Point2, b: Point2) -> Option<(usize, Range<usize>)> {
+        let (row, s, row_len) = self.locate(l, a)?;
+        let (b_row, t, _) = self.locate(l, b)?;
+        let base = row * row_len;
+        (row == b_row).then(|| (row, base + s.min(t)..base + s.max(t)))
+    }
+
+    /// Plane index of the edge on layer `l` whose lower endpoint is `p`.
+    fn edge(self, l: u8, p: Point2) -> Option<usize> {
+        let (row, along, row_len) = self.locate(l, p)?;
+        (along < row_len).then(|| row * row_len + along)
+    }
+}
+
+/// Per-layer storage of wire-edge capacity, demand, history, cost and
+/// dirty bits, indexed by [`WireLayout`].
 ///
 /// Demand lives in atomic fixed-point cells (see [`demand_to_fixed`]) so
 /// routes can be committed and ripped up from many threads without a lock.
 /// Capacity and history stay plain `f64`: they are only mutated between
 /// iterations through `&mut self`, so they never race with the shared-state
 /// demand updates.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Plane {
     capacity: Vec<f64>,
-    demand: Vec<AtomicU64>,
+    demand: AtomicCells,
     /// Cached Q44.20 cost of each edge, rewritten whenever its demand,
     /// capacity or history changes (see [`GridGraph::commit`]).
-    cost: Vec<AtomicU64>,
+    cost: AtomicCells,
     /// Accumulated negotiation history (NTHU-Route / Archer style): edges
     /// that keep overflowing accrue extra cost so later iterations learn to
     /// avoid them even when their instantaneous congestion looks tolerable.
     /// Empty (all zero) until the first nonzero history round.
     history: Vec<f64>,
+    /// One bit per edge whose demand changed since the last
+    /// [`GridGraph::clear_dirty`], set with relaxed atomics. It is only
+    /// *read* between RRR iterations, after the executor has joined its
+    /// workers, so the thread join supplies the happens-before edge the
+    /// relaxed stores rely on.
+    dirty: AtomicCells,
 }
 
 impl Plane {
+    /// A plane of `n` edges with zero capacity and demand, priced.
+    fn new(n: usize, params: &CostParams) -> Self {
+        let mut plane = Self {
+            capacity: vec![0.0; n],
+            demand: AtomicCells::new(n, 0),
+            cost: AtomicCells::new(n, 0),
+            history: Vec::new(),
+            dirty: AtomicCells::new(n.div_ceil(64), 0),
+        };
+        plane.reprice_all(params);
+        plane
+    }
+
     fn demand_at(&self, i: usize) -> f64 {
         fixed_to_demand(self.demand[i].load(Ordering::Relaxed))
     }
 
     fn history_at(&self, i: usize) -> f64 {
         self.history.get(i).copied().unwrap_or(0.0)
+    }
+
+    fn mark_dirty(&self, i: usize) {
+        self.dirty[i >> 6].fetch_or(1u64 << (i & 63), Ordering::Relaxed);
+    }
+
+    fn is_dirty(&self, i: usize) -> bool {
+        self.dirty[i >> 6].load(Ordering::Relaxed) & (1u64 << (i & 63)) != 0
     }
 
     /// The quantised cost of edge `i` at raw fixed-point demand `raw` —
@@ -123,28 +256,6 @@ impl Plane {
     }
 }
 
-impl Clone for Plane {
-    fn clone(&self) -> Self {
-        Self {
-            capacity: self.capacity.clone(),
-            demand: copied_atomics(&self.demand),
-            cost: copied_atomics(&self.cost),
-            history: self.history.clone(),
-        }
-    }
-}
-
-fn zeroed_atomics(n: usize) -> Vec<AtomicU64> {
-    (0..n).map(|_| AtomicU64::new(0)).collect()
-}
-
-fn copied_atomics(cells: &[AtomicU64]) -> Vec<AtomicU64> {
-    cells
-        .iter()
-        .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-        .collect()
-}
-
 /// The quantised cost of one via cell at raw fixed-point demand `raw` —
 /// the one via quantisation site.
 fn via_price(params: &CostParams, raw: u64) -> u64 {
@@ -170,49 +281,6 @@ fn add_and_reprice(demand: &AtomicU64, cost: &AtomicU64, delta: u64, price: impl
             return;
         }
         raw = now;
-    }
-}
-
-/// Lock-free tracker of the wire edges whose demand changed since the last
-/// [`GridGraph::clear_dirty`].
-///
-/// One bit per edge (planes concatenated in layer order), set with relaxed
-/// atomics; the tracker is only *read* between RRR iterations, after the
-/// executor has joined its workers, so the thread join supplies the
-/// happens-before edge the relaxed stores rely on.
-#[derive(Debug)]
-struct DirtyTracker {
-    words: Vec<AtomicU64>,
-}
-
-impl DirtyTracker {
-    fn new(bits: usize) -> Self {
-        Self {
-            words: zeroed_atomics(bits.div_ceil(64)),
-        }
-    }
-
-    /// Marks bit `bit` dirty.
-    fn mark(&self, bit: usize) {
-        self.words[bit >> 6].fetch_or(1u64 << (bit & 63), Ordering::Relaxed);
-    }
-
-    fn is_set(&self, bit: usize) -> bool {
-        self.words[bit >> 6].load(Ordering::Relaxed) & (1u64 << (bit & 63)) != 0
-    }
-
-    fn clear(&mut self) {
-        for w in &mut self.words {
-            *w.get_mut() = 0;
-        }
-    }
-}
-
-impl Clone for DirtyTracker {
-    fn clone(&self) -> Self {
-        Self {
-            words: copied_atomics(&self.words),
-        }
     }
 }
 
@@ -258,22 +326,17 @@ impl Clone for DirtyTracker {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GridGraph {
-    width: u16,
-    height: u16,
+    layout: WireLayout,
     layers: Vec<LayerInfo>,
     params: CostParams,
     planes: Vec<Plane>,
-    /// First dirty-bitset bit of each plane's wire edges (prefix sums of
-    /// plane sizes, pin layer included for uniform indexing).
-    edge_offsets: Vec<usize>,
     /// Via demand indexed `[boundary * w * h + y * w + x]` where `boundary`
     /// is the lower layer of the hop (0..layers-1).
-    via_demand: Vec<AtomicU64>,
+    via_demand: AtomicCells,
     /// Cached Q44.20 cost of each via cell, same indexing.
-    via_cost: Vec<AtomicU64>,
-    dirty: DirtyTracker,
+    via_cost: AtomicCells,
 }
 
 impl GridGraph {
@@ -294,51 +357,36 @@ impl GridGraph {
                 layers,
             });
         }
-        let infos: Vec<LayerInfo> = (0..layers).map(|l| LayerInfo::new(l, 0.0)).collect();
-        let mut edge_offsets = Vec::with_capacity(infos.len());
-        let mut total_edges = 0usize;
-        let planes = infos
-            .iter()
-            .map(|info| {
-                let n = match info.direction {
-                    Direction::Horizontal => (width as usize - 1) * height as usize,
-                    Direction::Vertical => width as usize * (height as usize - 1),
-                };
-                edge_offsets.push(total_edges);
-                total_edges += n;
-                let mut plane = Plane {
-                    capacity: vec![0.0; n],
-                    demand: zeroed_atomics(n),
-                    cost: zeroed_atomics(n),
-                    history: Vec::new(),
-                };
-                plane.reprice_all(&params);
-                plane
+        let layout = WireLayout {
+            width,
+            height,
+            layers,
+        };
+        let planes = (0..layout.layers())
+            .map(|l| {
+                let (rows, row_len) = layout.plane_shape(l);
+                Plane::new(rows * row_len, &params)
             })
             .collect();
         let via_cells = (layers as usize - 1) * width as usize * height as usize;
-        let idle_via = via_price(&params, 0);
         Ok(Self {
-            width,
-            height,
-            layers: infos,
+            layout,
+            layers: (0..layers).map(|l| LayerInfo::new(l, 0.0)).collect(),
             params,
             planes,
-            edge_offsets,
-            via_demand: zeroed_atomics(via_cells),
-            via_cost: (0..via_cells).map(|_| AtomicU64::new(idle_via)).collect(),
-            dirty: DirtyTracker::new(total_edges),
+            via_demand: AtomicCells::new(via_cells, 0),
+            via_cost: AtomicCells::new(via_cells, via_price(&params, 0)),
         })
     }
 
     /// Grid width in G-cells.
     pub fn width(&self) -> u16 {
-        self.width
+        self.layout.width
     }
 
     /// Grid height in G-cells.
     pub fn height(&self) -> u16 {
-        self.height
+        self.layout.height
     }
 
     /// Number of metal layers (including the unroutable pin layer 0).
@@ -362,7 +410,12 @@ impl GridGraph {
 
     /// Whether `p` lies on the grid.
     pub fn contains(&self, p: Point2) -> bool {
-        p.x < self.width && p.y < self.height
+        self.layout.contains(p)
+    }
+
+    /// The wire-edge layout every run walker indexes through.
+    pub(crate) fn layout(&self) -> WireLayout {
+        self.layout
     }
 
     /// Sets every wire edge on every *routable* layer (1..) to `capacity`.
@@ -392,51 +445,40 @@ impl GridGraph {
     /// Scales the capacity of all wire edges of layer `l` whose *lower*
     /// endpoint lies in `region` — used to model blockages/macros.
     pub fn scale_region_capacity(&mut self, l: u8, region: Rect, factor: f64) {
-        let dir = self.layers[l as usize].direction;
-        let (w, h) = (self.width, self.height);
+        let layout = self.layout;
         let plane = &mut self.planes[l as usize];
-        for y in region.lo.y..=region.hi.y.min(h - 1) {
-            for x in region.lo.x..=region.hi.x.min(w - 1) {
-                if let Some(idx) = Self::edge_index_raw(dir, w, h, Point2::new(x, y)) {
-                    plane.capacity[idx] *= factor;
-                    plane.reprice(&self.params, idx);
+        // Each grid row (horizontal layer) or column (vertical layer) of
+        // the region is one run, over the edges whose lower endpoint lies
+        // in it. `t` swaps a point to `(along, across)` coordinates and back.
+        let horizontal = Direction::of_layer(l) == Direction::Horizontal;
+        let t = |p: Point2| if horizontal { p } else { Point2::new(p.y, p.x) };
+        let dims = t(Point2::new(layout.width, layout.height));
+        let (lo, hi) = (t(region.lo), t(region.hi));
+        let end = hi.x.saturating_add(1).min(dims.x - 1).max(lo.x);
+        for across in lo.y..=hi.y.min(dims.y - 1) {
+            let (a, b) = (Point2::new(lo.x, across), Point2::new(end, across));
+            if let Some((_, edges)) = layout.run(l, t(a), t(b)) {
+                for i in edges {
+                    plane.capacity[i] *= factor;
+                    plane.reprice(&self.params, i);
                 }
             }
         }
     }
 
-    /// Index of the wire edge whose lower endpoint is `p`, if it exists.
-    fn edge_index_raw(dir: Direction, w: u16, h: u16, p: Point2) -> Option<usize> {
-        match dir {
-            Direction::Horizontal => {
-                (p.x + 1 < w && p.y < h).then(|| p.y as usize * (w as usize - 1) + p.x as usize)
-            }
-            Direction::Vertical => {
-                (p.y + 1 < h && p.x < w).then(|| p.x as usize * (h as usize - 1) + p.y as usize)
-            }
-        }
-    }
-
-    fn edge_index(&self, l: u8, p: Point2) -> Option<usize> {
-        Self::edge_index_raw(
-            self.layers[l as usize].direction,
-            self.width,
-            self.height,
-            p,
-        )
-    }
-
     /// Capacity of the wire edge on layer `l` leaving `p` in the preferred
     /// direction, or `None` if no such edge exists.
     pub fn wire_capacity(&self, l: u8, p: Point2) -> Option<f64> {
-        self.edge_index(l, p)
+        self.layout
+            .edge(l, p)
             .map(|i| self.planes[l as usize].capacity[i])
     }
 
     /// Demand of the wire edge on layer `l` leaving `p` in the preferred
     /// direction, or `None` if no such edge exists.
     pub fn wire_demand(&self, l: u8, p: Point2) -> Option<f64> {
-        self.edge_index(l, p)
+        self.layout
+            .edge(l, p)
             .map(|i| self.planes[l as usize].demand_at(i))
     }
 
@@ -448,19 +490,18 @@ impl GridGraph {
     }
 
     fn via_index(&self, lower: u8, p: Point2) -> Option<usize> {
-        ((lower as usize) < self.layers.len() - 1 && self.contains(p)).then(|| {
-            lower as usize * self.width as usize * self.height as usize
-                + p.y as usize * self.width as usize
-                + p.x as usize
-        })
+        let (w, h) = (self.layout.width as usize, self.layout.height as usize);
+        ((lower as usize) < self.layers.len() - 1 && self.contains(p))
+            .then(|| lower as usize * w * h + p.y as usize * w + p.x as usize)
     }
 
     /// Cached Q44.20 cost of the single wire edge on layer `l` leaving `p`
     /// in the layer's preferred direction (`cw` of the paper for one unit
     /// edge, history included), or `None` when no such edge exists.
     pub fn wire_edge_cost_fixed(&self, l: u8, p: Point2) -> Option<u64> {
-        self.edge_index(l, p)
-            .map(|i| self.wire_edge_cost_fixed_at(l as usize, i))
+        self.layout
+            .edge(l, p)
+            .map(|i| self.planes[l as usize].cost[i].load(Ordering::Relaxed))
     }
 
     /// Cached Q44.20 cost of the via edge between layers `l` and `l + 1` at
@@ -471,7 +512,8 @@ impl GridGraph {
 
     /// Accumulated history cost of the wire edge leaving `p` on layer `l`.
     pub fn wire_history(&self, l: u8, p: Point2) -> Option<f64> {
-        self.edge_index(l, p)
+        self.layout
+            .edge(l, p)
             .map(|i| self.planes[l as usize].history_at(i))
     }
 
@@ -496,19 +538,21 @@ impl GridGraph {
         penalised
     }
 
-    /// Cached Q44.20 cost of the wire edge at flat plane index `i` on layer
-    /// `l` (congestion model + history, quantised per edge). Used by the
-    /// prefix-sum [`crate::CostProber`], the quantised reference walks
-    /// below and [`GridGraph::wire_edge_cost_fixed`], so they agree
-    /// bit-for-bit.
-    pub(crate) fn wire_edge_cost_fixed_at(&self, l: usize, i: usize) -> u64 {
-        self.planes[l].cost[i].load(Ordering::Relaxed)
+    /// Cached Q44.20 costs of the edges of row `row` of layer `l`'s plane
+    /// (see [`WireLayout`]), in order: the prefix-sum
+    /// [`crate::CostProber`] sums these loads, the run walks below the
+    /// same cells, so they agree bit-for-bit.
+    pub(crate) fn wire_row_costs(&self, l: usize, row: usize) -> impl Iterator<Item = u64> + '_ {
+        let row_len = self.layout.plane_shape(l).1;
+        self.planes[l].cost[row * row_len..(row + 1) * row_len]
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
     }
 
     /// Cached Q44.20 cost of the via hop between layers `l` and `l + 1` at
     /// flat G-cell index `pos` (`y * width + x`).
     fn via_edge_cost_fixed_at(&self, l: usize, pos: usize) -> u64 {
-        self.via_cost_fixed_at(l * self.width as usize * self.height as usize + pos)
+        self.via_cost_fixed_at(l * self.layout.width as usize * self.layout.height as usize + pos)
     }
 
     /// Cached Q44.20 cost of the via cell at flat `via_demand` index `i`.
@@ -532,22 +576,12 @@ impl GridGraph {
         let vias = self
             .via_demand
             .iter()
-            .zip(&self.via_cost)
+            .zip(self.via_cost.iter())
             .filter(|(d, c)| {
                 c.load(Ordering::Relaxed) != via_price(&self.params, d.load(Ordering::Relaxed))
             })
             .count();
         wires.sum::<usize>() + vias
-    }
-
-    /// First dirty-bitset bit of layer `l`'s wire edges.
-    pub(crate) fn edge_offset(&self, l: usize) -> usize {
-        self.edge_offsets[l]
-    }
-
-    /// Raw words of the wire-edge dirty bitset (for dirty harvesting).
-    pub(crate) fn dirty_words(&self) -> &[AtomicU64] {
-        &self.dirty.words
     }
 
     /// Cost `cw(a, b, l)` of a straight run on layer `l` between aligned
@@ -566,24 +600,13 @@ impl GridGraph {
         if a == b {
             return 0;
         }
-        if (l as usize) >= self.layers.len() || !self.contains(a) || !self.contains(b) {
-            return u64::MAX;
+        match self.layout.run(l, a, b) {
+            Some((_, edges)) => self.planes[l as usize].cost[edges]
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .sum(),
+            None => u64::MAX,
         }
-        // The run's first edge index in its row or column, and its span.
-        let (base, lo, hi) = match self.layers[l as usize].direction {
-            Direction::Horizontal if a.y == b.y => {
-                let base = a.y as usize * (self.width as usize - 1);
-                (base, a.x.min(b.x), a.x.max(b.x))
-            }
-            Direction::Vertical if a.x == b.x => {
-                let base = a.x as usize * (self.height as usize - 1);
-                (base, a.y.min(b.y), a.y.max(b.y))
-            }
-            _ => return u64::MAX,
-        };
-        (lo..hi)
-            .map(|i| self.wire_edge_cost_fixed_at(l as usize, base + i as usize))
-            .sum()
     }
 
     /// Cost `cv(p, l1, l2)` of a via stack at `p` from layer `l1` to `l2`,
@@ -596,7 +619,7 @@ impl GridGraph {
         if hi as usize >= self.layers.len() || !self.contains(p) {
             return u64::MAX;
         }
-        let pos = p.y as usize * self.width as usize + p.x as usize;
+        let pos = p.y as usize * self.layout.width as usize + p.x as usize;
         (lo..hi)
             .map(|l| self.via_edge_cost_fixed_at(l as usize, pos))
             .sum()
@@ -618,7 +641,7 @@ impl GridGraph {
             out.resize(layers, u64::MAX);
             return;
         }
-        let pos = p.y as usize * self.width as usize + p.x as usize;
+        let pos = p.y as usize * self.layout.width as usize + p.x as usize;
         let mut acc = 0u64;
         out.push(acc);
         for l in 0..layers - 1 {
@@ -634,31 +657,26 @@ impl GridGraph {
         if a == b {
             return Ok(());
         }
-        if (l as usize) >= self.layers.len() || !self.contains(a) || !self.contains(b) {
-            return Err(GridError::OutOfBounds {
-                point: if self.contains(a) { b } else { a },
-                layer: Some(l),
+        let Some((_, edges)) = self.layout.run(l, a, b) else {
+            let on_grid = self.contains(a) && self.contains(b);
+            return Err(if (l as usize) < self.layers.len() && on_grid {
+                GridError::WrongDirection {
+                    segment: Segment::new(l, a, b),
+                }
+            } else {
+                GridError::OutOfBounds {
+                    point: if self.contains(a) { b } else { a },
+                    layer: Some(l),
+                }
             });
-        }
-        let seg = crate::route::Segment::new(l, a, b);
-        let dir = self.layers[l as usize].direction;
-        let seg_dir = if seg.is_horizontal() {
-            Direction::Horizontal
-        } else {
-            Direction::Vertical
         };
-        if dir != seg_dir {
-            return Err(GridError::WrongDirection { segment: seg });
-        }
         let fx = demand_to_fixed(amount) as u64;
         let plane = &self.planes[l as usize];
-        let offset = self.edge_offsets[l as usize];
-        for (from, _to) in seg.unit_edges() {
-            let idx = self.edge_index(l, from).expect("validated in-bounds");
-            add_and_reprice(&plane.demand[idx], &plane.cost[idx], fx, |raw| {
-                plane.price(&self.params, idx, raw)
+        for i in edges {
+            add_and_reprice(&plane.demand[i], &plane.cost[i], fx, |raw| {
+                plane.price(&self.params, i, raw)
             });
-            self.dirty.mark(offset + idx);
+            plane.mark_dirty(i);
         }
         Ok(())
     }
@@ -741,9 +759,9 @@ impl GridGraph {
     /// [`GridGraph::clear_dirty`] (vias are excluded: they have no capacity
     /// and can never overflow).
     pub fn dirty_edges(&self) -> u64 {
-        self.dirty
-            .words
+        self.planes
             .iter()
+            .flat_map(|plane| plane.dirty.iter())
             .map(|w| u64::from(w.load(Ordering::Relaxed).count_ones()))
             .sum()
     }
@@ -751,7 +769,37 @@ impl GridGraph {
     /// Resets the dirty-edge tracker; subsequent demand updates start a
     /// new dirty set. Requires `&mut self` and therefore quiescence.
     pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
+        for plane in &mut self.planes {
+            plane.dirty.iter_mut().for_each(|w| *w.get_mut() = 0);
+        }
+    }
+
+    /// The `(layer, row)` of every dirty wire edge (see [`WireLayout`]), in
+    /// ascending layer and plane-index order, so the dirty edges of one
+    /// row arrive back to back.
+    pub(crate) fn dirty_rows(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.planes.iter().enumerate().flat_map(move |(l, plane)| {
+            let row_len = self.layout.plane_shape(l).1;
+            plane.dirty.iter().enumerate().flat_map(move |(w, word)| {
+                let mut bits = word.load(Ordering::Relaxed);
+                std::iter::from_fn(move || {
+                    let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                    bits &= bits - 1;
+                    Some((l, ((w << 6) + bit) / row_len))
+                })
+            })
+        })
+    }
+
+    /// Every wire edge covered by `route`, as its plane and plane index.
+    /// Segments that map to no run (off-grid or wrong-direction) cover
+    /// none.
+    fn route_edges<'a>(&'a self, route: &'a Route) -> impl Iterator<Item = (&'a Plane, usize)> {
+        route.segments().iter().flat_map(move |s| {
+            let edges = self.layout.run(s.layer, s.from, s.to);
+            let edges = edges.map_or(0..0, |(_, edges)| edges);
+            edges.map(move |i| (&self.planes[s.layer as usize], i))
+        })
     }
 
     /// Whether any unit wire edge covered by `route` is in the current
@@ -762,17 +810,7 @@ impl GridGraph {
     /// unchanged, never `false` for one whose status changed (every demand
     /// update marks its edge).
     pub fn route_touches_dirty(&self, route: &Route) -> bool {
-        for s in route.segments() {
-            let offset = self.edge_offsets[s.layer as usize];
-            for (from, _to) in s.unit_edges() {
-                if let Some(i) = self.edge_index(s.layer, from) {
-                    if self.dirty.is_set(offset + i) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.route_edges(route).any(|(plane, i)| plane.is_dirty(i))
     }
 
     /// Evaluates the current cost of `route` against the present demand
@@ -794,17 +832,8 @@ impl GridGraph {
     /// Whether any unit wire edge covered by `route` is overflowing
     /// (demand > capacity) in the current state.
     pub fn route_has_overflow(&self, route: &Route) -> bool {
-        for s in route.segments() {
-            let l = s.layer as usize;
-            for (from, _) in s.unit_edges() {
-                if let Some(i) = self.edge_index(s.layer, from) {
-                    if self.planes[l].demand_at(i) > self.planes[l].capacity[i] {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.route_edges(route)
+            .any(|(plane, i)| plane.demand_at(i) > plane.capacity[i])
     }
 
     /// Aggregated congestion statistics over the whole grid.
@@ -836,17 +865,16 @@ impl GridGraph {
     /// utilisation (demand/capacity) over the wire edges leaving it on any
     /// routable layer. Row-major `height x width`.
     pub fn congestion_heatmap(&self) -> Vec<f64> {
-        let mut heat = vec![0.0f64; self.width as usize * self.height as usize];
+        let (w, h) = (self.width(), self.height());
+        let mut heat = vec![0.0f64; w as usize * h as usize];
         for (l, plane) in self.planes.iter().enumerate().skip(1) {
-            for y in 0..self.height {
-                for x in 0..self.width {
+            for y in 0..h {
+                for x in 0..w {
                     let p = Point2::new(x, y);
-                    if let Some(i) =
-                        Self::edge_index_raw(self.layers[l].direction, self.width, self.height, p)
-                    {
+                    if let Some(i) = self.layout.edge(l as u8, p) {
                         if plane.capacity[i] > 0.0 {
                             let u = plane.demand_at(i) / plane.capacity[i];
-                            let cell = y as usize * self.width as usize + x as usize;
+                            let cell = y as usize * w as usize + x as usize;
                             if u > heat[cell] {
                                 heat[cell] = u;
                             }
@@ -859,29 +887,13 @@ impl GridGraph {
     }
 }
 
-impl Clone for GridGraph {
-    fn clone(&self) -> Self {
-        Self {
-            width: self.width,
-            height: self.height,
-            layers: self.layers.clone(),
-            params: self.params,
-            planes: self.planes.clone(),
-            edge_offsets: self.edge_offsets.clone(),
-            via_demand: copied_atomics(&self.via_demand),
-            via_cost: copied_atomics(&self.via_cost),
-            dirty: self.dirty.clone(),
-        }
-    }
-}
-
 impl fmt::Display for GridGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "grid {}x{} with {} layers",
-            self.width,
-            self.height,
+            self.width(),
+            self.height(),
             self.layers.len()
         )
     }
@@ -890,7 +902,7 @@ impl fmt::Display for GridGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::{Segment, Via};
+    use crate::route::Via;
 
     fn graph() -> GridGraph {
         let mut g = GridGraph::new(10, 10, 5, CostParams::default()).expect("valid dims");

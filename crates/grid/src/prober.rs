@@ -8,8 +8,11 @@
 //! into per-layer prefix sums so that any run cost is a two-lookup
 //! difference. [`CostProber`] is that cache: per layer, the grid's cached
 //! Q44.20 fixed-point ([`super::graph::COST_FRAC_BITS`]) cost of every unit
-//! edge is prefix-summed along its row (horizontal layers) or column
-//! (vertical layers).
+//! edge is prefix-summed along its row of the grid's wire-edge layout (a
+//! grid row on horizontal layers, a grid column on vertical ones). A probe
+//! maps its run to an edge-index range through the same
+//! [`WireLayout::run`] the grid's walks use, and reads the two prefix
+//! cells at the range's ends.
 //!
 //! Via stacks need no cache here: a G-cell's via-stack prefix row is `L`
 //! loads of the grid's cached via costs
@@ -29,9 +32,12 @@
 //! mode) and commits a batch's routes only after the whole batch is
 //! routed, so within one batch every net sees the same congestion
 //! snapshot, matching the paper's batch semantics. [`CostProber::refresh`]
-//! consumes the grid's [`DirtyTracker`](GridGraph::dirty_edges) bitset to
-//! re-sum only the rows/columns whose demand changed since the last
-//! refresh — O(changed rows), not O(grid).
+//! consumes the grid's [dirty bitsets](GridGraph::dirty_edges) to re-sum
+//! only the rows whose demand changed since the last refresh —
+//! O(changed rows), not O(grid). Dirty edges arrive in ascending plane
+//! order and each row is one contiguous index range, so a row's edges
+//! arrive back to back and the harvest deduplicates a row by comparing it
+//! with the last one pushed. A build is a refresh with every row listed.
 //!
 //! **Caveat**: demand commits are dirty-tracked; history and capacity
 //! mutations ([`GridGraph::add_history_on_overflow`],
@@ -40,24 +46,12 @@
 //! scratch with [`CostProber::build`] — the pattern stage never mutates
 //! either mid-stage, so its per-batch refresh is sound.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use fastgr_gpu::HostPool;
 
-use crate::layer::Direction;
+use crate::graph::{AtomicCells, WireLayout};
 use crate::{GridGraph, Point2};
-
-/// Reusable dirty-harvest scratch; sized once at build so the steady-state
-/// [`CostProber::refresh`] path allocates nothing.
-#[derive(Debug)]
-struct RebuildScratch {
-    /// Global wire-row indices pending rebuild (deduplicated).
-    rows: Vec<u32>,
-    /// Generation stamp per global wire row.
-    row_gen: Vec<u32>,
-    /// Current harvest generation (stamps equal to this are "seen").
-    generation: u32,
-}
 
 /// Prefix-sum cache of quantised wire costs over a [`GridGraph`].
 ///
@@ -82,32 +76,23 @@ struct RebuildScratch {
 /// ```
 #[derive(Debug)]
 pub struct CostProber {
-    width: usize,
-    height: usize,
-    layers: usize,
-    /// `width * height`; one layer's worth of prefix cells.
-    wh: usize,
-    /// Preferred direction per layer (copied so probes never touch the
-    /// graph).
-    dirs: Vec<Direction>,
-    /// Inclusive-exclusive prefix sums of quantised wire edge costs.
-    ///
-    /// Horizontal layer `l`, row `y`: `wire_pref[l*wh + y*w + x]` is the sum
-    /// of edge costs for `x' < x` in that row. Vertical layer `l`, column
-    /// `x`: `wire_pref[l*wh + x*h + y]` sums `y' < y`. Cells are atomics
+    /// The grid's wire-edge layout, copied so probes never touch the graph.
+    layout: WireLayout,
+    /// Per layer, one prefix cell more per row than the row has edges:
+    /// the cell of the plane's edge `i` in row `r` is `i + r` and sums the
+    /// costs of the row's edges before it, so a run's cost is the
+    /// difference of the cells at its range's two ends. Cells are atomics
     /// only so disjoint rows can be rebuilt from pool workers under
     /// `forbid(unsafe_code)`; all accesses are relaxed and the pool's
     /// scoped-thread join supplies the happens-before edge.
-    wire_pref: Vec<AtomicU64>,
-    /// Per-layer offset into the global wire-row numbering (horizontal
-    /// layers contribute `height` rows, vertical layers `width` columns);
-    /// length `layers + 1`.
-    row_off: Vec<usize>,
+    pref: Vec<AtomicCells>,
+    /// `(layer, row)` pairs to re-sum. A build lists every row, so the
+    /// vector never grows on a refresh.
+    rows: Vec<(usize, usize)>,
     /// Number of builds + refreshes performed.
     builds: u64,
-    /// Total rows/columns re-summed across all builds.
+    /// Total rows re-summed across all builds.
     rows_rebuilt: u64,
-    scratch: RebuildScratch,
 }
 
 impl CostProber {
@@ -117,137 +102,67 @@ impl CostProber {
     }
 
     /// Builds a full cache of `graph`'s current cost state, rebuilding
-    /// rows/columns in parallel on `pool`.
+    /// rows in parallel on `pool`: a refresh with every row listed.
     pub fn build_with_pool(graph: &GridGraph, pool: &HostPool) -> Self {
-        let (w, h) = (graph.width() as usize, graph.height() as usize);
-        let layers = graph.num_layers() as usize;
-        let wh = w * h;
-        let dirs: Vec<Direction> = (0..layers)
-            .map(|l| graph.layer(l as u8).direction)
-            .collect();
-        let mut row_off = Vec::with_capacity(layers + 1);
-        let mut total_rows = 0usize;
-        for dir in &dirs {
-            row_off.push(total_rows);
-            total_rows += match dir {
-                Direction::Horizontal => h,
-                Direction::Vertical => w,
-            };
-        }
-        row_off.push(total_rows);
+        let layout = graph.layout();
+        let shapes = (0..layout.layers()).map(|l| layout.plane_shape(l));
         let mut prober = Self {
-            width: w,
-            height: h,
-            layers,
-            wh,
-            dirs,
-            wire_pref: (0..layers * wh).map(|_| AtomicU64::new(0)).collect(),
-            row_off,
+            layout,
+            pref: shapes
+                .clone()
+                .map(|(rows, row_len)| AtomicCells::new(rows * (row_len + 1), 0))
+                .collect(),
+            rows: shapes
+                .enumerate()
+                .flat_map(|(l, (rows, _))| (0..rows).map(move |r| (l, r)))
+                .collect(),
             builds: 0,
             rows_rebuilt: 0,
-            scratch: RebuildScratch {
-                rows: Vec::with_capacity(total_rows),
-                row_gen: vec![0; total_rows],
-                generation: 0,
-            },
         };
-        prober.rebuild_all(graph, pool);
+        prober.rebuild_rows(graph, pool);
         prober
     }
 
-    /// Re-sums every row/column (used at build time).
-    fn rebuild_all(&mut self, graph: &GridGraph, pool: &HostPool) {
-        let total_rows = self.row_off[self.layers];
-        let this: &Self = self;
-        pool.for_each(total_rows, |r| this.rebuild_wire_row_into(graph, r));
-        self.builds += 1;
-        self.rows_rebuilt += total_rows as u64;
-    }
-
     /// Incrementally refreshes the cache against `graph`'s current costs,
-    /// re-summing only the rows/columns marked dirty since the last
-    /// [`GridGraph::clear_dirty`], then clears the dirty bitset.
+    /// re-summing only the rows marked dirty since the last
+    /// [`GridGraph::clear_dirty`], then clears the dirty bitsets.
     ///
-    /// Steady-state allocation-free: the harvest buffers are sized at build
-    /// time and reused. Rebuilds run in parallel on `pool`.
+    /// Steady-state allocation-free: the row list is sized at build time
+    /// and reused. Rebuilds run in parallel on `pool`.
     pub fn refresh(&mut self, graph: &mut GridGraph, pool: &HostPool) {
-        debug_assert_eq!(self.wh, graph.width() as usize * graph.height() as usize);
-        // Advance the harvest generation; on wrap, reset the stamp arrays
-        // so stale stamps can never collide with a reused generation value.
-        self.scratch.generation = self.scratch.generation.wrapping_add(1);
-        if self.scratch.generation == 0 {
-            self.scratch.row_gen.fill(0);
-            self.scratch.generation = 1;
-        }
-        let generation = self.scratch.generation;
-        self.scratch.rows.clear();
-
-        // Harvest dirty wire edges into distinct global rows. Bits arrive
-        // in ascending order, so a single layer cursor suffices.
-        let (w, h) = (self.width, self.height);
-        let mut layer = 0usize;
-        for (wi, word) in graph.dirty_words().iter().enumerate() {
-            let mut bits = word.load(Ordering::Relaxed);
-            while bits != 0 {
-                let bit = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                while layer + 1 < self.layers && bit >= graph.edge_offset(layer + 1) {
-                    layer += 1;
-                }
-                let idx = bit - graph.edge_offset(layer);
-                let row = match self.dirs[layer] {
-                    Direction::Horizontal => idx / (w - 1),
-                    Direction::Vertical => idx / (h - 1),
-                };
-                let global_row = self.row_off[layer] + row;
-                if self.scratch.row_gen[global_row] != generation {
-                    self.scratch.row_gen[global_row] = generation;
-                    self.scratch.rows.push(global_row as u32);
-                }
+        debug_assert_eq!(self.layout, graph.layout());
+        // Dirty edges arrive in ascending plane order and every row is one
+        // contiguous index range, so a row's repeats are back to back.
+        self.rows.clear();
+        for row in graph.dirty_rows() {
+            if self.rows.last() != Some(&row) {
+                self.rows.push(row);
             }
         }
-
-        let this: &Self = self;
-        let g: &GridGraph = graph;
-        pool.for_each(this.scratch.rows.len(), |i| {
-            this.rebuild_wire_row_into(g, this.scratch.rows[i] as usize);
-        });
-        self.builds += 1;
-        self.rows_rebuilt += self.scratch.rows.len() as u64;
+        self.rebuild_rows(graph, pool);
         graph.clear_dirty();
     }
 
-    /// Re-sums one global wire row/column's prefix cells from `graph`.
-    fn rebuild_wire_row_into(&self, graph: &GridGraph, global_row: usize) {
-        let mut layer = self.layers - 1;
-        while self.row_off[layer] > global_row {
-            layer -= 1;
-        }
-        let r = global_row - self.row_off[layer];
-        let (w, h) = (self.width, self.height);
-        let mut acc = 0u64;
-        match self.dirs[layer] {
-            Direction::Horizontal => {
-                let ebase = r * (w - 1);
-                let pbase = layer * self.wh + r * w;
-                for x in 0..w {
-                    self.wire_pref[pbase + x].store(acc, Ordering::Relaxed);
-                    if x + 1 < w {
-                        acc += graph.wire_edge_cost_fixed_at(layer, ebase + x);
-                    }
-                }
+    /// Re-sums the prefix cells of every listed row from `graph`.
+    fn rebuild_rows(&mut self, graph: &GridGraph, pool: &HostPool) {
+        let this: &Self = self;
+        pool.for_each(this.rows.len(), |k| {
+            let (l, r) = this.rows[k];
+            let row_len = this.layout.plane_shape(l).1;
+            let cells = &this.pref[l][r * (row_len + 1)..(r + 1) * (row_len + 1)];
+            cells[0].store(0, Ordering::Relaxed);
+            let mut acc = 0u64;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the prefix sums are built from every edge's cached cost"
+            )]
+            for (cell, cost) in cells[1..].iter().zip(graph.wire_row_costs(l, r)) {
+                acc += cost;
+                cell.store(acc, Ordering::Relaxed);
             }
-            Direction::Vertical => {
-                let ebase = r * (h - 1);
-                let pbase = layer * self.wh + r * h;
-                for y in 0..h {
-                    self.wire_pref[pbase + y].store(acc, Ordering::Relaxed);
-                    if y + 1 < h {
-                        acc += graph.wire_edge_cost_fixed_at(layer, ebase + y);
-                    }
-                }
-            }
-        }
+        });
+        self.builds += 1;
+        self.rows_rebuilt += self.rows.len() as u64;
     }
 
     /// O(1) probe of the cached cost `cw(a, b, l)` of a straight run on
@@ -262,25 +177,12 @@ impl CostProber {
         if a == b {
             return 0;
         }
-        let (w, h) = (self.width, self.height);
-        if (l as usize) >= self.layers
-            || a.x as usize >= w
-            || a.y as usize >= h
-            || b.x as usize >= w
-            || b.y as usize >= h
-        {
+        let Some((row, edges)) = self.layout.run(l, a, b) else {
             return u64::MAX;
-        }
-        // The run's row or column in `wire_pref`, and its span.
-        let (row, lo, hi) = match self.dirs[l as usize] {
-            Direction::Horizontal if a.y == b.y => (a.y as usize * w, a.x.min(b.x), a.x.max(b.x)),
-            Direction::Vertical if a.x == b.x => (a.x as usize * h, a.y.min(b.y), a.y.max(b.y)),
-            _ => return u64::MAX,
         };
-        let pref = |i: u16| {
-            self.wire_pref[l as usize * self.wh + row + i as usize].load(Ordering::Relaxed)
-        };
-        pref(hi) - pref(lo)
+        let pref = &self.pref[l as usize];
+        pref[edges.end + row].load(Ordering::Relaxed)
+            - pref[edges.start + row].load(Ordering::Relaxed)
     }
 
     /// Number of cache builds + incremental refreshes performed.
@@ -288,8 +190,8 @@ impl CostProber {
         self.builds
     }
 
-    /// Total rows/columns re-summed across all builds and refreshes (a
-    /// full build counts every row and column).
+    /// Total rows re-summed across all builds and refreshes (a full build
+    /// counts every row of every plane).
     pub fn rows_rebuilt(&self) -> u64 {
         self.rows_rebuilt
     }

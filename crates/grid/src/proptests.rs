@@ -2,9 +2,15 @@
 
 #![cfg(test)]
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use fastgr_gpu::HostPool;
 use proptest::prelude::*;
 
-use crate::{cost_to_fixed, CostParams, GridGraph, Point2, Rect, Route, Segment, Via};
+use crate::{
+    cost_to_fixed, CostParams, CostProber, Direction, GridError, GridGraph, Point2, Rect, Route,
+    Segment, Via,
+};
 
 fn graph(w: u16, h: u16, layers: u8, cap: f64) -> GridGraph {
     let mut g = GridGraph::new(w, h, layers, CostParams::default()).expect("valid dims");
@@ -228,5 +234,267 @@ proptest! {
         g.commit(&route).expect("valid route");
         let after = g.route_cost(&route);
         prop_assert!(after >= before);
+    }
+}
+
+/// Metal layers of the run-walker oracle grids.
+const LAYERS: u8 = 5;
+
+/// A coordinate below `dim` drawn from `v`, biased to the first and last
+/// cell.
+fn coord(v: u16, dim: u16) -> u16 {
+    match v % 4 {
+        0 => 0,
+        1 => dim - 1,
+        _ => v / 4 % dim,
+    }
+}
+
+/// A straight run on layer `l` of a `w x h` grid along the layer's
+/// direction, in a grid row or column, drawn from three raw values; the
+/// endpoints come in either order.
+fn run_on(w: u16, h: u16, l: u8, (row, s, t): (u16, u16, u16)) -> (u8, Point2, Point2) {
+    let horizontal = Direction::of_layer(l) == Direction::Horizontal;
+    let (len, lines) = if horizontal { (w, h) } else { (h, w) };
+    let (row, s, t) = (coord(row, lines), coord(s, len), coord(t, len));
+    match horizontal {
+        true => (l, Point2::new(s, row), Point2::new(t, row)),
+        false => (l, Point2::new(row, s), Point2::new(row, t)),
+    }
+}
+
+/// A grid size and a group of legal runs on routable layers; with
+/// `adjacent`, on two adjacent layers only.
+fn arb_runs(adjacent: bool) -> impl Strategy<Value = (u16, u16, Vec<(u8, Point2, Point2)>)> {
+    let raw = (0u8..LAYERS, 0u16..1024, 0u16..1024, 0u16..1024);
+    (
+        2u16..10,
+        2u16..10,
+        1u8..LAYERS - 1,
+        proptest::collection::vec(raw, 1..6),
+    )
+        .prop_map(move |(w, h, first, raw)| {
+            let runs = raw
+                .into_iter()
+                .map(|(k, row, s, t)| {
+                    // Adjacent groups use layers `first` and `first + 1` only.
+                    let l = if adjacent {
+                        first + k % 2
+                    } else {
+                        1 + k % (LAYERS - 1)
+                    };
+                    run_on(w, h, l, (row, s, t))
+                })
+                .collect();
+            (w, h, runs)
+        })
+}
+
+/// The unit edge after `p` along layer `l`, as a one-edge route.
+fn one_edge(l: u8, p: Point2) -> Route {
+    let next = match Direction::of_layer(l) {
+        Direction::Horizontal => Point2::new(p.x + 1, p.y),
+        Direction::Vertical => Point2::new(p.x, p.y + 1),
+    };
+    let mut r = Route::new();
+    r.push_segment(Segment::new(l, p, next));
+    r
+}
+
+/// Oracle run cost: the sum of the cached costs of the run's unit edges.
+#[expect(clippy::disallowed_methods, reason = "the unit-edge oracle")]
+fn unit_edge_cost(g: &GridGraph, l: u8, a: Point2, b: Point2) -> u64 {
+    Segment::new(l, a, b)
+        .unit_edges()
+        .map(|(from, _)| g.wire_edge_cost_fixed(l, from).expect("edge exists"))
+        .sum()
+}
+
+/// Every edge of every layer of `g`, as `(layer, lower endpoint)`.
+fn all_edges(g: &GridGraph) -> Vec<(u8, Point2)> {
+    let mut edges = Vec::new();
+    for l in 0..g.num_layers() {
+        for y in 0..g.height() {
+            for x in 0..g.width() {
+                let p = Point2::new(x, y);
+                if g.wire_capacity(l, p).is_some() {
+                    edges.push((l, p));
+                }
+            }
+        }
+    }
+    edges
+}
+
+/// Asserts that every legal run of `g` probes in `prober` as the grid's walk.
+fn assert_prober_matches_walk(prober: &CostProber, g: &GridGraph) {
+    for l in 0..g.num_layers() {
+        for y in 0..g.height() {
+            for x in 0..g.width() {
+                let a = Point2::new(x, y);
+                for b in [
+                    Point2::new(g.width() - 1, y),
+                    Point2::new(x, g.height() - 1),
+                ] {
+                    assert_eq!(prober.wire_run_cost(l, a, b), g.wire_run_cost(l, a, b));
+                    assert_eq!(prober.wire_run_cost(l, b, a), g.wire_run_cost(l, b, a));
+                }
+            }
+        }
+    }
+}
+
+/// Commits `runs` on a fresh, built prober and checks that the refresh
+/// re-sums each dirtied `(layer, row)` once and leaves every probe equal to
+/// the grid's walk.
+fn check_refresh(w: u16, h: u16, runs: &[(u8, Point2, Point2)]) {
+    let mut g = graph(w, h, LAYERS, 1.0);
+    let pool = HostPool::new(1);
+    let mut prober = CostProber::build_with_pool(&g, &pool);
+    let built = prober.rows_rebuilt();
+    let mut route = Route::new();
+    let mut rows = BTreeSet::new();
+    for &(l, a, b) in runs {
+        let s = Segment::new(l, a, b);
+        for (from, _) in s.unit_edges() {
+            let horizontal = Direction::of_layer(l) == Direction::Horizontal;
+            rows.insert((l, if horizontal { from.y } else { from.x }));
+        }
+        route.push_segment(s);
+    }
+    g.commit(&route).expect("legal runs");
+    prober.refresh(&mut g, &pool);
+    assert_eq!(prober.rows_rebuilt() - built, rows.len() as u64);
+    assert_prober_matches_walk(&prober, &g);
+}
+
+/// A refresh after one group dirties the last row of one plane and the
+/// first row of the next, or the same row index on two adjacent layers,
+/// re-sums each of those rows: the back-to-back dedup compares layer and
+/// row.
+#[test]
+fn refresh_keeps_rows_apart_across_a_layer_boundary() {
+    // Layer 1 and 3 rows are grid rows, layer 2 rows grid columns.
+    let (w, h) = (9, 7);
+    let last_row_1 = (1, Point2::new(0, h - 1), Point2::new(w - 1, h - 1));
+    let first_row_2 = (2, Point2::new(0, 0), Point2::new(0, h - 1));
+    let same_row_2 = (2, Point2::new(h - 1, 0), Point2::new(h - 1, h - 1));
+    let last_row_2 = (2, Point2::new(w - 1, 2), Point2::new(w - 1, 4));
+    let first_row_3 = (3, Point2::new(1, 0), Point2::new(5, 0));
+    check_refresh(w, h, &[last_row_1, first_row_2]);
+    check_refresh(w, h, &[last_row_1, same_row_2]);
+    check_refresh(w, h, &[last_row_2, first_row_3]);
+}
+
+proptest! {
+    /// Every run walker agrees with the unit-edge oracle: run costs in
+    /// both endpoint orders, the demand commit and uncommit write, the
+    /// dirty bits and the overflow test.
+    #[test]
+    fn run_walkers_match_unit_edge_oracle((w, h, runs) in arb_runs(false)) {
+        let mut g = graph(w, h, LAYERS, 1.0);
+        let mut route = Route::new();
+        let mut demand: BTreeMap<(u8, Point2), f64> = BTreeMap::new();
+        for &(l, a, b) in &runs {
+            let s = Segment::new(l, a, b);
+            for (from, _) in s.unit_edges() {
+                *demand.entry((l, from)).or_default() += 2.0;
+            }
+            route.push_segment(s);
+        }
+        g.clear_dirty();
+        g.commit(&route).expect("legal runs");
+        g.commit(&route).expect("legal runs");
+        for &(l, a, b) in &runs {
+            let oracle = unit_edge_cost(&g, l, a, b);
+            prop_assert_eq!(g.wire_run_cost(l, a, b), oracle);
+            prop_assert_eq!(g.wire_run_cost(l, b, a), oracle);
+        }
+        prop_assert_eq!(g.dirty_edges(), demand.len() as u64);
+        prop_assert_eq!(g.route_touches_dirty(&route), !demand.is_empty());
+        prop_assert_eq!(g.route_has_overflow(&route), !demand.is_empty());
+        for (l, p) in all_edges(&g) {
+            let expected = demand.get(&(l, p)).copied().unwrap_or(0.0);
+            prop_assert_eq!(g.wire_demand(l, p), Some(expected));
+            let edge = one_edge(l, p);
+            prop_assert_eq!(g.route_touches_dirty(&edge), expected > 0.0);
+            let overflow = expected > g.wire_capacity(l, p).expect("edge exists");
+            prop_assert_eq!(g.route_has_overflow(&edge), overflow);
+        }
+        g.uncommit(&route).expect("legal runs");
+        g.uncommit(&route).expect("legal runs");
+        prop_assert_eq!(g.report().total_wire_demand, 0.0);
+        assert_costs_match_model(&g);
+    }
+
+    /// Wrong-direction, off-grid and missing-layer runs keep their errors,
+    /// write nothing and price at infinity.
+    #[test]
+    fn illegal_runs_keep_their_errors(
+        (w, h) in (2u16..10, 2u16..10),
+        l in 0u8..LAYERS + 2,
+        vertical in 0u8..2,
+        (row, s, t) in (0u16..12, 0u16..12, 0u16..12),
+    ) {
+        let g = graph(w, h, LAYERS, 1.0);
+        let (a, b) = match vertical == 1 {
+            false => (Point2::new(s, row), Point2::new(t, row)),
+            true => (Point2::new(row, s), Point2::new(row, t)),
+        };
+        let seg = Segment::new(l, a, b);
+        let on_grid = l < LAYERS && g.contains(a) && g.contains(b);
+        let expected = if a == b {
+            Ok(())
+        } else if !on_grid {
+            Err(GridError::OutOfBounds {
+                point: if g.contains(seg.from) { seg.to } else { seg.from },
+                layer: Some(l),
+            })
+        } else if seg.is_horizontal() != (Direction::of_layer(l) == Direction::Horizontal) {
+            Err(GridError::WrongDirection { segment: seg })
+        } else {
+            Ok(())
+        };
+        let mut route = Route::new();
+        route.push_segment(seg);
+        prop_assert_eq!(g.commit(&route), expected.clone());
+        prop_assert_eq!(g.uncommit(&route), expected.clone());
+        if expected.is_err() {
+            prop_assert_eq!(g.wire_run_cost(l, a, b), u64::MAX);
+            prop_assert_eq!(g.wire_run_cost(l, b, a), u64::MAX);
+            prop_assert_eq!(g.dirty_edges(), 0);
+            prop_assert_eq!(g.report().total_wire_demand, 0.0);
+        }
+    }
+
+    /// Scaling a region's capacity scales exactly the edges whose lower
+    /// endpoint lies in it, also for regions past the grid's edge.
+    #[test]
+    fn region_scaling_matches_cell_oracle(
+        (w, h) in (2u16..10, 2u16..10),
+        l in 1u8..LAYERS,
+        (x0, y0, x1, y1) in (0u16..12, 0u16..12, 0u16..12, 0u16..12),
+    ) {
+        let mut g = graph(w, h, LAYERS, 4.0);
+        let region = Rect::new(Point2::new(x0, y0), Point2::new(x1, y1));
+        g.scale_region_capacity(l, region, 0.5);
+        for (k, p) in all_edges(&g) {
+            let scaled = k == l && region.contains(p);
+            let expected = match (k, scaled) {
+                (0, _) => 0.0,
+                (_, true) => 2.0,
+                (_, false) => 4.0,
+            };
+            prop_assert_eq!(g.wire_capacity(k, p), Some(expected));
+        }
+        assert_costs_match_model(&g);
+    }
+
+    /// A refresh after one group dirties rows on two adjacent layers —
+    /// boundary rows included — re-sums each dirtied row once and matches
+    /// the grid's walk everywhere.
+    #[test]
+    fn refresh_after_adjacent_layer_group_matches_walk((w, h, runs) in arb_runs(true)) {
+        check_refresh(w, h, &runs);
     }
 }

@@ -188,7 +188,7 @@ pub struct MazeRouter {
 /// after a warm-up call the steady-state search loop performs **zero heap
 /// allocation** — keep one scratch per worker thread and route every net
 /// through it, mirroring the pattern stage's `DpScratch` discipline.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MazeScratch {
     /// Current search window (set by `bind`, valid for one routing call).
     rect: Rect,
@@ -219,28 +219,6 @@ pub struct MazeScratch {
     distinct: Vec<Point2>,
     /// Statistics of the current or latest routing call.
     stats: MazeStats,
-}
-
-impl Default for MazeScratch {
-    fn default() -> Self {
-        Self {
-            rect: Rect::new(Point2::new(0, 0), Point2::new(0, 0)),
-            w: 0,
-            h: 0,
-            dist: Vec::new(),
-            prev: Vec::new(),
-            gen: Vec::new(),
-            current_gen: 0,
-            wire: Vec::new(),
-            via: Vec::new(),
-            heap: BinaryHeap::new(),
-            path: Vec::new(),
-            component: Vec::new(),
-            remaining: Vec::new(),
-            distinct: Vec::new(),
-            stats: MazeStats::default(),
-        }
-    }
 }
 
 impl MazeScratch {
@@ -397,8 +375,7 @@ impl MazeRouter {
     /// `out` is cleared first and holds the normalized result on success
     /// (its contents are unspecified on error). After a warm-up call that
     /// grows the scratch to its high-water mark, this performs no heap
-    /// allocation — the property the counting-allocator test and the
-    /// `*_into` zero-alloc lint rule enforce.
+    /// allocation — the property the counting-allocator tests enforce.
     ///
     /// # Errors
     ///
