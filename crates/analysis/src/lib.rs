@@ -17,7 +17,7 @@
 //!   simulated device's block pool share; flags conflicting pairs whose
 //!   executions were not strictly ordered by what the run actually did.
 //!
-//! `cargo xtask check` drives both from the command line; the router's
+//! This crate's property tests drive both over the design suite; the router's
 //! `validate` flag runs the static validator inline on every schedule it
 //! builds. The source-level workspace rules (no `unsafe`, no hot-path
 //! panics, one clock, no `RwLock`, prober-only DP costs) are toolchain

@@ -19,7 +19,7 @@
 //!    [`Schedule::simulate_workers`].
 //!
 //! Mutation testing is first-class: [`ScheduleView`] is a plain-data copy
-//! of a schedule that tests (and `cargo xtask check`) deliberately break —
+//! of a schedule that tests deliberately break —
 //! reverse an edge, drop an edge, merge a conflicting task into the root
 //! batch — to prove the validator rejects each corruption.
 

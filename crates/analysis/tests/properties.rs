@@ -1,50 +1,102 @@
 //! Property, differential and mutation tests tying the analysis layer to
 //! the real scheduler over the synthetic design suite.
 //!
-//! The acceptance bar (ISSUE, PR 2): the static validator and the race
-//! checker pass clean on every `Schedule::build` output over design-suite
-//! nets, and each deliberately corrupted schedule is rejected.
+//! The acceptance bar: the bucketised conflict graph equals the all-pairs
+//! oracle on real net boxes, the static validator and the race checker pass
+//! clean on every `Schedule::build` output over design-suite nets, and each
+//! deliberately corrupted schedule is rejected.
 
 use fastgr_analysis::{
     validate_batches, validate_schedule, validate_view, RaceChecker, ScheduleView,
 };
-use fastgr_design::{Design, Generator, GeneratorParams};
+use fastgr_design::{BenchmarkSpec, Design, Generator, GeneratorParams};
 use fastgr_grid::{Point2, Rect};
+use fastgr_maze::MazeConfig;
 use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, Schedule};
 use fastgr_telemetry::WorkerHooks;
 use proptest::prelude::*;
 
+/// The nets' bounding boxes.
+fn net_boxes(design: &Design) -> Vec<Rect> {
+    design.nets().iter().map(|n| n.bounding_box()).collect()
+}
+
 /// Conflict graph + identity net order for a design, as the pattern stage
 /// builds them (net bounding boxes, sorted net order).
 fn conflicts_of(design: &Design) -> (ConflictGraph, Vec<u32>) {
-    let bboxes: Vec<Rect> = design.nets().iter().map(|n| n.bounding_box()).collect();
+    let bboxes = net_boxes(design);
     let order: Vec<u32> = (0..bboxes.len() as u32).collect();
     (ConflictGraph::from_bounding_boxes(&bboxes), order)
 }
 
-/// The design-suite nets the mutation tests run over: a few tiny seeds
-/// plus one mid-size congested design.
+/// The design-suite nets every schedule-level test runs over: a few tiny
+/// seeds plus two mid-size congested designs.
 fn design_suite() -> Vec<Design> {
     let mut designs: Vec<Design> = [1u64, 7, 42]
         .iter()
         .map(|&s| Generator::tiny(s).generate())
         .collect();
-    designs.push(
-        Generator::new(GeneratorParams {
-            name: "props-mid".to_owned(),
-            width: 32,
-            height: 32,
-            layers: 5,
-            num_nets: 200,
-            capacity: 4.0,
-            hotspots: 3,
-            hotspot_affinity: 0.4,
-            blockages: 2,
-            seed: 9,
-        })
-        .generate(),
-    );
+    for (nets, seed) in [(200usize, 9u64), (400, 33)] {
+        designs.push(
+            Generator::new(GeneratorParams {
+                name: format!("props-{nets}"),
+                width: 32,
+                height: 32,
+                layers: 5,
+                num_nets: nets,
+                capacity: 4.0,
+                hotspots: 3,
+                hotspot_affinity: 0.4,
+                blockages: 2,
+                seed,
+            })
+            .generate(),
+        );
+    }
     designs
+}
+
+/// Differential check: the bucketised conflict graph equals the all-pairs
+/// `from_bounding_boxes_naive` oracle on `boxes`.
+fn assert_conflicts_match_naive(name: &str, boxes: &[Rect]) {
+    assert!(
+        ConflictGraph::from_bounding_boxes(boxes)
+            == ConflictGraph::from_bounding_boxes_naive(boxes),
+        "{name}: bucketised conflict graph of {} boxes differs from all-pairs",
+        boxes.len()
+    );
+}
+
+/// The full-size `s19t9m` design, the congested benchmark workload.
+fn s19t9m() -> Design {
+    BenchmarkSpec::find("s19t9m")
+        .expect("suite benchmark s19t9m")
+        .generate()
+}
+
+#[test]
+fn conflict_graph_matches_naive_on_design_suite() {
+    for design in design_suite() {
+        assert_conflicts_match_naive(design.name(), &net_boxes(&design));
+    }
+}
+
+/// The pattern stage's conflict boxes on a full-size design.
+#[test]
+fn conflict_graph_matches_naive_on_s19t9m_nets() {
+    assert_conflicts_match_naive("s19t9m", &net_boxes(&s19t9m()));
+}
+
+/// The RRR stage's conflict boxes (maze windows) on a full-size design.
+#[test]
+fn conflict_graph_matches_naive_on_s19t9m_maze_windows() {
+    let design = s19t9m();
+    let maze = MazeConfig::default();
+    let windows: Vec<Rect> = net_boxes(&design)
+        .into_iter()
+        .map(|b| maze.window(b, design.width(), design.height()))
+        .collect();
+    assert_conflicts_match_naive("s19t9m maze windows", &windows);
 }
 
 #[test]
@@ -63,7 +115,7 @@ fn every_design_suite_schedule_validates_clean() {
 }
 
 #[test]
-fn mutation_reversed_conflict_edge_is_always_rejected() {
+fn mutation_reversed_or_dropped_conflict_edge_is_always_rejected() {
     for design in design_suite() {
         let (conflicts, order) = conflicts_of(&design);
         let schedule = Schedule::build(&order, &conflicts);
@@ -79,6 +131,17 @@ fn mutation_reversed_conflict_edge_is_always_rejected() {
         assert!(
             !report.is_clean(),
             "{}: reversed edge {a} -> {b} not caught",
+            design.name()
+        );
+
+        // A dropped edge leaves the conflict unoriented: the two tasks
+        // share an execution frontier.
+        let mut view = ScheduleView::from_schedule(&schedule);
+        assert!(view.drop_edge(a, b));
+        let report = validate_view(&view, &conflicts);
+        assert!(
+            !report.is_clean(),
+            "{}: dropped edge {a} -> {b} not caught",
             design.name()
         );
     }
@@ -128,42 +191,42 @@ fn executor_runs_over_design_suite_are_race_free() {
 
 #[test]
 fn race_checker_flags_forced_unordered_conflicting_pair() {
-    // Acceptance mutation: take a real conflicting pair from a design and
-    // replay an execution where the two tasks ran on different workers
+    // Acceptance mutation: take a real conflicting pair from each design
+    // and replay an execution where the two tasks ran on different workers
     // with no handoff — the checker must flag exactly that pair.
-    let design = Generator::tiny(7).generate();
-    let (conflicts, _) = conflicts_of(&design);
-    let (a, b) = (0..conflicts.task_count() as u32)
-        .find_map(|t| {
-            conflicts
-                .neighbors(t)
-                .first()
-                .map(|&n| (t.min(n), t.max(n)))
-        })
-        .expect("tiny designs have conflicting nets");
-    let checker = RaceChecker::new(conflicts.task_count());
-    // Every other task runs ordered on worker 0; a and b race on 1 and 2.
-    for t in 0..conflicts.task_count() as u32 {
-        if t == a || t == b {
-            continue;
+    for design in design_suite() {
+        let (conflicts, _) = conflicts_of(&design);
+        let (a, b) = (0..conflicts.task_count() as u32)
+            .find_map(|t| {
+                conflicts
+                    .neighbors(t)
+                    .first()
+                    .map(|&n| (t.min(n), t.max(n)))
+            })
+            .expect("design suite nets conflict somewhere");
+        let checker = RaceChecker::new(conflicts.task_count());
+        // Every other task runs ordered on worker 0; a and b race on 1 and 2.
+        for t in 0..conflicts.task_count() as u32 {
+            if t == a || t == b {
+                continue;
+            }
+            checker.on_start(t as usize, 0);
+            checker.on_finish(t as usize, 0);
         }
-        checker.on_start(t as usize, 0);
-        checker.on_finish(t as usize, 0);
+        checker.on_start(a as usize, 1);
+        checker.on_finish(a as usize, 1);
+        checker.on_start(b as usize, 2);
+        checker.on_finish(b as usize, 2);
+        let report = checker.report(&conflicts);
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.rule == "task-race" && d.tasks == Some((a, b))),
+            "{}: expected ({a}, {b}) flagged: {report}",
+            design.name()
+        );
     }
-    checker.on_start(a as usize, 1);
-    checker.on_finish(a as usize, 1);
-    checker.on_start(b as usize, 2);
-    checker.on_finish(b as usize, 2);
-    let report = checker.report(&conflicts);
-    let raced: Vec<_> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "task-race")
-        .collect();
-    assert!(
-        raced.iter().any(|d| d.tasks == Some((a, b))),
-        "expected ({a}, {b}) flagged: {report}"
-    );
 }
 
 /// A cross of a wide and a tall box: the intersection's lower-left corner,

@@ -62,7 +62,7 @@ pub struct RouterConfig {
     /// schedules are verified with the `fastgr-analysis` static validator
     /// and task-graph executions run under the happens-before race
     /// checker; violations panic with structured diagnostics. Off in the
-    /// presets; turned on by tests and `cargo xtask check`.
+    /// presets; turned on by tests.
     pub validate: bool,
 }
 

@@ -504,6 +504,16 @@ impl GridGraph {
             .map(|i| self.planes[l as usize].cost[i].load(Ordering::Relaxed))
     }
 
+    /// Capacity and cached Q44.20 cost of the wire edge on layer `l` leaving
+    /// `p` in the layer's preferred direction, from one edge lookup, or
+    /// `None` when no such edge exists.
+    pub fn wire_edge_capacity_cost_fixed(&self, l: u8, p: Point2) -> Option<(f64, u64)> {
+        self.layout.edge(l, p).map(|i| {
+            let plane = &self.planes[l as usize];
+            (plane.capacity[i], plane.cost[i].load(Ordering::Relaxed))
+        })
+    }
+
     /// Cached Q44.20 cost of the via edge between layers `l` and `l + 1` at
     /// `p`, or `None` when out of range.
     pub fn via_edge_cost_fixed(&self, l: u8, p: Point2) -> Option<u64> {
@@ -654,9 +664,6 @@ impl GridGraph {
     /// straight run `a -> b` on layer `l`. Rejects out-of-bounds coordinates
     /// and wrong-direction runs.
     fn add_wire_demand(&self, l: u8, a: Point2, b: Point2, amount: f64) -> Result<(), GridError> {
-        if a == b {
-            return Ok(());
-        }
         let Some((_, edges)) = self.layout.run(l, a, b) else {
             let on_grid = self.contains(a) && self.contains(b);
             return Err(if (l as usize) < self.layers.len() && on_grid {

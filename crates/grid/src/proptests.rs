@@ -90,6 +90,7 @@ fn assert_costs_match_model(g: &GridGraph) {
                         g.wire_history(l, p).expect("edge exists"),
                     );
                     assert_eq!(cached, cost_to_fixed(params.wire_edge_cost(d, c) + h));
+                    assert_eq!(g.wire_edge_capacity_cost_fixed(l, p), Some((c, cached)));
                 }
                 if let Some(cached) = g.via_edge_cost_fixed(l, p) {
                     let d = g.via_demand(l, p).expect("via exists");

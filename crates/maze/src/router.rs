@@ -264,10 +264,13 @@ impl MazeScratch {
                     } else {
                         y == rect.hi.y
                     };
-                    self.wire[i] = match graph.wire_capacity(l, p) {
-                        Some(cap) if l >= 1 && cap > 0.0 && !leaves_window => {
-                            graph.wire_edge_cost_fixed(l, p).expect("edge exists")
-                        }
+                    let edge = if l >= 1 && !leaves_window {
+                        graph.wire_edge_capacity_cost_fixed(l, p)
+                    } else {
+                        None
+                    };
+                    self.wire[i] = match edge {
+                        Some((cap, cost)) if cap > 0.0 => cost,
                         _ => u64::MAX,
                     };
                     self.via[i] = graph.via_edge_cost_fixed(l, p).unwrap_or(u64::MAX);

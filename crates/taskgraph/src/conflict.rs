@@ -66,8 +66,8 @@ impl ConflictGraph {
 
     /// Builds the conflict graph by the naive all-pairs scan — the `O(n²)`
     /// reference implementation the bucketised construction is checked
-    /// against (differentially tested here, in `fastgr-analysis`'s property
-    /// tests, and by `cargo xtask validate` on real designs).
+    /// against (differentially tested here and in `fastgr-analysis`'s
+    /// property tests, on random boxes and on real designs).
     pub fn from_bounding_boxes_naive(boxes: &[Rect]) -> Self {
         let mut first_out = Vec::with_capacity(boxes.len() + 1);
         let mut head = Vec::new();

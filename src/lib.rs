@@ -13,7 +13,7 @@
 //! * [`dr`] — the Dr.CU-substitute detailed router used for evaluation,
 //! * [`viz`] — SVG rendering of routes and congestion maps,
 //! * [`analysis`] — schedule soundness validator and happens-before race
-//!   checker (`cargo xtask check`),
+//!   checker,
 //! * [`telemetry`] — the run-trace recorder: stage spans, counters and
 //!   kernel events aggregated into a [`RunTrace`], exportable as a summary
 //!   table or Chrome `trace_event` JSON (`fastgr route --trace out.json`).

@@ -1,8 +1,10 @@
 //! Integration tests of the run-trace telemetry layer: the Chrome
-//! `trace_event` export schema, the golden deterministic signature, and
-//! counter invariance across worker counts.
+//! `trace_event` export schema (in process and as the CLI writes it), the
+//! golden deterministic signature, and counter invariance across worker
+//! counts.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::process::Command;
 use std::sync::OnceLock;
 
 use fastgr::core::{PatternEngine, Router, RouterConfig};
@@ -52,15 +54,11 @@ fn traced_signature(workers: usize) -> String {
     outcome.trace.deterministic_signature()
 }
 
-#[test]
-fn chrome_trace_json_matches_schema() {
-    let recorder = Recorder::enabled();
-    let outcome = Router::new(config_with_workers(2))
-        .run_with_recorder(&overflowing_design(), &recorder)
-        .expect("routable");
-    let trace = &outcome.trace;
-    let text = trace.to_chrome_trace_json();
-    let root = json::parse(&text).expect("emitted trace must be valid JSON");
+/// Checks a Chrome `trace_event` export: valid JSON, the expected envelope,
+/// well-formed events, kernel arguments, and balanced begin/end pairs per
+/// track. Returns the event names and the number of kernel events.
+fn assert_chrome_trace_schema(text: &str) -> (BTreeSet<String>, usize) {
+    let root = json::parse(text).expect("emitted trace must be valid JSON");
 
     assert_eq!(
         root.get("displayTimeUnit").and_then(|v| v.as_str()),
@@ -116,6 +114,17 @@ fn chrome_trace_json_matches_schema() {
     for ((tid, name), d) in &depth {
         assert_eq!(*d, 0, "unbalanced begin/end for {name} on tid {tid}");
     }
+    (names, kernel_complete)
+}
+
+#[test]
+fn chrome_trace_json_matches_schema() {
+    let recorder = Recorder::enabled();
+    let outcome = Router::new(config_with_workers(2))
+        .run_with_recorder(&overflowing_design(), &recorder)
+        .expect("routable");
+    let trace = &outcome.trace;
+    let (names, kernel_complete) = assert_chrome_trace_schema(&trace.to_chrome_trace_json());
     // Every pipeline stage shows up as a span.
     assert!(names.contains("planning"), "{names:?}");
     assert!(names.contains("pattern"), "{names:?}");
@@ -123,6 +132,35 @@ fn chrome_trace_json_matches_schema() {
     // One complete-event per launched kernel.
     assert!(kernel_complete >= 1);
     assert_eq!(kernel_complete, trace.kernels().len());
+}
+
+/// The file `fastgr route --trace` writes passes the same schema check, on
+/// a generated tiny design and on a suite design under the GPU-flow engine
+/// and task-graph RRR.
+#[test]
+fn cli_written_traces_match_schema() {
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let fastgr = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_fastgr"))
+            .args(args)
+            .output()
+            .expect("the fastgr binary runs");
+        assert!(
+            out.status.success(),
+            "fastgr {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let tiny = format!("{dir}/trace_tiny.txt");
+    fastgr(&["generate", "tiny", "--out", &tiny]);
+    let suite: &[&str] = &["s18t5m", "--preset", "fastgr-l"];
+    for (name, design) in [("tiny", &[tiny.as_str()][..]), ("s18t5m", suite)] {
+        let trace = format!("{dir}/cli_trace_{name}.json");
+        fastgr(&[&["route"], design, &["--trace", &trace]].concat());
+        let text = std::fs::read_to_string(&trace).expect("trace file written");
+        let (names, _) = assert_chrome_trace_schema(&text);
+        assert!(names.contains("pattern"), "{name}: {names:?}");
+    }
 }
 
 /// Compares `signature` with the committed `tests/golden/{file}` (passed
