@@ -226,6 +226,7 @@ impl Router {
         trace.set_counter("maze.searches", rrr.maze.searches as f64);
         trace.set_counter("maze.pops", rrr.maze.expanded as f64);
         trace.set_counter("maze.pushes", rrr.maze.pushes as f64);
+        trace.set_counter("maze.relaxed", rrr.maze.relaxed as f64);
         Ok(RoutingOutcome {
             routes,
             guides,

@@ -35,6 +35,19 @@
 //! per layer change, quantised by [`fastgr_grid::cost_to_fixed`]), which
 //! makes it admissible and consistent.
 //!
+//! **Queue.** The search pops from a monotone radix heap over its `u64`
+//! keys `g + h` (Ahuja, Mehlhorn, Orlin & Tarjan 1990): O(1) push and
+//! amortised O(log C) pop for keys spanning C, where a binary heap pays
+//! two O(log n) sift paths. A radix heap needs every pushed key to be at
+//! least the last popped key. That holds because the potential is
+//! consistent, which the proptest
+//! `potential_is_consistent_on_every_snapshot_arc` checks on every arc of
+//! random congested windows, and a debug assertion on every push catches
+//! any lapse. Keys equal to the last popped key pop smallest window index
+//! first, so the pops follow exact `(key, index)` order, the order of a
+//! binary min-heap over the same pairs, and routes and search counters
+//! do not depend on the queue.
+//!
 //! # Example
 //!
 //! ```

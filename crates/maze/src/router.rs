@@ -77,6 +77,86 @@ impl Potential {
     }
 }
 
+/// Monotone radix heap over `u64` keys (Ahuja, Mehlhorn, Orlin & Tarjan
+/// 1990) that pops in exact `(key, idx)` order: the smallest key first, and
+/// among equal keys the smallest index first.
+///
+/// Every pushed key must be at least `last`, the key popped last; the A*
+/// potential is consistent, so the search's keys are. A key equal to `last`
+/// waits in `bottom`, a min-heap of indices. Any other key waits in bucket
+/// `b`, the highest bit in which it differs from `last`. When `bottom` runs
+/// dry, the minimum of the lowest non-empty bucket becomes `last`, and that
+/// bucket's entries move to `bottom` or to lower buckets, so an entry moves
+/// at most 64 times. Push is O(1) outside `bottom`; pop is amortised
+/// O(log C) for keys spanning C.
+#[derive(Debug)]
+struct RadixHeap {
+    /// The key popped last (0 after `clear`).
+    last: u64,
+    /// Indices whose key equals `last`, smallest first.
+    bottom: BinaryHeap<Reverse<u32>>,
+    /// `(key, idx)` entries by the highest bit of `key ^ last`.
+    buckets: [Vec<(u64, u32)>; 64],
+    /// Bit `b` is set when `buckets[b]` is non-empty.
+    occupied: u64,
+}
+
+impl Default for RadixHeap {
+    fn default() -> Self {
+        Self {
+            last: 0,
+            bottom: BinaryHeap::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+        }
+    }
+}
+
+impl RadixHeap {
+    /// Empties the heap and resets `last`, keeping every buffer's capacity.
+    fn clear(&mut self) {
+        self.last = 0;
+        self.bottom.clear();
+        while self.occupied != 0 {
+            self.buckets[self.occupied.trailing_zeros() as usize].clear();
+            self.occupied &= self.occupied - 1;
+        }
+    }
+
+    fn push(&mut self, key: u64, idx: u32) {
+        debug_assert!(
+            key >= self.last,
+            "key {key} below the last popped key {}",
+            self.last
+        );
+        let diff = key ^ self.last;
+        if diff == 0 {
+            self.bottom.push(Reverse(idx));
+        } else {
+            let b = 63 - diff.leading_zeros() as usize;
+            self.buckets[b].push((key, idx));
+            self.occupied |= 1 << b;
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        if self.bottom.is_empty() && self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << b);
+            // Every key of bucket `b` agrees with `last` above bit `b` and
+            // differs at it, so against the bucket's minimum each differs
+            // below bit `b`: the entries land in `bottom` or lower buckets.
+            let mut bucket = std::mem::take(&mut self.buckets[b]);
+            self.last = bucket.iter().map(|&(key, _)| key).min()?;
+            for (key, idx) in bucket.drain(..) {
+                self.push(key, idx);
+            }
+            self.buckets[b] = bucket;
+        }
+        self.bottom.pop().map(|Reverse(idx)| (self.last, idx))
+    }
+}
+
 /// Configuration of the maze router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MazeConfig {
@@ -157,6 +237,9 @@ pub struct MazeStats {
     pub expanded: u64,
     /// Priority-queue pushes (search sources plus improving relaxations).
     pub pushes: u64,
+    /// Finite-cost arcs examined by the expanded vertices, improving or
+    /// not.
+    pub relaxed: u64,
     /// Number of two-pin searches performed.
     pub searches: u32,
     /// Cost of the found paths in the grid's Q44.20 cost domain
@@ -169,6 +252,7 @@ impl AddAssign for MazeStats {
     fn add_assign(&mut self, other: Self) {
         self.expanded += other.expanded;
         self.pushes += other.pushes;
+        self.relaxed += other.relaxed;
         self.searches += other.searches;
         self.path_cost += other.path_cost;
     }
@@ -182,12 +266,14 @@ pub struct MazeRouter {
 
 /// Reusable search state for [`MazeRouter::route_into`].
 ///
-/// Owns the dense per-window arrays (`dist`/`prev`/`gen`), the priority
-/// queue, and every intermediate buffer a routing call needs. All buffers
-/// grow to a high-water mark and are recycled via generation stamping, so
-/// after a warm-up call the steady-state search loop performs **zero heap
-/// allocation** — keep one scratch per worker thread and route every net
-/// through it, mirroring the pattern stage's `DpScratch` discipline.
+/// Owns the dense per-window arrays (`dist`/`prev`/`gen`), the monotone
+/// radix-heap priority queue, and every intermediate buffer a routing call
+/// needs. All buffers grow to a high-water mark and are recycled via
+/// generation stamping (the queue's buckets keep their capacity across
+/// searches), so after a warm-up call the steady-state search loop
+/// performs **zero heap allocation** — keep one scratch per worker thread
+/// and route every net through it, mirroring the pattern stage's
+/// `DpScratch` discipline.
 #[derive(Debug, Default)]
 pub struct MazeScratch {
     /// Current search window (set by `bind`, valid for one routing call).
@@ -207,8 +293,10 @@ pub struct MazeScratch {
     /// Q44.20 cost of the via from each window vertex one layer up;
     /// `u64::MAX` on the top layer.
     via: Vec<u64>,
-    /// Priority queue of (f = g + h, index).
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Priority queue of (f = g + h, index), popped in exact `(f, index)`
+    /// order; pushed keys never fall below the last popped key because the
+    /// potential is consistent.
+    heap: RadixHeap,
     /// Back-traced vertex path of the most recent two-pin search.
     path: Vec<usize>,
     /// Window indices of the connected component grown so far.
@@ -336,10 +424,11 @@ impl MazeScratch {
         if step == u64::MAX {
             return;
         }
+        self.stats.relaxed += 1;
         let ng = g.saturating_add(step);
         if ng < self.dist_at(qi) {
             self.set(qi, ng, Some(from));
-            self.heap.push(Reverse((ng.saturating_add(pot.at(q)), qi)));
+            self.heap.push(ng.saturating_add(pot.at(q)), qi as u32);
             self.stats.pushes += 1;
         }
     }
@@ -470,11 +559,12 @@ impl MazeRouter {
             let s = scratch.component[i];
             scratch.set(s, 0, None);
             let h = pot.at(scratch.point(s));
-            scratch.heap.push(Reverse((h, s)));
+            scratch.heap.push(h, s as u32);
             scratch.stats.pushes += 1;
         }
 
-        while let Some(Reverse((key, idx))) = scratch.heap.pop() {
+        while let Some((key, idx)) = scratch.heap.pop() {
+            let idx = idx as usize;
             let g = scratch.dist_at(idx);
             let p = scratch.point(idx);
             if key != g.saturating_add(pot.at(p)) {
@@ -888,6 +978,78 @@ mod tests {
         scratch.bind(g, rect);
         let dist = window_distances(g, &scratch, b);
         (scratch, Potential::new(g, true, b), dist)
+    }
+
+    /// One step of a monotone queue workload; keys are offsets from the
+    /// last popped key.
+    #[derive(Debug, Clone)]
+    enum QueueOp {
+        Push { offset: u64, idx: u32 },
+        Pop,
+        Clear,
+    }
+
+    /// Ties with the last popped key, small offsets, and offsets whose
+    /// highest bit is any of the 64, on a small index range so indices
+    /// repeat at different keys and ties arrive below the index just popped.
+    fn queue_op() -> impl Strategy<Value = QueueOp> {
+        (0u8..13, 0u32..64, 0u64..=u64::MAX, 0u32..16).prop_map(
+            |(kind, bit, low, idx)| match kind {
+                0..=2 => QueueOp::Push { offset: 0, idx },
+                3..=5 => QueueOp::Push {
+                    offset: (1 << bit) | (low & ((1 << bit) - 1)),
+                    idx,
+                },
+                6..=7 => QueueOp::Push {
+                    offset: low % 4,
+                    idx,
+                },
+                8..=11 => QueueOp::Pop,
+                _ => QueueOp::Clear,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The radix heap pops exactly the `(key, idx)` sequence of a binary
+        /// min-heap under any monotone workload: pushes at or above the last
+        /// popped key (saturating at `u64::MAX`), pops, and clears that
+        /// start a new sequence from key 0.
+        #[test]
+        fn radix_heap_pops_in_binary_heap_order(
+            ops in proptest::collection::vec(queue_op(), 0..200),
+        ) {
+            let mut radix = RadixHeap::default();
+            let mut oracle = BinaryHeap::new();
+            let mut last = 0u64;
+            for op in ops {
+                match op {
+                    QueueOp::Push { offset, idx } => {
+                        let key = last.saturating_add(offset);
+                        radix.push(key, idx);
+                        oracle.push(Reverse((key, idx as usize)));
+                    }
+                    QueueOp::Pop => {
+                        let want = oracle.pop().map(|Reverse((key, idx))| (key, idx as u32));
+                        prop_assert_eq!(radix.pop(), want);
+                        if let Some((key, _)) = want {
+                            last = key;
+                        }
+                    }
+                    QueueOp::Clear => {
+                        radix.clear();
+                        oracle.clear();
+                        last = 0;
+                    }
+                }
+            }
+            while let Some(Reverse((key, idx))) = oracle.pop() {
+                prop_assert_eq!(radix.pop(), Some((key, idx as u32)));
+            }
+            prop_assert_eq!(radix.pop(), None);
+        }
     }
 
     proptest! {

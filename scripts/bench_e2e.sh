@@ -8,7 +8,8 @@
 #   scripts/bench_e2e.sh [--seconds S] [--out PATH]
 #
 # S defaults to BENCHMARK.json's `run_seconds`, PATH to BENCH_e2e.json.
-# Exits non-zero if a run fails or reports `"correct": false`.
+# Exits non-zero if a run fails or reports `"correct": false`. Leaves
+# `perfbench/Cargo.lock` as it found it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +22,11 @@ while [ $# -gt 0 ]; do
     *) echo "usage: $0 [--seconds S] [--out PATH]" >&2; exit 2 ;;
   esac
 done
+
+# Building the benchmark package rewrites its lock file; put it back on exit.
+lock="$(mktemp)"
+cp perfbench/Cargo.lock "$lock"
+trap 'cp "$lock" perfbench/Cargo.lock; rm -f "$lock"' EXIT
 
 mapfile -t cmd < <(jq -r '.command[]' BENCHMARK.json)
 results='{}'

@@ -28,7 +28,10 @@ echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
+# Building the benchmark package rewrites its lock file; put it back on exit
+# so a passing gate leaves the tree as it found it.
+cp perfbench/Cargo.lock "$tmp/perfbench.Cargo.lock"
+trap 'cp "$tmp/perfbench.Cargo.lock" perfbench/Cargo.lock; rm -rf "$tmp"' EXIT
 
 echo "== suite pattern determinism (s19t9 fastgr-h guides, one vs two workers) =="
 FASTGR_WORKERS=1 target/release/fastgr route s19t9 --preset fastgr-h --guides "$tmp/s19t9_w1.guide" >/dev/null
