@@ -252,7 +252,7 @@ impl ClockTable {
 /// let conflicts = ConflictGraph::from_bounding_boxes(&boxes);
 /// let schedule = Schedule::build(&[0, 1], &conflicts);
 /// let checker = RaceChecker::new(schedule.task_count());
-/// Executor::new(2).run(&schedule, |_task| {}, &checker);
+/// Executor::new(2).run(&schedule, |_task, _worker| {}, &checker);
 /// checker.report(&conflicts).assert_clean("executor run");
 /// ```
 #[derive(Debug)]
@@ -415,7 +415,7 @@ mod tests {
         let schedule = Schedule::build(&order, &conflicts);
         for workers in [1, 2, 4] {
             let chk = RaceChecker::new(schedule.task_count());
-            Executor::new(workers).run(&schedule, |_t| {}, &chk);
+            Executor::new(workers).run(&schedule, |_t, _| {}, &chk);
             let report = chk.report(&conflicts);
             assert!(report.is_clean(), "workers={workers}: {report}");
         }

@@ -1,10 +1,11 @@
 //! Property, differential and mutation tests tying the analysis layer to
 //! the real scheduler over the synthetic design suite.
 //!
-//! The acceptance bar: the bucketised conflict graph equals the all-pairs
-//! oracle on real net boxes, the static validator and the race checker pass
-//! clean on every `Schedule::build` output over design-suite nets, and each
-//! deliberately corrupted schedule is rejected.
+//! The acceptance bar: the swept conflict graph equals the all-pairs oracle
+//! on real net boxes, first-fit batches equal Algorithm 1's on the suite's
+//! nets and on RRR-style windows, the static validator and the race checker
+//! pass clean on every `Schedule::build` output over design-suite nets, and
+//! each deliberately corrupted schedule is rejected.
 
 use fastgr_analysis::{
     validate_batches, validate_schedule, validate_view, RaceChecker, ScheduleView,
@@ -12,7 +13,7 @@ use fastgr_analysis::{
 use fastgr_design::{BenchmarkSpec, Design, Generator, GeneratorParams};
 use fastgr_grid::{Point2, Rect};
 use fastgr_maze::MazeConfig;
-use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, Schedule};
+use fastgr_taskgraph::{extract_batches, first_fit_batches, ConflictGraph, Executor, Schedule};
 use fastgr_telemetry::WorkerHooks;
 use proptest::prelude::*;
 
@@ -56,13 +57,13 @@ fn design_suite() -> Vec<Design> {
     designs
 }
 
-/// Differential check: the bucketised conflict graph equals the all-pairs
+/// Differential check: the swept conflict graph equals the all-pairs
 /// `from_bounding_boxes_naive` oracle on `boxes`.
 fn assert_conflicts_match_naive(name: &str, boxes: &[Rect]) {
     assert!(
         ConflictGraph::from_bounding_boxes(boxes)
             == ConflictGraph::from_bounding_boxes_naive(boxes),
-        "{name}: bucketised conflict graph of {} boxes differs from all-pairs",
+        "{name}: swept conflict graph of {} boxes differs from all-pairs",
         boxes.len()
     );
 }
@@ -97,6 +98,65 @@ fn conflict_graph_matches_naive_on_s19t9m_maze_windows() {
         .map(|b| maze.window(b, design.width(), design.height()))
         .collect();
     assert_conflicts_match_naive("s19t9m maze windows", &windows);
+}
+
+/// Net ids in ascending half-perimeter order, ties by id: the pattern
+/// stage's default net order.
+fn hpwl_order(boxes: &[Rect]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..boxes.len() as u32).collect();
+    order.sort_by_key(|&i| {
+        let b = &boxes[i as usize];
+        (b.hi.x - b.lo.x + b.hi.y - b.lo.y, i)
+    });
+    order
+}
+
+/// Differential check: first fit over the G-cells gives Algorithm 1's
+/// batches on the conflict graph of `boxes`.
+fn assert_first_fit_matches_algorithm_1(
+    name: &str,
+    design: &Design,
+    boxes: &[Rect],
+    order: &[u32],
+) {
+    let expected = extract_batches(order, &ConflictGraph::from_bounding_boxes(boxes));
+    let batches = first_fit_batches(order, boxes, design.width(), design.height());
+    assert!(
+        batches == expected,
+        "{name}: first-fit batches of {} boxes differ from Algorithm 1",
+        boxes.len()
+    );
+}
+
+/// The pattern stage's batches on every suite netlist (each `m` variant
+/// shares its base design's netlist).
+#[test]
+fn first_fit_batches_match_algorithm_1_on_suite_nets() {
+    for spec in fastgr_design::suite() {
+        if spec.is_m_variant() {
+            continue;
+        }
+        let design = spec.generate();
+        let boxes = net_boxes(&design);
+        assert_first_fit_matches_algorithm_1(spec.name, &design, &boxes, &hpwl_order(&boxes));
+    }
+}
+
+/// The batch-barrier RRR stage's batches on RRR-style tasks: the maze
+/// windows of every fifth net of `s19t9m` in half-perimeter order (about
+/// as many tasks as its first RRR iteration), in task order.
+#[test]
+fn first_fit_batches_match_algorithm_1_on_s19t9m_rrr_windows() {
+    let design = s19t9m();
+    let maze = MazeConfig::default();
+    let boxes = net_boxes(&design);
+    let windows: Vec<Rect> = hpwl_order(&boxes)
+        .into_iter()
+        .step_by(5)
+        .map(|i| maze.window(boxes[i as usize], design.width(), design.height()))
+        .collect();
+    let order: Vec<u32> = (0..windows.len() as u32).collect();
+    assert_first_fit_matches_algorithm_1("s19t9m rrr windows", &design, &windows, &order);
 }
 
 #[test]
@@ -178,7 +238,7 @@ fn executor_runs_over_design_suite_are_race_free() {
         let schedule = Schedule::build(&order, &conflicts);
         for workers in [1, 4] {
             let checker = RaceChecker::new(schedule.task_count());
-            Executor::new(workers).run(&schedule, |_t| {}, &checker);
+            Executor::new(workers).run(&schedule, |_t, _| {}, &checker);
             let report = checker.report(&conflicts);
             assert!(
                 report.is_clean(),
@@ -230,11 +290,10 @@ fn race_checker_flags_forced_unordered_conflicting_pair() {
 }
 
 /// A cross of a wide and a tall box: the intersection's lower-left corner,
-/// (10, 10), lies in a bucket that holds neither box's `lo` corner, so only
-/// that bucket may emit the pair. Point boxes far away shrink the bucket side
-/// to a few G-cells.
+/// (10, 10), is neither box's `lo` corner, and the tall box arrives in the
+/// sweep while the wide one is still active. The pair must be emitted once.
 #[test]
-fn conflict_owned_by_a_bucket_holding_neither_lo_corner() {
+fn conflict_of_a_cross_is_emitted_once() {
     let mut boxes = vec![
         Rect::new(Point2::new(0, 10), Point2::new(20, 12)),
         Rect::new(Point2::new(10, 0), Point2::new(12, 20)),
@@ -268,12 +327,12 @@ proptest! {
         prop_assert!(report.is_clean(), "{}", report);
     }
 
-    /// Differential: the bucketised conflict graph equals the naive
-    /// all-pairs reference on random inputs. Coordinates up to ~300 and
-    /// extents up to 40 make pairs span several multi-cell buckets; `kind`
-    /// mixes in point boxes (0) and exact duplicates of the previous box (1).
+    /// Differential: the swept conflict graph equals the naive all-pairs
+    /// reference on random inputs. Coordinates up to ~300 and extents up
+    /// to 40 give long active lists; `kind` mixes in point boxes (0) and
+    /// exact duplicates of the previous box (1).
     #[test]
-    fn bucketised_conflict_graph_matches_naive(
+    fn swept_conflict_graph_matches_naive(
         raw in proptest::collection::vec(
             (0u16..300, 0u16..300, 0u16..=40, 0u16..=40, 0u8..6),
             0..80

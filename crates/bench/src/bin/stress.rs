@@ -5,6 +5,9 @@
 //! stress [iterations]        (default 10)
 //! ```
 //!
+//! Every preset runs with `validate` on, so its batches, schedules, RRR
+//! race freedom and cost cache are checked too; a violation panics.
+//!
 //! Checked per design and preset:
 //!
 //! * every net's route is connected and reaches all its pins;
@@ -125,7 +128,8 @@ fn main() -> ExitCode {
             ("fastgr-h", RouterConfig::fastgr_h()),
         ];
         let mut ok = true;
-        for (label, config) in presets {
+        for (label, mut config) in presets {
+            config.validate = true;
             if let Err(e) = check(&design, label, config) {
                 println!("FAIL: {e}");
                 failures += 1;

@@ -20,7 +20,7 @@ use fastgr_design::Design;
 use fastgr_gpu::{BlockProfile, Device, DeviceConfig, HostPool};
 use fastgr_grid::{CostProber, GridGraph, Rect, Route};
 use fastgr_steiner::{RouteTree, SteinerBuilder};
-use fastgr_taskgraph::{extract_batches, ConflictGraph};
+use fastgr_taskgraph::{first_fit_batches, ConflictGraph};
 use fastgr_telemetry::Recorder;
 
 use crate::dp::{PatternDp, PatternMode};
@@ -99,11 +99,12 @@ pub struct PatternStage {
     /// so this is purely the per-net host speedup from O((M+N)²·L) to
     /// O((M+N)·L) probe work.
     pub cost_probing: bool,
-    /// Debug-assert-style soundness checking: when set, the extracted
-    /// batches are verified against the conflict graph with the
-    /// `fastgr-analysis` validator (every batch an independent set, every
-    /// task covered exactly once) and any violation panics with structured
-    /// diagnostics. Costs one extra pass over the conflict edges.
+    /// Debug-assert-style soundness checking: when set, the GPU engine
+    /// builds the nets' conflict graph, which routing itself does not
+    /// need, as the oracle for its batches. The `fastgr-analysis`
+    /// validator checks them against it (every batch an independent set,
+    /// every task covered exactly once), and any violation panics with
+    /// structured diagnostics.
     pub validate: bool,
 }
 
@@ -166,24 +167,22 @@ impl PatternStage {
         let trees: Vec<RouteTree> = pool.map(nets.len(), |i| builder.build(&nets[i]));
         let order = self.sorting.sorted_ids(design.nets());
         // Conflict-free batches, for the GPU engine only: the CUGR baseline
-        // commits net by net and needs no conflict graph. The graph is held
-        // to the end of the stage, so a run's memory peak stays here, where
-        // every run allocates the same, and not in the threaded RRR stage,
-        // whose per-thread allocator footprint varies with scheduling.
-        let conflicts = match self.engine {
+        // commits net by net. First fit over the G-cells gives Algorithm 1's
+        // batches without a conflict graph; under `validate` the graph is
+        // built as the oracle they are checked against.
+        let batches = match self.engine {
             PatternEngine::GpuFlow(_) => {
                 let bboxes: Vec<Rect> = nets.iter().map(|n| n.bounding_box()).collect();
-                Some(ConflictGraph::from_bounding_boxes(&bboxes))
+                let batches = first_fit_batches(&order, &bboxes, design.width(), design.height());
+                if self.validate {
+                    let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
+                    fastgr_analysis::validate_batches(&batches, &conflicts)
+                        .assert_clean("pattern stage batch extraction");
+                }
+                batches
             }
-            PatternEngine::SequentialCpu => None,
+            PatternEngine::SequentialCpu => Vec::new(),
         };
-        let batches = conflicts
-            .as_ref()
-            .map_or_else(Vec::new, |c| extract_batches(&order, c));
-        if let (true, Some(c)) = (self.validate, &conflicts) {
-            fastgr_analysis::validate_batches(&batches, c)
-                .assert_clean("pattern stage batch extraction");
-        }
         plan_span.finish();
         recorder.accumulate("pattern.nets", nets.len() as f64);
 

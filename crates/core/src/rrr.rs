@@ -11,16 +11,18 @@
 //! through the lock-free atomic congestion store
 //! ([`GridGraph::commit`]). Each task's box is its maze search window
 //! ([`MazeConfig::window`] of the net bounding box) grown to cover the old
-//! route it rips up; two tasks conflict when their boxes overlap, and the
-//! schedule runs conflicting tasks in task order. A task reads and writes
-//! costs only inside its box, so concurrent tasks never observe each
-//! other's commits and every thread count reproduces the serial run in
-//! task order. The rare widened-window retries fall outside the conflict
-//! graph and run as a serial tail after the schedule. Each worker thread
-//! routes through a thread-local [`MazeScratch`], making the steady-state
-//! search loop allocation-free, and overflow detection is incremental:
-//! only routes crossing edges whose demand changed during an iteration
-//! are rechecked.
+//! route it rips up; two tasks conflict when their boxes overlap. The
+//! schedule fixes one order for each conflicting pair: the task graph
+//! runs the root batch first and every other pair in task order, and the
+//! batch barrier runs batch by batch. A task reads and writes costs only
+//! inside its box, so concurrent tasks never observe each other's commits
+//! and every thread count reproduces the serial run of the schedule's
+//! order. The rare widened-window retries fall outside the schedule and
+//! run as a serial tail after it. Each executor worker routes through a
+//! [`MazeScratch`] that the stage owns, one per worker, making the
+//! steady-state search loop allocation-free, and overflow detection is
+//! incremental: only routes crossing edges whose demand changed during an
+//! iteration are rechecked.
 //!
 //! On this container the executor runs with however many CPUs exist; in
 //! addition to measured wall time, each strategy reports a *modelled*
@@ -28,14 +30,13 @@
 //! `workers` workers for the task graph; per-batch makespans for the
 //! barrier strategy), which is what Table VIII's MAZE columns compare.
 
-use std::cell::RefCell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fastgr_design::Design;
 use fastgr_gpu::HostPool;
 use fastgr_grid::{GridGraph, Point2, Rect, Route};
 use fastgr_maze::{MazeConfig, MazeRouter, MazeScratch, MazeStats};
-use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, Schedule};
+use fastgr_taskgraph::{first_fit_batches, ConflictGraph, Executor, Schedule};
 use fastgr_telemetry::{Recorder, Stopwatch, TraceHooks};
 
 use crate::error::RouteError;
@@ -131,13 +132,13 @@ struct TaskSlot {
     maze: MazeStats,
 }
 
-/// Per-thread routing state: maze scratch, pin buffer and output route.
+/// Per-worker routing state: maze scratch, pin buffer and output route.
 ///
-/// One instance lives in each worker's thread-local storage, so the
-/// steady-state task body performs zero heap allocation: pins are
-/// collected into a reused buffer, the search runs through the reused
-/// [`MazeScratch`], and route buffers are recycled by swapping the ripped
-/// route's storage into the scratch output slot.
+/// The stage owns one instance per executor worker for all its
+/// iterations, so the steady-state task body performs zero heap
+/// allocation: pins are collected into a reused buffer, the search runs
+/// through the reused [`MazeScratch`], and route buffers are recycled by
+/// swapping the ripped route's storage into the scratch output slot.
 #[derive(Debug, Default)]
 struct RrrScratch {
     maze: MazeScratch,
@@ -145,15 +146,11 @@ struct RrrScratch {
     out: Route,
 }
 
-/// Locks a task slot. A task that panics is re-raised by the executor and
-/// aborts the stage, so a poisoned slot is recovered rather than
-/// propagated.
-fn lock(slot: &Mutex<TaskSlot>) -> MutexGuard<'_, TaskSlot> {
-    slot.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-thread_local! {
-    static SCRATCH: RefCell<RrrScratch> = RefCell::new(RrrScratch::default());
+/// Locks a task slot or a worker's scratch. A task that panics is
+/// re-raised by the executor and aborts the stage, so a poisoned lock is
+/// recovered rather than propagated.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl RrrStage {
@@ -200,6 +197,15 @@ impl RrrStage {
         // iteration's schedule has run.
         let wide_router = MazeRouter::new(self.maze.widened());
 
+        // Execute with the host pool's worker count (`FASTGR_WORKERS`, else
+        // the machine's cores): oversubscription would inflate the per-task
+        // costs the parallel-time model consumes, and `workers`
+        // parameterises the *model* only. Each executor worker routes
+        // through its own scratch, so every lock on one is uncontended; the
+        // batch barrier and the widened-retry tail run serially on scratch 0.
+        let threads = HostPool::resolve(0).min(workers);
+        let scratches: Vec<Mutex<RrrScratch>> = (0..threads).map(|_| Mutex::default()).collect();
+
         if self.validate {
             assert_cost_cache_exact(graph, "rrr entry");
         }
@@ -222,15 +228,15 @@ impl RrrStage {
             recorder.counter_sample("rrr.nets_ripped", violating.len() as f64);
             nets_ripped.push(violating.len());
 
-            // Conflict graph over the task boxes. Tasks whose boxes overlap
-            // serialise in task order, and a task reads and writes costs
-            // only inside its box, so every task sees the state of the
-            // serial run in task order whatever the thread count.
+            // Task boxes. Tasks whose boxes overlap run in the order the
+            // schedule fixes (root batch first, else task order; or batch
+            // by batch), and a task reads and writes costs only inside its
+            // box, so every task sees the state of the serial run in that
+            // order whatever the thread count.
             let bboxes: Vec<Rect> = violating
                 .iter()
                 .map(|&id| self.task_box(design, id, &routes[id as usize]))
                 .collect();
-            let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
             let order: Vec<u32> = (0..violating.len() as u32).collect();
 
             // Stage each task's current route into its slot by moving it
@@ -254,7 +260,7 @@ impl RrrStage {
             // Commits and uncommits go straight to the lock-free congestion
             // store. A failed search restores the old route and leaves the
             // error in the slot, as does a failed commit or uncommit.
-            let run_task = |graph: &GridGraph, task: u32, router: &MazeRouter| {
+            let run_task = |task: u32, router: &MazeRouter, scratch: &mut RrrScratch| {
                 let t0 = Stopwatch::start();
                 let net_id = violating[task as usize];
                 let net = design.net(fastgr_design::NetId(net_id));
@@ -269,53 +275,41 @@ impl RrrStage {
                     slot.seconds = t0.elapsed_seconds();
                     return;
                 }
-                SCRATCH.with(|cell| {
-                    let scratch = &mut *cell.borrow_mut();
-                    net.distinct_positions_into(&mut scratch.pins);
-                    let result = router.route_into(
-                        graph,
-                        &scratch.pins,
-                        &mut scratch.maze,
-                        &mut scratch.out,
-                    );
-                    let mut slot = lock(&slots[task as usize]);
-                    slot.maze += scratch.maze.stats();
-                    // On success, swap the new geometry out of the scratch
-                    // (the ripped route's buffers become the scratch's
-                    // output storage for the next task); on failure, keep
-                    // the old route so the state stays sound. Either way,
-                    // commit what the slot will hold.
-                    let search_error = match result {
-                        Ok(_) => {
-                            std::mem::swap(&mut scratch.out, &mut old);
-                            None
-                        }
-                        Err(e) => Some(RouteError::Maze(e)),
-                    };
-                    slot.error = match graph.commit(&old) {
-                        Ok(()) => search_error,
-                        Err(e) => Some(e.into()),
-                    };
-                    slot.route = old;
-                    slot.seconds = t0.elapsed_seconds();
-                });
+                net.distinct_positions_into(&mut scratch.pins);
+                let result =
+                    router.route_into(graph, &scratch.pins, &mut scratch.maze, &mut scratch.out);
+                let mut slot = lock(&slots[task as usize]);
+                slot.maze += scratch.maze.stats();
+                // On success, swap the new geometry out of the scratch (the
+                // ripped route's buffers become the scratch's output storage
+                // for the next task); on failure, keep the old route so the
+                // state stays sound. Either way, commit what the slot will
+                // hold.
+                let search_error = match result {
+                    Ok(_) => {
+                        std::mem::swap(&mut scratch.out, &mut old);
+                        None
+                    }
+                    Err(e) => Some(RouteError::Maze(e)),
+                };
+                slot.error = match graph.commit(&old) {
+                    Ok(()) => search_error,
+                    Err(e) => Some(e.into()),
+                };
+                slot.route = old;
+                slot.seconds = t0.elapsed_seconds();
             };
 
             let iter_modeled = match self.strategy {
                 RrrStrategy::TaskGraph => {
+                    let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
                     let schedule = Schedule::build(&order, &conflicts);
                     if self.validate {
                         fastgr_analysis::validate_schedule(&schedule, &conflicts)
                             .assert_clean("rrr task-graph schedule");
                     }
-                    // Execute with the host pool's worker count
-                    // (`FASTGR_WORKERS`, else the machine's cores):
-                    // oversubscription would inflate the per-task costs the
-                    // parallel-time model consumes, and `workers`
-                    // parameterises the *model* only. Race checking (when
-                    // validating) and telemetry observe the same execution.
-                    let threads = HostPool::resolve(0).min(workers);
-                    let shared: &GridGraph = graph;
+                    // Race checking (when validating) and telemetry observe
+                    // the same execution.
                     let hooks = (
                         self.validate
                             .then(|| fastgr_analysis::RaceChecker::new(schedule.task_count())),
@@ -323,7 +317,7 @@ impl RrrStage {
                     );
                     Executor::new(threads).run(
                         &schedule,
-                        |task| run_task(shared, task, &router),
+                        |task, worker| run_task(task, &router, &mut lock(&scratches[worker])),
                         &hooks,
                     );
                     if let Some(checker) = &hooks.0 {
@@ -335,16 +329,18 @@ impl RrrStage {
                     schedule.simulate_workers(&costs, workers)
                 }
                 RrrStrategy::BatchBarrier => {
-                    let batches = extract_batches(&order, &conflicts);
+                    let batches =
+                        first_fit_batches(&order, &bboxes, design.width(), design.height());
                     if self.validate {
+                        let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
                         fastgr_analysis::validate_batches(&batches, &conflicts)
                             .assert_clean("rrr batch extraction");
                     }
-                    let shared: &GridGraph = graph;
+                    let scratch = &mut *lock(&scratches[0]);
                     let mut makespan = 0.0;
                     for batch in &batches {
                         for &task in batch {
-                            run_task(shared, task, &router);
+                            run_task(task, &router, scratch);
                         }
                         // Barrier model: a static-chunked parallel-for (the
                         // conventional batch implementation) — worker j takes
@@ -367,13 +363,12 @@ impl RrrStage {
             };
             // Widened retries of failed searches run as one serial tail in
             // task order, after the schedule: their wider windows are not
-            // in the conflict graph, so they must not run beside other
-            // tasks.
+            // in the task boxes, so they must not run beside other tasks.
             let mut tail_seconds = 0.0;
-            let shared: &GridGraph = graph;
+            let scratch = &mut *lock(&scratches[0]);
             for task in 0..violating.len() as u32 {
                 if matches!(lock(&slots[task as usize]).error, Some(RouteError::Maze(_))) {
-                    run_task(shared, task, &wide_router);
+                    run_task(task, &wide_router, scratch);
                     tail_seconds += lock(&slots[task as usize]).seconds;
                 }
             }

@@ -6,27 +6,19 @@
 //! Two flat `u32` arrays hold the whole graph: `4·(n + 1) + 8·E` bytes for
 //! `n` tasks and `E` conflict edges.
 //!
-//! Construction ([`ConflictGraph::from_bounding_boxes`]) is serial and keeps
-//! no dedup set and no per-task vectors:
+//! Construction ([`ConflictGraph::from_bounding_boxes`]) is a serial sweep
+//! and prune with no dedup set and no per-task vectors. Task ids are sorted
+//! by `lo.x`; walking them in that order, the sweep drops every active box
+//! with `hi.x < lo.x` (it ends left of all boxes still to come), pairs the
+//! new box with each remaining active box whose y-range overlaps its own,
+//! and makes it active. Each pair is met once. The sweep runs twice, to
+//! count degrees into `first_out` and then to fill `head`, and each row is
+//! then sorted. Peak heap is the finished graph plus the sorted ids and the
+//! active list, bounded at 1.5× the graph by the `peak_heap` test.
 //!
-//! 1. **Bucket grid.** The boxes' extent is cut into square-ish buckets whose
-//!    side is the boxes' mean width and height (never finer than the `√n`
-//!    rule that keeps the bucket count near `n`). A typical box then spans
-//!    about 2×2 buckets, and each bucket holds few boxes.
-//! 2. **Bucket membership by counting sort.** One pass counts how many boxes
-//!    cover each bucket, a prefix sum turns the counts into offsets, and a
-//!    second pass fills one flat member array.
-//! 3. **Corner ownership.** Two intersecting boxes share every bucket their
-//!    intersection touches. The pair is emitted only from the bucket holding
-//!    the intersection's lower-left corner, `(max lo.x, max lo.y)`, which
-//!    both boxes cover; so each edge is emitted exactly once.
-//! 4. **Count-then-fill adjacency.** The owned pairs are enumerated twice:
-//!    the first pass counts degrees and prefix-sums them into `first_out`,
-//!    the second writes `head`. Each row is then sorted.
-//!
-//! Peak heap during construction is the finished graph plus the bucket
-//! arrays (a few bytes per box): about 1.03× the graph at `s19t9m` density,
-//! bounded at 1.5× by the `peak_heap` test.
+//! The router builds a graph only for RRR's task-graph schedule, and under
+//! `validate` as the oracle for batches, which
+//! [`first_fit_batches`](crate::first_fit_batches) computes without one.
 
 use std::fmt;
 
@@ -36,10 +28,10 @@ use fastgr_grid::Rect;
 /// tasks whose bounding boxes overlap (they would touch the same routing
 /// resources and must not execute concurrently).
 ///
-/// Construction uses a uniform bucket grid so the expected cost is close to
-/// linear in the number of tasks plus the number of actual conflicts,
-/// instead of the all-pairs `O(n^2)`. See the module docs for the layout
-/// and the construction.
+/// Construction sweeps the boxes in `lo.x` order, so each box is tested
+/// only against the boxes whose x-range still reaches it, instead of the
+/// all-pairs `O(n^2)`. See the module docs for the layout and the
+/// construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictGraph {
     /// `n + 1` offsets into `head`; row `t` is `first_out[t]..first_out[t + 1]`.
@@ -51,12 +43,22 @@ pub struct ConflictGraph {
 impl ConflictGraph {
     /// Builds the conflict graph of `boxes` (task `i` owns `boxes[i]`).
     pub fn from_bounding_boxes(boxes: &[Rect]) -> Self {
-        let buckets = Buckets::new(boxes);
+        let mut by_lo_x: Vec<u32> = (0..boxes.len() as u32).collect();
+        by_lo_x.sort_unstable_by_key(|&i| boxes[i as usize].lo.x);
         let (first_out, mut head) = csr_from_emitter(boxes.len(), |put| {
-            buckets.for_each_owned_pair(boxes, |i, j| {
-                put(i as usize, j);
-                put(j as usize, i);
-            })
+            let mut active: Vec<u32> = Vec::new();
+            for &i in &by_lo_x {
+                let a = &boxes[i as usize];
+                active.retain(|&j| boxes[j as usize].hi.x >= a.lo.x);
+                for &j in &active {
+                    let b = &boxes[j as usize];
+                    if a.lo.y <= b.hi.y && b.lo.y <= a.hi.y {
+                        put(i as usize, j);
+                        put(j as usize, i);
+                    }
+                }
+                active.push(i);
+            }
         });
         for row in first_out.windows(2) {
             head[row[0] as usize..row[1] as usize].sort_unstable();
@@ -65,9 +67,9 @@ impl ConflictGraph {
     }
 
     /// Builds the conflict graph by the naive all-pairs scan — the `O(n²)`
-    /// reference implementation the bucketised construction is checked
-    /// against (differentially tested here and in `fastgr-analysis`'s
-    /// property tests, on random boxes and on real designs).
+    /// reference implementation the sweep is checked against
+    /// (differentially tested here and in `fastgr-analysis`'s property
+    /// tests, on random boxes and on real designs).
     pub fn from_bounding_boxes_naive(boxes: &[Rect]) -> Self {
         let mut first_out = Vec::with_capacity(boxes.len() + 1);
         let mut head = Vec::new();
@@ -143,82 +145,6 @@ fn csr_from_emitter(
     (first, values)
 }
 
-/// A uniform bucket grid over the boxes, with each bucket's member boxes
-/// (ascending ids) in CSR form.
-struct Buckets {
-    /// Bucket width and height in G-cells.
-    w: usize,
-    h: usize,
-    cols: usize,
-    /// `cols * rows + 1` offsets into `members`, row-major by bucket.
-    first: Vec<u32>,
-    members: Vec<u32>,
-}
-
-impl Buckets {
-    fn new(boxes: &[Rect]) -> Self {
-        let n = boxes.len().max(1);
-        let max_x = boxes.iter().map(|b| b.hi.x).max().unwrap_or(0) as usize + 1;
-        let max_y = boxes.iter().map(|b| b.hi.y).max().unwrap_or(0) as usize + 1;
-        let (sum_w, sum_h) = boxes.iter().fold((0usize, 0usize), |(w, h), b| {
-            (w + span(b.lo.x, b.hi.x), h + span(b.lo.y, b.hi.y))
-        });
-        // Bucket side: the mean box extent, so a typical box covers about
-        // 2×2 buckets; but no finer than `extent / (√n + 1)`, which bounds
-        // the bucket count near `n` when boxes are tiny on a large grid.
-        let target = (n as f64).sqrt().ceil() as usize + 1;
-        let w = sum_w.div_ceil(n).max(max_x / target).max(1);
-        let h = sum_h.div_ceil(n).max(max_y / target).max(1);
-        let (cols, rows) = (max_x.div_ceil(w), max_y.div_ceil(h));
-        let (first, members) = csr_from_emitter(cols * rows, |put| {
-            for (i, b) in boxes.iter().enumerate() {
-                for r in b.lo.y as usize / h..=b.hi.y as usize / h {
-                    for c in b.lo.x as usize / w..=b.hi.x as usize / w {
-                        put(r * cols + c, i as u32);
-                    }
-                }
-            }
-        });
-        Self {
-            w,
-            h,
-            cols,
-            first,
-            members,
-        }
-    }
-
-    /// The bucket holding G-cell `(x, y)`.
-    fn cell(&self, x: u16, y: u16) -> usize {
-        y as usize / self.h * self.cols + x as usize / self.w
-    }
-
-    /// Calls `f(i, j)` (with `i < j`) once for every intersecting pair of
-    /// boxes, from the bucket that holds the pair's intersection corner
-    /// `(max lo.x, max lo.y)`. Buckets are visited row-major and pairs within
-    /// a bucket in ascending id order, so the sequence is deterministic.
-    fn for_each_owned_pair(&self, boxes: &[Rect], mut f: impl FnMut(u32, u32)) {
-        for (cell, range) in self.first.windows(2).enumerate() {
-            let members = &self.members[range[0] as usize..range[1] as usize];
-            for (k, &i) in members.iter().enumerate() {
-                let a = &boxes[i as usize];
-                for &j in &members[k + 1..] {
-                    let b = &boxes[j as usize];
-                    if a.intersects(b) && self.cell(a.lo.x.max(b.lo.x), a.lo.y.max(b.lo.y)) == cell
-                    {
-                        f(i, j);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Number of G-cells `lo..=hi` covers (zero for an inverted range).
-fn span(lo: u16, hi: u16) -> usize {
-    (hi as usize + 1).saturating_sub(lo as usize)
-}
-
 impl fmt::Display for ConflictGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -274,42 +200,11 @@ mod tests {
         assert!(g.neighbors(0).is_empty());
     }
 
-    /// A cross: a wide box and a tall box whose intersection's lower-left
-    /// corner falls in a bucket holding neither box's `lo` corner. The pair
-    /// must still be emitted, exactly once, from the corner's bucket.
-    #[test]
-    fn pair_is_owned_by_a_bucket_holding_neither_lo_corner() {
-        let mut boxes = vec![rect(0, 10, 20, 12), rect(10, 0, 12, 20)];
-        // Point boxes far away pull the mean extent (and so the bucket side)
-        // below the cross's arm offsets.
-        boxes.extend((0..10).map(|k| rect(30 + k, 30, 30 + k, 30)));
-        let buckets = Buckets::new(&boxes);
-        let corner = buckets.cell(10, 10);
-        assert_ne!(
-            corner,
-            buckets.cell(0, 10),
-            "corner shares the wide box's lo bucket"
-        );
-        assert_ne!(
-            corner,
-            buckets.cell(10, 0),
-            "corner shares the tall box's lo bucket"
-        );
-
-        let mut owned = Vec::new();
-        buckets.for_each_owned_pair(&boxes, |i, j| owned.push((i, j)));
-        assert_eq!(owned.iter().filter(|&&p| p == (0, 1)).count(), 1);
-
-        let g = ConflictGraph::from_bounding_boxes(&boxes);
-        assert!(g.conflicts(0, 1));
-        assert_eq!(g, ConflictGraph::from_bounding_boxes_naive(&boxes));
-    }
-
     proptest! {
-        /// Bucketised construction must agree exactly with the all-pairs
-        /// reference. Coordinates up to ~300 and extents up to 40 make
-        /// pairs span several multi-cell buckets; `kind` mixes in point
-        /// boxes (0) and exact duplicates of the previous box (1).
+        /// The sweep must agree exactly with the all-pairs reference.
+        /// Coordinates up to ~300 and extents up to 40 give long active
+        /// lists; `kind` mixes in point boxes (0) and exact duplicates of
+        /// the previous box (1).
         #[test]
         fn matches_all_pairs_reference(
             raw in proptest::collection::vec(

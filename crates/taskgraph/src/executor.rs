@@ -66,7 +66,7 @@ impl ReadyQueue {
 /// let counter = AtomicUsize::new(0);
 /// Executor::new(4).run(
 ///     &schedule,
-///     |_task| {
+///     |_task, _worker| {
 ///         counter.fetch_add(1, Ordering::Relaxed);
 ///     },
 ///     &(),
@@ -86,10 +86,13 @@ impl Executor {
         }
     }
 
-    /// Runs every task of `schedule`, calling `task_fn(task_id)` with all
-    /// dependencies already completed, and reports the run's start, finish
-    /// and handoff events to `hooks` (`&()` observes nothing). Blocks until
-    /// the whole graph has executed.
+    /// Runs every task of `schedule`, calling `task_fn(task_id, worker)`
+    /// with all dependencies already completed, and reports the run's
+    /// start, finish and handoff events to `hooks` (`&()` observes
+    /// nothing). `worker` is the index, in `0..workers`, of the thread
+    /// running the task, the same index `hooks` receive; state kept per
+    /// worker can be indexed by it. Blocks until the whole graph has
+    /// executed.
     ///
     /// `task_fn` runs concurrently from multiple threads; share state via
     /// interior mutability (the schedule guarantees conflicting tasks never
@@ -105,7 +108,7 @@ impl Executor {
     /// panicking task can never deadlock the pool.
     pub fn run<F, H>(&self, schedule: &Schedule, task_fn: F, hooks: &H)
     where
-        F: Fn(u32) + Sync,
+        F: Fn(u32, usize) + Sync,
         H: WorkerHooks,
     {
         let n = schedule.task_count();
@@ -141,7 +144,7 @@ impl Executor {
                     }
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         hooks.on_start(t as usize, worker);
-                        task_fn(t);
+                        task_fn(t, worker);
                         hooks.on_finish(t as usize, worker);
                     }));
                     if let Err(payload) = outcome {
@@ -230,7 +233,7 @@ mod tests {
                 let ticket: Vec<AtomicUsize> = boxes.iter().map(|_| AtomicUsize::new(0)).collect();
                 Executor::new(w).run(
                     &schedule,
-                    |t| {
+                    |t, _| {
                         let now = clock.fetch_add(1, Ordering::Relaxed) + 1;
                         assert_eq!(ticket[t as usize].swap(now, Ordering::Relaxed), 0);
                     },
@@ -251,7 +254,7 @@ mod tests {
         let boxes = vec![rect(0, 0, 9, 9), rect(1, 1, 8, 8), rect(2, 2, 7, 7)];
         let schedule = schedule_of(&boxes);
         let log = Mutex::new(Vec::new());
-        Executor::new(4).run(&schedule, |t| log.lock().unwrap().push(t), &());
+        Executor::new(4).run(&schedule, |t, _| log.lock().unwrap().push(t), &());
         assert_eq!(log.into_inner().unwrap(), vec![0, 1, 2]);
     }
 
@@ -274,7 +277,7 @@ mod tests {
             let acc = Mutex::new(vec![0u64; 2]);
             Executor::new(workers).run(
                 &schedule,
-                |t| {
+                |t, _| {
                     let slot = (t % 2) as usize;
                     let mut g = acc.lock().unwrap();
                     g[slot] = g[slot] * 31 + t as u64;
@@ -291,7 +294,7 @@ mod tests {
     #[test]
     fn empty_schedule_returns_immediately() {
         let schedule = schedule_of(&[]);
-        Executor::new(4).run(&schedule, |_| panic!("no tasks to run"), &());
+        Executor::new(4).run(&schedule, |_, _| panic!("no tasks to run"), &());
     }
 
     #[test]
@@ -301,7 +304,7 @@ mod tests {
         let count = AtomicUsize::new(0);
         Executor::new(0).run(
             &schedule,
-            |_| {
+            |_, _| {
                 count.fetch_add(1, Ordering::Relaxed);
             },
             &(),
@@ -320,7 +323,7 @@ mod tests {
             let result = std::panic::catch_unwind(|| {
                 Executor::new(workers).run(
                     &schedule,
-                    |t| {
+                    |t, _| {
                         if t == 7 {
                             panic!("task 7 exploded");
                         }
@@ -343,7 +346,7 @@ mod tests {
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             Executor::new(4).run(
                 &schedule,
-                |t| {
+                |t, _| {
                     if t == 0 {
                         panic!("root failed");
                     }
@@ -367,7 +370,7 @@ mod tests {
         let recorder = Recorder::enabled();
         Executor::new(2).run(
             &schedule,
-            |_| {},
+            |_, _| {},
             &TraceHooks::new(&recorder, "task", "task"),
         );
         let trace = recorder.take_trace();
@@ -388,7 +391,7 @@ mod tests {
         assert_eq!(trace.counter("sched.handoffs"), Some(3.0));
         // Disabled recorder: the same hooks record nothing.
         let off = Recorder::disabled();
-        Executor::new(2).run(&schedule, |_| {}, &TraceHooks::new(&off, "task", "task"));
+        Executor::new(2).run(&schedule, |_, _| {}, &TraceHooks::new(&off, "task", "task"));
         assert!(off.take_trace().events().is_empty());
     }
 
@@ -420,7 +423,7 @@ mod tests {
             finishes: AtomicUsize::new(0),
             handoffs: Mutex::new(Vec::new()),
         };
-        Executor::new(2).run(&schedule, |_| {}, &log);
+        Executor::new(2).run(&schedule, |_, _| {}, &log);
         assert_eq!(log.starts.load(Ordering::Relaxed), 3);
         assert_eq!(log.finishes.load(Ordering::Relaxed), 3);
         let mut handoffs = log.handoffs.into_inner().unwrap();
@@ -428,5 +431,36 @@ mod tests {
         let mut expected: Vec<(u32, u32)> = schedule.edges().collect();
         expected.sort_unstable();
         assert_eq!(handoffs, expected, "one handoff per dependency edge");
+    }
+
+    #[test]
+    fn tasks_see_the_worker_index_their_hooks_see() {
+        /// The worker index `on_start` saw for each task.
+        struct Started(Vec<AtomicUsize>);
+        impl WorkerHooks for Started {
+            fn on_start(&self, task: usize, worker: usize) {
+                self.0[task].store(worker, Ordering::Relaxed);
+            }
+        }
+        let boxes: Vec<Rect> = (0..200)
+            .map(|i| rect(i % 40 * 3, i / 40 * 3, i % 40 * 3 + 3, i / 40 * 3 + 3))
+            .collect();
+        let schedule = schedule_of(&boxes);
+        for workers in [1, 2, 4] {
+            let started = Started(boxes.iter().map(|_| AtomicUsize::new(usize::MAX)).collect());
+            let seen: Vec<AtomicUsize> =
+                boxes.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
+            Executor::new(workers).run(
+                &schedule,
+                |t, worker| {
+                    assert!(worker < workers, "worker {worker} of {workers}");
+                    let at_start = started.0[t as usize].load(Ordering::Relaxed);
+                    assert_eq!(worker, at_start, "task {t}");
+                    seen[t as usize].store(worker, Ordering::Relaxed);
+                },
+                &started,
+            );
+            assert!(seen.iter().all(|w| w.load(Ordering::Relaxed) < workers));
+        }
     }
 }

@@ -6,13 +6,12 @@
 //! concurrently. This crate provides the full scheduling pipeline:
 //!
 //! * [`ConflictGraph`] — bounding-box conflict detection, stored as a flat
-//!   CSR graph (`first_out`/`head` arrays, sorted rows). A bucket grid sized
-//!   to the mean box extent keeps construction near-linear; each pair is
-//!   emitted only from the bucket holding its intersection's lower-left
-//!   corner, so no dedup set is needed; and count-then-fill passes keep the
-//!   construction's peak heap within 1.5× of the finished graph;
+//!   CSR graph (`first_out`/`head` arrays, sorted rows), built by a sweep
+//!   and prune in `lo.x` order within 1.5× the finished graph's heap;
 //! * [`extract_batches`] — **Algorithm 1**: greedy maximal independent-set
 //!   batch extraction following a caller-provided net order;
+//! * [`first_fit_batches`] — the same batches with no graph, by first fit
+//!   over a per-G-cell bitset of the batches present there;
 //! * [`Schedule`] — the **two-stage task graph scheduler**: extract one root
 //!   task batch, then orient every conflict edge (root → non-root, otherwise
 //!   smaller task id → larger), yielding a DAG by construction, with
@@ -38,7 +37,7 @@
 //! assert_eq!(schedule.root_batch(), &[0, 2]);
 //!
 //! let log = std::sync::Mutex::new(Vec::new());
-//! Executor::new(2).run(&schedule, |task| log.lock().unwrap().push(task), &());
+//! Executor::new(2).run(&schedule, |task, _worker| log.lock().unwrap().push(task), &());
 //! assert_eq!(log.into_inner().unwrap().len(), 3);
 //! ```
 
@@ -51,7 +50,7 @@ mod conflict;
 mod executor;
 mod schedule;
 
-pub use batch::extract_batches;
+pub use batch::{extract_batches, first_fit_batches};
 pub use conflict::ConflictGraph;
 pub use executor::Executor;
 pub use schedule::Schedule;

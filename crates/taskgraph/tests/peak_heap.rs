@@ -1,10 +1,10 @@
 //! Peak-heap regression test for [`ConflictGraph::from_bounding_boxes`].
 //!
-//! The conflict graph of a full-size design is the largest structure the
-//! planner builds, so its construction sets the process's peak memory. The
-//! build must not need much more heap than the finished CSR graph itself: no
-//! dedup set and no per-task vectors, only the two output arrays and a small
-//! bucket index.
+//! A conflict graph over a full-size design's net boxes holds about a
+//! million edges. The build must not need much more heap than the finished
+//! CSR graph itself: no dedup set and no per-task vectors, only the two
+//! output arrays, the boxes' ids sorted by `lo.x` and the sweep's active
+//! list.
 //!
 //! This lives in its own integration-test binary, with a single test,
 //! because it installs a tracking global allocator whose counters are

@@ -64,7 +64,7 @@ fn executor_respects_every_dependency_under_contention() {
     let counter = std::sync::atomic::AtomicU64::new(1);
     Executor::new(4).run(
         &schedule,
-        |t| {
+        |t, _| {
             let stamp = counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             stamps[t as usize].store(stamp, std::sync::atomic::Ordering::SeqCst);
         },
@@ -117,7 +117,7 @@ proptest! {
         }
         let schedule = Schedule::build(&order, &conflicts);
         let log = std::sync::Mutex::new(Vec::new());
-        Executor::new(3).run(&schedule, |t| log.lock().unwrap().push(t), &());
+        Executor::new(3).run(&schedule, |t, _| log.lock().unwrap().push(t), &());
         let ran = log.lock().unwrap().clone();
         prop_assert_eq!(ran, order);
     }
