@@ -12,7 +12,9 @@ use fastgr_maze::MazeError;
 pub enum RouteError {
     /// The design's grid could not be built or mutated.
     Grid(GridError),
-    /// Maze routing failed during rip-up and reroute.
+    /// Maze routing failed. The rip-up-and-reroute stage keeps such a
+    /// net's old route and counts it as `rrr.unrouted` instead of
+    /// returning this error.
     Maze(MazeError),
     /// The design has too few metal layers for 3-D pattern routing (at
     /// least one routable layer per direction is required, i.e. 3 layers

@@ -156,11 +156,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl RrrStage {
     /// Runs the iterations, mutating `graph` demand and `routes` in place.
     ///
+    /// A net whose search finds no path, in its window or the widened one,
+    /// keeps its previous route and counts toward the `rrr.unrouted` trace
+    /// counter; the stage goes on with the other nets.
+    ///
     /// # Errors
     ///
-    /// Propagates maze-routing failures ([`RouteError::Maze`]) and grid
-    /// commit failures; on error the grid state remains consistent (the
-    /// failing net keeps its previous route).
+    /// Propagates grid commit and uncommit failures; on error the grid
+    /// state remains consistent (the failing net keeps its previous route).
     pub fn run(
         &self,
         design: &Design,
@@ -173,9 +176,9 @@ impl RrrStage {
     /// [`RrrStage::run`] reporting into a telemetry recorder: one
     /// `rrr.iterN` span and one sample each of `rrr.nets_ripped`,
     /// `rrr.dirty_edges`, `rrr.full_rescan_avoided` and
-    /// `rrr.modeled_parallel_s` per iteration, plus per-task events from
-    /// the executor (task-graph strategy). With a disabled recorder this
-    /// is exactly [`RrrStage::run`].
+    /// `rrr.modeled_parallel_s` per iteration, the `rrr.unrouted` counter,
+    /// plus per-task events from the executor (task-graph strategy). With a
+    /// disabled recorder this is exactly [`RrrStage::run`].
     pub fn run_traced(
         &self,
         design: &Design,
@@ -190,6 +193,7 @@ impl RrrStage {
         let mut total_dirty = 0u64;
         let mut total_avoided = 0u64;
         let mut maze = MazeStats::default();
+        let mut unrouted = 0u64;
 
         let router = MazeRouter::new(self.maze);
         // A cramped window (heavy blockages) can leave no path; such tasks
@@ -378,14 +382,18 @@ impl RrrStage {
 
             // Collect results. Every slot's route is moved back into the
             // route table *before* the first error (if any) is surfaced, so
-            // `routes` always matches the grid's committed demand.
+            // `routes` always matches the grid's committed demand. A net
+            // whose widened retry also found no path keeps its old route,
+            // already recommitted, and counts as unrouted.
             let mut first_error = None;
             for (task, slot) in slots.iter().enumerate() {
                 let mut slot = lock(slot);
                 routes[violating[task] as usize] = std::mem::take(&mut slot.route);
                 maze += slot.maze;
-                if first_error.is_none() {
-                    first_error = slot.error.take();
+                match slot.error.take() {
+                    Some(RouteError::Maze(_)) => unrouted += 1,
+                    Some(e) if first_error.is_none() => first_error = Some(e),
+                    _ => {}
                 }
             }
             if let Some(e) = first_error {
@@ -429,6 +437,7 @@ impl RrrStage {
             }
             iter_span.finish();
         }
+        recorder.accumulate("rrr.unrouted", unrouted as f64);
 
         Ok(RrrOutcome {
             nets_ripped,
@@ -472,7 +481,7 @@ mod tests {
     use crate::dp::PatternMode;
     use crate::pattern::{PatternEngine, PatternStage};
     use fastgr_design::{Generator, GeneratorParams};
-    use fastgr_grid::{CostParams, Segment, Via};
+    use fastgr_grid::{CostParams, Direction, Segment, Via};
 
     /// Witness of the root `clippy.toml` ban on `std::sync::RwLock`: if the
     /// ban's path stops resolving, this expectation goes unfulfilled and
@@ -580,6 +589,33 @@ mod tests {
         let result = stage(RrrStrategy::TaskGraph).run(&design, &mut graph, &mut routes);
         assert!(matches!(result, Err(RouteError::Grid(_))), "{result:?}");
         assert_eq!(routes[net].vias().last().map(|v| v.at.x), Some(999));
+    }
+
+    #[test]
+    fn unroutable_nets_keep_their_old_routes() {
+        let (design, mut graph, mut routes) = congested();
+        // No vertical wire can be placed any more, so every net that needs
+        // one finds no path, in its window or the widened one.
+        for l in 1..graph.num_layers() {
+            if graph.layer(l).direction == Direction::Vertical {
+                graph.set_layer_capacity(l, 0.0);
+            }
+        }
+        let recorder = Recorder::enabled();
+        stage(RrrStrategy::TaskGraph)
+            .run_traced(&design, &mut graph, &mut routes, &recorder)
+            .expect("unroutable nets do not abort the stage");
+        let unrouted = recorder.take_trace().counter("rrr.unrouted");
+        assert!(unrouted > Some(0.0), "{unrouted:?}");
+        for (id, r) in routes.iter().enumerate() {
+            assert!(r.is_connected(), "net {id} lost its route");
+        }
+        for r in &routes {
+            graph.uncommit(r).expect("consistent");
+        }
+        let report = graph.report();
+        assert_eq!(report.total_wire_demand, 0.0, "leaked wire demand");
+        assert_eq!(report.total_via_demand, 0.0, "leaked via demand");
     }
 
     #[test]

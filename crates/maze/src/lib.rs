@@ -30,10 +30,23 @@
 //! the search detours around overflowed edges without calling back into
 //! the grid per arc. [`MazeStats::path_cost`] is in the same units: it
 //! equals [`GridGraph::route_cost`](fastgr_grid::GridGraph::route_cost) of
-//! a two-pin route exactly. The A* potential is the exact distance to the
-//! target with every edge at its cost floor (unit wire per step, unit via
-//! per layer change, quantised by [`fastgr_grid::cost_to_fixed`]), which
-//! makes it admissible and consistent.
+//! a two-pin route exactly.
+//!
+//! **Potential.** The same snapshot pass records, for each column boundary
+//! of the window, the cheapest usable horizontal wire edge that crosses it
+//! over every row and horizontal layer, and for each row boundary the same
+//! over vertical edges; a boundary no usable edge crosses counts at
+//! `unit_wire`. Both arrays are prefix-summed once per bind into `C` and
+//! `R`, and every search of the net reuses them. The A* potential of a
+//! vertex at `(x, y, l)` toward `(tx, ty, 0)` is the wire term
+//! `|C[x] - C[tx]| + |R[y] - R[ty]|` plus a via term: `unit_via` for each
+//! layer change down to layer 0 through the lowest layers that hold the
+//! needed directions (all quantised by [`fastgr_grid::cost_to_fixed`]). A wire step across a
+//! boundary costs at least its floor and leaves the via term unchanged, so
+//! the potential is consistent and admissible, and in a congested window it
+//! follows the window's real costs where a unit floor would price every
+//! step as an empty edge (after Ahrens et al., "Faster Goal-Oriented
+//! Shortest Path Search for Bulk and Incremental Detailed Routing").
 //!
 //! **Queue.** The search pops from a monotone radix heap over its `u64`
 //! keys `g + h` (Ahuja, Mehlhorn, Orlin & Tarjan 1990): O(1) push and

@@ -8,72 +8,94 @@ use std::ops::AddAssign;
 
 use fastgr_grid::{cost_to_fixed, Direction, GridGraph, Point2, Point3, Rect, Route, Segment, Via};
 
-/// Goal-oriented A* potential of one two-pin search: the exact distance to
-/// `(target, layer 0)` in the same grid with every edge at its cost floor
-/// (`unit_wire` per wire step, `unit_via` per via).
+/// The bound window's A* cost floors, computed once per bind and shared by
+/// every two-pin search of the net.
 ///
-/// A vertex at `(x, y, l)` needs the Manhattan distance in wire steps, and
-/// vias down to layer 0 through the lowest layer `m >= max(l, 1)` such that
-/// layers `1..=m` hold a horizontal layer if `x` differs from the target and
-/// a vertical one if `y` does: `2m - l` vias, or `l` when the vertex lies
-/// above the target G-cell. Every snapshot cost is at least its floor, so the
-/// potential is admissible and consistent for any non-negative
-/// [`CostParams`](fastgr_grid::CostParams).
-#[derive(Debug, Clone, Copy)]
-struct Potential {
-    target: Point2,
-    /// Q44.20 floor of one wire step (0 for plain Dijkstra).
-    wire: u64,
-    /// Q44.20 floor of one via (0 for plain Dijkstra).
+/// Column boundary `c` lies between window columns `c` and `c + 1`. Its
+/// floor is the cheapest usable horizontal wire edge that crosses it, over
+/// every row and horizontal layer of the window, or `unit_wire` when no
+/// usable edge crosses it; row boundaries take the same floor over vertical
+/// edges. `cols` and `rows` hold the prefix sums of those floors, so
+/// `cols[x] - cols[tx]` is a lower bound on the wire cost of any walk from
+/// column `x` to column `tx`. Every array is zero, and so is the potential,
+/// for plain Dijkstra.
+#[derive(Debug, Default)]
+struct Floors {
+    /// The window's low corner; `cols` and `rows` are indexed from it.
+    lo: Point2,
+    /// Q44.20 prefix sums of the column-boundary floors (`cols[0] = 0`).
+    cols: Vec<u64>,
+    /// Q44.20 prefix sums of the row-boundary floors (`rows[0] = 0`).
+    rows: Vec<u64>,
+    /// Q44.20 floor of one via.
     via: u64,
     /// Lowest routable layer of each direction (the top layer when none).
     first_horizontal: u64,
     first_vertical: u64,
 }
 
-impl Potential {
-    fn new(graph: &GridGraph, astar: bool, target: Point2) -> Self {
-        let top = graph.num_layers() - 1;
-        let first = |dir| {
-            (1..=top)
-                .find(|&l| graph.layer(l).direction == dir)
-                .unwrap_or(top)
-        };
-        let params = graph.params();
-        Self {
+impl Floors {
+    /// The potential of a search toward `(target, layer 0)`.
+    fn toward(&self, target: Point2) -> Potential {
+        Potential {
             target,
-            wire: if astar {
-                cost_to_fixed(params.unit_wire)
-            } else {
-                0
-            },
-            via: if astar {
-                cost_to_fixed(params.unit_via)
-            } else {
-                0
-            },
-            first_horizontal: first(Direction::Horizontal) as u64,
-            first_vertical: first(Direction::Vertical) as u64,
+            col: self.cols[(target.x - self.lo.x) as usize],
+            row: self.rows[(target.y - self.lo.y) as usize],
         }
     }
 
-    fn at(&self, p: Point3) -> u64 {
-        let dx = p.x.abs_diff(self.target.x) as u64;
-        let dy = p.y.abs_diff(self.target.y) as u64;
+    /// A lower bound on the cost from `p` to `pot`'s target: the prefix-sum
+    /// wire term plus the via term.
+    ///
+    /// The via term counts the vias down to layer 0 through the lowest layer
+    /// `m >= max(l, 1)` such that layers `1..=m` hold a horizontal layer if
+    /// `x` differs from the target and a vertical one if `y` does: `2m - l`
+    /// vias, or `l` when the vertex lies above the target G-cell. A wire step
+    /// across a boundary costs at least that boundary's floor and leaves the
+    /// via term as it was, and a via step costs at least the via floor, so
+    /// the potential is consistent and admissible on the window's snapshot.
+    fn at(&self, pot: &Potential, p: Point3) -> u64 {
+        let col = self.cols[(p.x - self.lo.x) as usize];
+        let row = self.rows[(p.y - self.lo.y) as usize];
+        let wire = col.abs_diff(pot.col) + row.abs_diff(pot.row);
+        let (dx, dy) = (p.x != pot.target.x, p.y != pot.target.y);
         let l = p.layer as u64;
-        let vias = if dx == 0 && dy == 0 {
+        let vias = if !dx && !dy {
             l
         } else {
             let mut m = l.max(1);
-            if dx > 0 {
+            if dx {
                 m = m.max(self.first_horizontal);
             }
-            if dy > 0 {
+            if dy {
                 m = m.max(self.first_vertical);
             }
             2 * m - l
         };
-        (dx + dy) * self.wire + vias * self.via
+        wire + vias * self.via
+    }
+}
+
+/// Goal-oriented A* potential of one two-pin search: the target and its
+/// entries in the window's prefix sums. [`Floors::at`] evaluates it.
+#[derive(Debug, Clone, Copy)]
+struct Potential {
+    target: Point2,
+    /// `cols[tx]` of the bound [`Floors`].
+    col: u64,
+    /// `rows[ty]` of the bound [`Floors`].
+    row: u64,
+}
+
+/// Replaces each boundary floor of `prefix[1..]` (`u64::MAX` when no usable
+/// edge crosses the boundary, which then counts at `unit`) by the prefix
+/// sum up to it; `prefix[0]` is 0.
+fn prefix_sum(prefix: &mut [u64], unit: u64) {
+    let mut sum = 0u64;
+    for floor in prefix {
+        let step = if *floor == u64::MAX { unit } else { *floor };
+        sum = sum.saturating_add(step);
+        *floor = sum;
     }
 }
 
@@ -162,8 +184,8 @@ impl RadixHeap {
 pub struct MazeConfig {
     /// G-cells added around the pin bounding box to form the search window.
     pub window_margin: u16,
-    /// Use the admissible via-aware A* potential (plain Dijkstra when
-    /// `false`).
+    /// Use the admissible A* potential from the window's cost floors
+    /// (plain Dijkstra when `false`).
     pub astar: bool,
 }
 
@@ -266,7 +288,8 @@ pub struct MazeRouter {
 
 /// Reusable search state for [`MazeRouter::route_into`].
 ///
-/// Owns the dense per-window arrays (`dist`/`prev`/`gen`), the monotone
+/// Owns the dense per-window arrays (`dist`/`prev`/`gen`), the window's
+/// cost snapshot and the A* cost floors taken from it, the monotone
 /// radix-heap priority queue, and every intermediate buffer a routing call
 /// needs. All buffers grow to a high-water mark and are recycled via
 /// generation stamping (the queue's buckets keep their capacity across
@@ -293,6 +316,8 @@ pub struct MazeScratch {
     /// Q44.20 cost of the via from each window vertex one layer up;
     /// `u64::MAX` on the top layer.
     via: Vec<u64>,
+    /// The window's A* cost floors, shared by the net's searches.
+    floors: Floors,
     /// Priority queue of (f = g + h, index), popped in exact `(f, index)`
     /// order; pushed keys never fall below the last popped key because the
     /// potential is consistent.
@@ -324,11 +349,13 @@ impl MazeScratch {
     /// Rebinds the scratch to a new search window, growing the dense
     /// arrays to the high-water mark (never shrinking), and snapshots the
     /// window's edge costs from `graph` — one load of each cached cost.
+    /// With `astar`, it records the window's [`Floors`] from the same loads;
+    /// without, it zeroes them.
     #[expect(
         clippy::disallowed_methods,
         reason = "the maze prices each unit edge, so it copies their cached costs one by one"
     )]
-    fn bind(&mut self, graph: &GridGraph, rect: Rect) {
+    fn bind(&mut self, graph: &GridGraph, rect: Rect, astar: bool) {
         self.rect = rect;
         self.w = rect.width() as usize;
         self.h = rect.height() as usize;
@@ -341,6 +368,26 @@ impl MazeScratch {
             self.wire.resize(n, u64::MAX);
             self.via.resize(n, u64::MAX);
         }
+        // A boundary floor starts at `u64::MAX` (no usable edge yet); a
+        // zero start keeps every floor, and so the potential, at zero.
+        let params = graph.params();
+        let (start, unit_wire, unit_via) = if astar {
+            (
+                u64::MAX,
+                cost_to_fixed(params.unit_wire),
+                cost_to_fixed(params.unit_via),
+            )
+        } else {
+            (0, 0, 0)
+        };
+        let floors = &mut self.floors;
+        floors.lo = rect.lo;
+        floors.cols.clear();
+        floors.cols.resize(self.w, start);
+        floors.cols[0] = 0;
+        floors.rows.clear();
+        floors.rows.resize(self.h, start);
+        floors.rows[0] = 0;
         let mut i = 0;
         for l in 0..layers {
             let horizontal = graph.layer(l).direction == Direction::Horizontal;
@@ -358,7 +405,17 @@ impl MazeScratch {
                         None
                     };
                     self.wire[i] = match edge {
-                        Some((cap, cost)) if cap > 0.0 => cost,
+                        Some((cap, cost)) if cap > 0.0 => {
+                            // The edge crosses the boundary after column
+                            // `x` (horizontal) or row `y` (vertical).
+                            let floor = if horizontal {
+                                &mut floors.cols[(x - rect.lo.x) as usize + 1]
+                            } else {
+                                &mut floors.rows[(y - rect.lo.y) as usize + 1]
+                            };
+                            *floor = (*floor).min(cost);
+                            cost
+                        }
                         _ => u64::MAX,
                     };
                     self.via[i] = graph.via_edge_cost_fixed(l, p).unwrap_or(u64::MAX);
@@ -366,6 +423,17 @@ impl MazeScratch {
                 }
             }
         }
+        prefix_sum(&mut floors.cols, unit_wire);
+        prefix_sum(&mut floors.rows, unit_wire);
+        let top = layers - 1;
+        let first = |dir| {
+            (1..=top)
+                .find(|&l| graph.layer(l).direction == dir)
+                .unwrap_or(top) as u64
+        };
+        floors.via = unit_via;
+        floors.first_horizontal = first(Direction::Horizontal);
+        floors.first_vertical = first(Direction::Vertical);
     }
 
     fn index(&self, p: Point3) -> usize {
@@ -428,7 +496,8 @@ impl MazeScratch {
         let ng = g.saturating_add(step);
         if ng < self.dist_at(qi) {
             self.set(qi, ng, Some(from));
-            self.heap.push(ng.saturating_add(pot.at(q)), qi as u32);
+            let key = ng.saturating_add(self.floors.at(pot, q));
+            self.heap.push(key, qi as u32);
             self.stats.pushes += 1;
         }
     }
@@ -502,6 +571,7 @@ impl MazeRouter {
         scratch.bind(
             graph,
             self.config.window(bbox, graph.width(), graph.height()),
+            self.config.astar,
         );
 
         // Component vertices (indices into the window), starting from the
@@ -550,7 +620,7 @@ impl MazeRouter {
         scratch.stats.searches += 1;
         scratch.next_generation();
         let target_idx = scratch.index(target.on_layer(0));
-        let pot = Potential::new(graph, self.config.astar, target);
+        let pot = scratch.floors.toward(target);
         let (w, plane) = (scratch.w, scratch.w * scratch.h);
         let top = graph.num_layers() - 1;
 
@@ -558,7 +628,7 @@ impl MazeRouter {
         for i in 0..scratch.component.len() {
             let s = scratch.component[i];
             scratch.set(s, 0, None);
-            let h = pot.at(scratch.point(s));
+            let h = scratch.floors.at(&pot, scratch.point(s));
             scratch.heap.push(h, s as u32);
             scratch.stats.pushes += 1;
         }
@@ -567,7 +637,7 @@ impl MazeRouter {
             let idx = idx as usize;
             let g = scratch.dist_at(idx);
             let p = scratch.point(idx);
-            if key != g.saturating_add(pot.at(p)) {
+            if key != g.saturating_add(scratch.floors.at(&pot, p)) {
                 // Stale: `idx` was re-pushed at a lower key and expanded then.
                 continue;
             }
@@ -872,6 +942,91 @@ mod tests {
         );
     }
 
+    /// On a uniformly loaded grid every edge costs far above `unit_wire`,
+    /// so a unit-floor potential guides the search little; the window's
+    /// cost floors keep A* close to the path.
+    #[test]
+    fn astar_expands_fewer_nodes_on_a_congested_grid() {
+        let mut g = GridGraph::new(32, 32, 4, CostParams::default()).expect("valid");
+        g.fill_capacity(2.0);
+        let pins = [Point2::new(1, 1), Point2::new(30, 30)];
+        let stats = |astar| {
+            MazeRouter::new(MazeConfig {
+                astar,
+                window_margin: 16,
+            })
+            .route_into(&g, &pins, &mut MazeScratch::new(), &mut Route::new())
+            .expect("ok")
+        };
+        let (sa, sd) = (stats(true), stats(false));
+        assert!(
+            sa.expanded * 3 < sd.expanded,
+            "a* {} vs dijkstra {}",
+            sa.expanded,
+            sd.expanded
+        );
+    }
+
+    /// One column boundary saturated on every row and horizontal layer
+    /// raises the potential of every vertex left of it, toward a target on
+    /// its right, by exactly its cheapest edge's excess over `unit_wire`. A
+    /// boundary that no usable edge crosses counts at `unit_wire`.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test reads the saturated edges' costs"
+    )]
+    fn saturated_boundary_raises_the_potential_by_its_cheapest_edge() {
+        // At capacity 16 an empty edge costs `unit_wire` exactly in Q44.20.
+        let mut g = graph(16, 8, 4);
+        g.fill_capacity(16.0);
+        let horizontal = [1u8, 3];
+        for l in horizontal {
+            // No usable edge crosses the boundary after column 10.
+            let column = Rect::new(Point2::new(10, 0), Point2::new(10, 7));
+            g.scale_region_capacity(l, column, 0.0);
+            // The boundary after column 7 carries 17 to 23 wires per edge.
+            for y in 0..8 {
+                let mut wire = Route::new();
+                wire.push_segment(Segment::new(l, Point2::new(7, y), Point2::new(8, y)));
+                for _ in 0..17 + (y + u16::from(l)) % 7 {
+                    g.commit(&wire).expect("valid");
+                }
+            }
+        }
+        let unit = cost_to_fixed(g.params().unit_wire);
+        let cheapest = horizontal
+            .iter()
+            .flat_map(|&l| (0..8).map(move |y| (l, Point2::new(7, y))))
+            .map(|(l, p)| g.wire_edge_cost_fixed(l, p).expect("edge"))
+            .min()
+            .expect("edges");
+        assert!(cheapest > unit);
+
+        let mut scratch = MazeScratch::new();
+        scratch.bind(&g, Rect::new(Point2::new(0, 0), Point2::new(15, 7)), true);
+        let target = Point2::new(14, 3);
+        let pot = scratch.floors.toward(target);
+        // `(x, 5, 0)` needs `14 - x + 2` wire steps and 2 vias up to the
+        // first horizontal layer and 2 back down: the unit-floor value.
+        let via = cost_to_fixed(g.params().unit_via);
+        let unit_floor = |x: u16| (14 - u64::from(x) + 2) * unit + 4 * via;
+        for x in 0..=7 {
+            assert_eq!(
+                scratch.floors.at(&pot, Point3::new(x, 5, 0)),
+                unit_floor(x) + cheapest - unit,
+                "column {x}"
+            );
+        }
+        for x in 8..=14 {
+            assert_eq!(
+                scratch.floors.at(&pot, Point3::new(x, 5, 0)),
+                unit_floor(x),
+                "column {x}"
+            );
+        }
+    }
+
     #[test]
     fn fully_blocked_layer_reports_no_path() {
         let mut g = GridGraph::new(8, 8, 3, CostParams::default()).expect("valid");
@@ -975,9 +1130,10 @@ mod tests {
         let bbox = Rect::bounding([a, b]).expect("two pins");
         let rect = MazeConfig::default().window(bbox, 14, 14);
         let mut scratch = MazeScratch::new();
-        scratch.bind(g, rect);
+        scratch.bind(g, rect, true);
         let dist = window_distances(g, &scratch, b);
-        (scratch, Potential::new(g, true, b), dist)
+        let pot = scratch.floors.toward(b);
+        (scratch, pot, dist)
     }
 
     /// One step of a monotone queue workload; keys are offsets from the
@@ -1053,8 +1209,8 @@ mod tests {
     }
 
     proptest! {
-        /// The via-aware potential never overestimates: at every window
-        /// vertex it is at most the true distance to the target.
+        /// The potential never overestimates: at every window vertex it is
+        /// at most the true distance to the target.
         #[test]
         fn potential_is_a_lower_bound_on_every_window_vertex(
             layers in 3u8..7,
@@ -1068,8 +1224,8 @@ mod tests {
             let g = congested_graph(14, layers, blocked, &nets, copies, history as f64);
             let (scratch, pot, dist) = bound_search(&g, Point2::new(ax, ay), Point2::new(bx, by));
             for (i, &d) in dist.iter().enumerate() {
-                let p = scratch.point(i);
-                prop_assert!(pot.at(p) <= d, "potential {} > distance {d} at {p}", pot.at(p));
+                let (p, h) = (scratch.point(i), scratch.floors.at(&pot, scratch.point(i)));
+                prop_assert!(h <= d, "potential {h} > distance {d} at {p}");
             }
         }
 
@@ -1091,6 +1247,7 @@ mod tests {
             let g = congested_graph(14, layers, blocked, &nets, copies, history as f64);
             let (scratch, pot, dist) = bound_search(&g, Point2::new(ax, ay), Point2::new(bx, by));
             let plane = scratch.w * scratch.h;
+            let h = |p| scratch.floors.at(&pot, p);
             for (u, &du) in dist.iter().enumerate() {
                 let p = scratch.point(u);
                 let stride = match g.layer(p.layer).direction {
@@ -1102,8 +1259,8 @@ mod tests {
                         continue;
                     }
                     let (q, dv) = (scratch.point(v), dist[v]);
-                    prop_assert!(pot.at(p) <= c + pot.at(q), "h({p}) > {c} + h({q})");
-                    prop_assert!(pot.at(q) <= c + pot.at(p), "h({q}) > {c} + h({p})");
+                    prop_assert!(h(p) <= c + h(q), "h({p}) > {c} + h({q})");
+                    prop_assert!(h(q) <= c + h(p), "h({q}) > {c} + h({p})");
                     prop_assert!(du <= c.saturating_add(dv) && dv <= c.saturating_add(du));
                 }
             }
