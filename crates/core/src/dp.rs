@@ -263,8 +263,9 @@ impl<'g> PatternDp<'g> {
 
     /// Creates a DP engine without a cost cache: probes walk the grid's
     /// quantised edge costs directly. Bit-identical to the probed engines,
-    /// O(run-length) per probe — kept for the prober-off bench dimension
-    /// and the equivalence tests.
+    /// O(run-length) per probe. This is the direct-cost test oracle of the
+    /// equivalence tests, and the path `cost_probing: false` takes; it
+    /// stays while the benchmark package builds against that field.
     pub fn direct(graph: &'g GridGraph, mode: PatternMode) -> Self {
         Self {
             graph,

@@ -44,9 +44,6 @@ pub enum PatternEngine {
 pub struct PatternOutcome {
     /// Routed geometry per net id (committed to the grid).
     pub routes: Vec<Route>,
-    /// Number of commit groups: the conflict-free batches of the GPU
-    /// engine, or one per net for the sequential engine.
-    pub batch_count: usize,
 }
 
 /// The pattern routing stage.
@@ -130,10 +127,13 @@ impl PatternStage {
         self.run_traced(design, graph, &Recorder::disabled())
     }
 
-    /// [`PatternStage::run`] reporting into a telemetry recorder: one
-    /// `planning` and one `pattern` stage span, per-kernel events from the
-    /// simulated device (GPU engine), and `pattern.*` counters. With a
-    /// disabled recorder this is exactly [`PatternStage::run`].
+    /// [`PatternStage::run`] reporting into a telemetry recorder: the
+    /// stage's `pattern.*` counters, recorded once each — among them
+    /// `pattern.batches`, the commit groups (the GPU engine's
+    /// conflict-free batches, or one per net for the sequential engine),
+    /// and `pattern.shorts_after`, the shorts the stage leaves — and, when
+    /// the recorder is enabled, one `planning` and one `pattern` stage
+    /// span and per-kernel events from the simulated device (GPU engine).
     pub fn run_traced(
         &self,
         design: &Design,
@@ -218,7 +218,6 @@ impl PatternStage {
             None => order.chunks(1).collect(),
         };
         recorder.accumulate("pattern.batches", groups.len() as f64);
-        let batch_count = groups.len();
         let mut cost_probes = 0u64;
         for group in groups {
             if let Some(p) = prober.as_mut() {
@@ -270,11 +269,9 @@ impl PatternStage {
             recorder.accumulate("pattern.cost_cache_rows_rebuilt", p.rows_rebuilt() as f64);
             recorder.accumulate("pattern.cost_probes", cost_probes as f64);
         }
+        recorder.accumulate("pattern.shorts_after", graph.report().shorts());
         route_span.finish();
-        Ok(PatternOutcome {
-            routes,
-            batch_count,
-        })
+        Ok(PatternOutcome { routes })
     }
 }
 
@@ -319,14 +316,15 @@ mod tests {
             PatternEngine::SequentialCpu,
             PatternEngine::GpuFlow(DeviceConfig::tiny()),
         ] {
-            let (outcome, graph, _) = run(engine, PatternMode::LShape);
+            let (outcome, graph, trace) = run(engine, PatternMode::LShape);
             assert_eq!(outcome.routes.len(), 64);
             // Multi-G-cell nets have geometry.
             let routed = outcome.routes.iter().filter(|r| !r.is_empty()).count();
             assert!(routed > 32, "only {routed} nets have geometry");
             // All demand is committed.
             assert!(graph.report().total_wire_demand > 0.0);
-            assert!(outcome.batch_count >= 1);
+            assert!(trace.pattern_batches() >= 1);
+            assert_eq!(trace.pattern_shorts(), graph.report().shorts());
         }
     }
 
@@ -335,11 +333,11 @@ mod tests {
         // One kernel event, with modelled device time, per GPU batch; none
         // for the sequential engine, whose PATTERN clock is its span.
         let gpu = PatternEngine::GpuFlow(DeviceConfig::rtx3090_like());
-        let (outcome, _, trace) = run(gpu, PatternMode::LShape);
-        assert_eq!(trace.kernels().len(), outcome.batch_count);
+        let (_, _, trace) = run(gpu, PatternMode::LShape);
+        assert_eq!(trace.kernels().len(), trace.pattern_batches());
         assert_eq!(
             trace.counter("pattern.kernel_launches"),
-            Some(outcome.batch_count as f64)
+            Some(trace.pattern_batches() as f64)
         );
         assert!(trace.modeled_device_seconds() > 0.0);
         let (_, _, cpu) = run(PatternEngine::SequentialCpu, PatternMode::LShape);

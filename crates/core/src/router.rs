@@ -56,7 +56,10 @@ pub struct RouterConfig {
     /// O(1) prefix differences instead of O(span) gcell walks (via stacks
     /// are read from the grid's via-prefix rows either way).
     /// Routes are bit-identical either way; this only changes the work the
-    /// kernels do. On in every preset; off is an ablation knob.
+    /// kernels do. On in every preset, and no benchmark or ablation turns
+    /// it off: off selects the direct-cost test oracle
+    /// ([`PatternDp::direct`](crate::PatternDp::direct)), kept while the
+    /// benchmark package builds against this field.
     pub cost_probing: bool,
     /// Debug-assert-style soundness checking in both stages: batches and
     /// schedules are verified with the `fastgr-analysis` static validator
@@ -128,12 +131,13 @@ pub struct RoutingOutcome {
     pub metrics: QualityMetrics,
     /// Final congestion statistics.
     pub report: CongestionReport,
-    /// The run trace, the one store of run metrics: deterministic counters
-    /// plus (when routed through [`Router::run_with_recorder`] with an
-    /// enabled recorder) the span/kernel/sample/task timeline that every
-    /// measured and modelled second is read from. Always carries the run
-    /// summary counters — `trace.nets_ripped()`, `trace.pattern_shorts()`,
-    /// `trace.pattern_batches()` — whether or not telemetry was on.
+    /// The run trace, the one store of run metrics: every counter the
+    /// stages recorded — the same set whether or not telemetry was on, so
+    /// `trace.nets_ripped()`, `trace.pattern_shorts()` and
+    /// `trace.pattern_batches()` always read the run — plus, when routed
+    /// through [`Router::run_with_recorder`] with an enabled recorder, the
+    /// span/kernel/sample/task timeline that every measured and modelled
+    /// second is read from.
     pub trace: RunTrace,
 }
 
@@ -172,12 +176,13 @@ impl Router {
         self.run_with_recorder(design, &Recorder::disabled())
     }
 
-    /// [`Router::run`] reporting into a telemetry recorder: planning /
-    /// pattern / per-RRR-iteration spans, per-kernel device events,
-    /// per-task executor events and the deterministic run counters, all
-    /// drained into [`RoutingOutcome::trace`]. With a disabled recorder
-    /// (what [`Router::run`] passes) only the run summary lands in the
-    /// trace and the recording calls cost a branch each.
+    /// [`Router::run`] reporting into a telemetry recorder: the stages'
+    /// deterministic counters and, when the recorder is enabled, planning /
+    /// pattern / per-RRR-iteration spans, per-kernel device events and
+    /// per-task executor events, all drained into
+    /// [`RoutingOutcome::trace`]. With a disabled recorder (what
+    /// [`Router::run`] passes) the trace has the same counters and no
+    /// timeline, and each timeline call costs a branch.
     pub fn run_with_recorder(
         &self,
         design: &Design,
@@ -197,9 +202,8 @@ impl Router {
         }
         .run_traced(design, &mut graph, recorder)?;
         let mut routes = pattern.routes;
-        let pattern_shorts = graph.report().shorts();
 
-        let rrr = RrrStage {
+        RrrStage {
             iterations: c.rrr_iterations,
             strategy: c.rrr_strategy,
             sorting: c.rrr_sorting.unwrap_or(c.sorting),
@@ -213,26 +217,12 @@ impl Router {
         let report = graph.report();
         let metrics = RoutingOutcome::metrics_from(&routes, &report);
         let guides = RouteGuides::from_routes(design, &routes);
-        // The run summary, written whether or not the recorder is enabled.
-        let mut trace = recorder.take_trace();
-        trace.set_counter("pattern.batches", pattern.batch_count as f64);
-        trace.set_counter("pattern.shorts_after", pattern_shorts);
-        trace.set_counter("rrr.iterations", rrr.nets_ripped.len() as f64);
-        for (i, &n) in rrr.nets_ripped.iter().enumerate() {
-            trace.set_counter(&format!("rrr.iter{i}.nets_ripped"), n as f64);
-        }
-        trace.set_counter("rrr.dirty_edges", rrr.dirty_edges as f64);
-        trace.set_counter("rrr.full_rescan_avoided", rrr.rescans_avoided as f64);
-        trace.set_counter("maze.searches", rrr.maze.searches as f64);
-        trace.set_counter("maze.pops", rrr.maze.expanded as f64);
-        trace.set_counter("maze.pushes", rrr.maze.pushes as f64);
-        trace.set_counter("maze.relaxed", rrr.maze.relaxed as f64);
         Ok(RoutingOutcome {
             routes,
             guides,
             metrics,
             report,
-            trace,
+            trace: recorder.take_trace(),
         })
     }
 }
@@ -418,20 +408,18 @@ mod tests {
     #[test]
     fn counter_values_identical_across_recorded_and_plain_runs() {
         let design = overflowing_design();
-        let config = RouterConfig::fastgr_l();
-        let plain = Router::new(config).run(&design).expect("ok");
-        let recorder = Recorder::enabled();
-        let traced = Router::new(config)
-            .run_with_recorder(&design, &recorder)
-            .expect("ok");
-        // Telemetry must not perturb the routing result.
-        assert_eq!(plain.routes, traced.routes);
-        assert_eq!(plain.trace.nets_ripped(), traced.trace.nets_ripped());
-        assert_eq!(
-            plain.trace.pattern_batches(),
-            traced.trace.pattern_batches()
-        );
-        assert_eq!(plain.trace.pattern_shorts(), traced.trace.pattern_shorts());
+        for config in [RouterConfig::fastgr_l(), RouterConfig::cugr()] {
+            let plain = Router::new(config).run(&design).expect("ok");
+            let traced = Router::new(config)
+                .run_with_recorder(&design, &Recorder::enabled())
+                .expect("ok");
+            // Telemetry must not perturb the routing result, and a plain
+            // run's trace has every counter of a recorded one.
+            assert_eq!(plain.routes, traced.routes);
+            let counters = |o: &RoutingOutcome| o.trace.counters().collect::<Vec<_>>();
+            assert_eq!(counters(&plain), counters(&traced), "{config:?}");
+            assert!(plain.trace.counter("rrr.unrouted").is_some());
+        }
     }
 
     #[test]

@@ -76,9 +76,6 @@ pub struct RrrOutcome {
     /// still walks each route once per iteration; it only trades the
     /// overflow test per edge for a dirty-bit test.
     pub rescans_avoided: u64,
-    /// Maze search work summed over every task of every iteration,
-    /// widened retries included.
-    pub maze: MazeStats,
 }
 
 /// The rip-up-and-reroute stage.
@@ -173,12 +170,16 @@ impl RrrStage {
         self.run_traced(design, graph, routes, &Recorder::disabled())
     }
 
-    /// [`RrrStage::run`] reporting into a telemetry recorder: one
-    /// `rrr.iterN` span and one sample each of `rrr.nets_ripped`,
-    /// `rrr.dirty_edges`, `rrr.full_rescan_avoided` and
-    /// `rrr.modeled_parallel_s` per iteration, the `rrr.unrouted` counter,
-    /// plus per-task events from the executor (task-graph strategy). With a
-    /// disabled recorder this is exactly [`RrrStage::run`].
+    /// [`RrrStage::run`] reporting into a telemetry recorder. At its end
+    /// the stage records its counters once, zeros included:
+    /// `rrr.iterations`, `rrr.iterN.nets_ripped` per iteration, the totals
+    /// `rrr.dirty_edges`, `rrr.full_rescan_avoided` and `rrr.unrouted`,
+    /// and the maze work of every search, widened retries included
+    /// (`maze.searches`, `maze.pops`, `maze.pushes`, `maze.relaxed`). An
+    /// enabled recorder also gets one `rrr.iterN` span and one sample each
+    /// of `rrr.nets_ripped`, `rrr.dirty_edges`, `rrr.full_rescan_avoided`
+    /// and `rrr.modeled_parallel_s` per iteration, plus per-task events
+    /// from the executor (task-graph strategy).
     pub fn run_traced(
         &self,
         design: &Design,
@@ -437,14 +438,23 @@ impl RrrStage {
             }
             iter_span.finish();
         }
+        recorder.accumulate("rrr.iterations", nets_ripped.len() as f64);
+        for (i, &n) in nets_ripped.iter().enumerate() {
+            recorder.accumulate(&format!("rrr.iter{i}.nets_ripped"), n as f64);
+        }
+        recorder.accumulate("rrr.dirty_edges", total_dirty as f64);
+        recorder.accumulate("rrr.full_rescan_avoided", total_avoided as f64);
         recorder.accumulate("rrr.unrouted", unrouted as f64);
+        recorder.accumulate("maze.searches", maze.searches as f64);
+        recorder.accumulate("maze.pops", maze.expanded as f64);
+        recorder.accumulate("maze.pushes", maze.pushes as f64);
+        recorder.accumulate("maze.relaxed", maze.relaxed as f64);
 
         Ok(RrrOutcome {
             nets_ripped,
             modeled_parallel_seconds: modeled,
             dirty_edges: total_dirty,
             rescans_avoided: total_avoided,
-            maze,
         })
     }
 

@@ -38,41 +38,62 @@ use crate::conflict::ConflictGraph;
 /// assert_eq!(batches, vec![vec![0, 2], vec![1]]);
 /// ```
 pub fn extract_batches(order: &[u32], conflicts: &ConflictGraph) -> Vec<Vec<u32>> {
-    let n = conflicts.task_count();
-    let mut assigned = vec![false; n];
-    let mut blocked = vec![u32::MAX; n]; // batch number that blocks the task
+    check_order(order, conflicts.task_count());
+    let mut blocked = vec![u32::MAX; conflicts.task_count()];
     let mut batches: Vec<Vec<u32>> = Vec::new();
-
-    check_order(order, n);
     let mut remaining: Vec<u32> = order.to_vec();
-
-    let mut batch_no = 0u32;
     while !remaining.is_empty() {
-        let mut batch = Vec::new();
         let mut rest = Vec::with_capacity(remaining.len());
-        for &t in &remaining {
-            if assigned[t as usize] {
-                continue;
-            }
-            if blocked[t as usize] == batch_no {
-                rest.push(t);
-                continue;
-            }
-            // No conflict with anything already in this batch: take it.
-            assigned[t as usize] = true;
-            for &nb in conflicts.neighbors(t) {
-                if !assigned[nb as usize] {
-                    blocked[nb as usize] = batch_no;
-                }
-            }
-            batch.push(t);
-        }
+        let batch = greedy_round(
+            &remaining,
+            conflicts,
+            batches.len() as u32,
+            &mut blocked,
+            &mut rest,
+        );
         debug_assert!(!batch.is_empty(), "every round must make progress");
         batches.push(batch);
         remaining = rest;
-        batch_no += 1;
     }
     batches
+}
+
+/// The root task batch: the first batch of [`extract_batches`], computed
+/// without the later rounds.
+///
+/// # Panics
+///
+/// As [`extract_batches`] does.
+pub(crate) fn root_batch(order: &[u32], conflicts: &ConflictGraph) -> Vec<u32> {
+    check_order(order, conflicts.task_count());
+    let mut blocked = vec![u32::MAX; conflicts.task_count()];
+    greedy_round(order, conflicts, 0, &mut blocked, &mut Vec::new())
+}
+
+/// Round `round` of Algorithm 1: scans `remaining` in order and returns
+/// the batch of every task that conflicts with no task taken before it
+/// this round; the others go to `rest`. `blocked[t] == round` marks a
+/// task a taken neighbour blocks, so no later round needs `blocked`
+/// cleared.
+fn greedy_round(
+    remaining: &[u32],
+    conflicts: &ConflictGraph,
+    round: u32,
+    blocked: &mut [u32],
+    rest: &mut Vec<u32>,
+) -> Vec<u32> {
+    let mut batch = Vec::new();
+    for &t in remaining {
+        if blocked[t as usize] == round {
+            rest.push(t);
+            continue;
+        }
+        for &nb in conflicts.neighbors(t) {
+            blocked[nb as usize] = round;
+        }
+        batch.push(t);
+    }
+    batch
 }
 
 /// Algorithm 1 without a conflict graph: the same batches as

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::batch::extract_batches;
+use crate::batch::root_batch;
 use crate::conflict::ConflictGraph;
 
 /// An execution-ordered task graph: every conflict edge oriented into a
@@ -37,12 +37,11 @@ impl Schedule {
     /// # Panics
     ///
     /// Panics if `order` does not cover every task of `conflicts` exactly
-    /// once (propagated from [`extract_batches`]).
+    /// once (as [`extract_batches`](crate::extract_batches) does).
     pub fn build(order: &[u32], conflicts: &ConflictGraph) -> Self {
         let n = conflicts.task_count();
         assert_eq!(order.len(), n, "order must cover every task");
-        let batches = extract_batches(order, conflicts);
-        let root_batch = batches.first().cloned().unwrap_or_default();
+        let root_batch = root_batch(order, conflicts);
 
         // Global priority: root batch first (in order), then everything
         // else in the sorted order.
@@ -403,6 +402,25 @@ mod tests {
             let t8 = s.simulate_workers(&costs, 8);
             prop_assert!(t8 + 1e-9 >= span - 1e-6);
             prop_assert!(t8 <= work + 1e-6);
+        }
+
+        /// Stage 1 computes only the root batch, and it is exactly the
+        /// first batch of Algorithm 1, for any task order.
+        #[test]
+        fn root_batch_is_the_first_extracted_batch(
+            raw in proptest::collection::vec((0u16..25, 0u16..25, 0u16..10, 0u16..10, 0u32..100), 0..40)
+        ) {
+            let boxes: Vec<Rect> = raw
+                .iter()
+                .map(|&(x, y, w, h, _)| rect(x, y, x + w, y + h))
+                .collect();
+            let conflicts = ConflictGraph::from_bounding_boxes(&boxes);
+            let mut order: Vec<u32> = (0..boxes.len() as u32).collect();
+            order.sort_by_key(|&t| (raw[t as usize].4, t));
+            let batches = crate::extract_batches(&order, &conflicts);
+            let first = batches.first().map_or(&[][..], Vec::as_slice);
+            let schedule = Schedule::build(&order, &conflicts);
+            prop_assert_eq!(schedule.root_batch(), first);
         }
     }
 }

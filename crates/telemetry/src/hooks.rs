@@ -84,8 +84,8 @@ impl<H: WorkerHooks> WorkerHooks for Option<H> {
 
 /// [`WorkerHooks`] that report into a telemetry [`Recorder`]: item `i`
 /// becomes a `{prefix}{i}` begin/end pair in category `cat` on the
-/// executing worker's track (`TRACK_WORKER_BASE + worker`), and every
-/// handoff bumps the `sched.handoffs` counter.
+/// executing worker's track (`TRACK_WORKER_BASE + worker`). Handoffs are
+/// not recorded: a run's handoffs are its schedule's dependency edges.
 ///
 /// With a disabled recorder every callback is one branch and formats
 /// nothing, so the hooks can be installed unconditionally.
@@ -139,10 +139,6 @@ impl WorkerHooks for TraceHooks<'_> {
 
     fn on_finish(&self, index: usize, worker: usize) {
         self.mark(index, worker, false);
-    }
-
-    fn on_handoff(&self, _pred: usize, _succ: usize) {
-        self.recorder.accumulate("sched.handoffs", 1.0);
     }
 }
 

@@ -11,11 +11,13 @@
 //! * [`WorkerHooks`] — the one observation contract of the block pool
 //!   and the task-graph executor; [`TraceHooks`] bridges it into a
 //!   [`Recorder`] as per-worker begin/end events.
-//! * [`Recorder`] — a lightweight span/counter/event recorder. A
-//!   *disabled* recorder (the default everywhere) is a no-op sink: every
-//!   record call is a single branch on an `Option`, performs no
-//!   allocation and takes no lock, so instrumented code costs nothing
-//!   when telemetry is off.
+//! * [`Recorder`] — the one path run counters take into a trace, plus a
+//!   span/sample/event timeline. Every recorder keeps counters, so a
+//!   plain run's trace has the same counters as a traced one; the stages
+//!   record each counter once per stage, never per task, block or edge.
+//!   A *disabled* recorder (the default everywhere) means "counters
+//!   only": each timeline call is a single branch on a flag and
+//!   allocates, formats and locks nothing.
 //! * [`RunTrace`] — the aggregated, structured result of one routing run:
 //!   stage [`Span`]s, deterministic [`Counter`]s, per-kernel
 //!   [`KernelEvent`]s and worker-thread [`TimelineEvent`]s. Exportable as

@@ -1,71 +1,74 @@
 //! The span/counter/event recorder handed through the pipeline.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::clock::Stopwatch;
 use crate::trace::{CounterSample, KernelEvent, RunTrace, Span, TimelineEvent, TRACK_MAIN};
 
-/// Shared recorder state behind an enabled [`Recorder`].
+/// State shared by every clone of one [`Recorder`].
 #[derive(Debug)]
-struct Inner {
+struct Shared {
     epoch: Stopwatch,
-    spans: Mutex<Vec<Span>>,
-    events: Mutex<Vec<TimelineEvent>>,
-    counters: Mutex<BTreeMap<String, f64>>,
-    counter_samples: Mutex<Vec<CounterSample>>,
-    kernels: Mutex<Vec<KernelEvent>>,
+    /// Whether spans, samples, kernels and worker events are recorded.
+    timeline: bool,
+    trace: Mutex<RunTrace>,
 }
 
-impl Inner {
-    fn new() -> Self {
-        Self {
-            epoch: Stopwatch::start(),
-            spans: Mutex::new(Vec::new()),
-            events: Mutex::new(Vec::new()),
-            counters: Mutex::new(BTreeMap::new()),
-            counter_samples: Mutex::new(Vec::new()),
-            kernels: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
+impl Shared {
+    fn trace(&self) -> MutexGuard<'_, RunTrace> {
         // A poisoned telemetry mutex means a worker panicked mid-record;
         // the data is still structurally sound (Vec pushes are atomic
         // w.r.t. the lock), so keep collecting rather than double-panic.
-        m.lock().unwrap_or_else(|e| e.into_inner())
+        self.trace.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 /// A cheap, cloneable handle the pipeline records into.
 ///
-/// A recorder is either *enabled* (shares an [`Arc`] of collection state)
-/// or *disabled* (the default): a no-op sink where every record call is a
-/// single branch on an `Option` — no allocation, no lock, no formatting.
-/// Clones share the same underlying trace.
-#[derive(Debug, Clone, Default)]
+/// Every recorder keeps counters ([`Recorder::accumulate`]), so a run's
+/// counters are the same whether or not it was traced. An *enabled*
+/// recorder also records the timeline: spans, counter samples, kernel
+/// events and worker begin/end events. A *disabled* recorder (the
+/// default) keeps counters only; each timeline call is a single branch
+/// and allocates, formats and locks nothing. Clones share the same
+/// underlying trace.
+#[derive(Debug, Clone)]
 pub struct Recorder {
-    inner: Option<Arc<Inner>>,
+    shared: Arc<Shared>,
+}
+
+impl Default for Recorder {
+    fn default() -> Self {
+        Self::disabled()
+    }
 }
 
 impl Recorder {
-    /// A recorder that collects into a shared trace. The epoch (time
-    /// zero of all recorded timestamps) is the moment of this call.
-    pub fn enabled() -> Self {
+    fn new(timeline: bool) -> Self {
         Self {
-            inner: Some(Arc::new(Inner::new())),
+            shared: Arc::new(Shared {
+                epoch: Stopwatch::start(),
+                timeline,
+                trace: Mutex::new(RunTrace::default()),
+            }),
         }
     }
 
-    /// The no-op sink: records nothing, costs one branch per call.
-    pub fn disabled() -> Self {
-        Self { inner: None }
+    /// A recorder that keeps counters and records the timeline. The epoch
+    /// (time zero of all recorded timestamps) is the moment of this call.
+    pub fn enabled() -> Self {
+        Self::new(true)
     }
 
-    /// Whether this recorder collects anything. Use to skip work whose
-    /// only purpose is producing telemetry input (e.g. formatting names).
+    /// Counters only: the timeline calls cost one branch each.
+    pub fn disabled() -> Self {
+        Self::new(false)
+    }
+
+    /// Whether this recorder records the timeline. Use to skip work whose
+    /// only purpose is producing timeline input (e.g. formatting names).
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.shared.timeline
     }
 
     /// Opens a named span on the main track; the span is recorded when
@@ -79,25 +82,21 @@ impl Recorder {
     /// name is only formatted when the recorder is enabled.
     #[must_use = "the span closes (and records) when the guard drops"]
     pub fn span_indexed(&self, prefix: &str, index: usize, cat: &'static str) -> SpanGuard {
-        if self.inner.is_none() {
-            return SpanGuard::noop();
+        if !self.is_enabled() {
+            return SpanGuard { inner: None };
         }
         self.span_on(&format!("{prefix}{index}"), cat, TRACK_MAIN)
     }
 
     fn span_on(&self, name: &str, cat: &'static str, track: u32) -> SpanGuard {
-        match &self.inner {
-            Some(inner) => SpanGuard {
-                inner: Some(SpanGuardInner {
-                    recorder: Arc::clone(inner),
-                    name: name.to_owned(),
-                    cat,
-                    track,
-                    start_seconds: inner.epoch.elapsed_seconds(),
-                }),
-            },
-            None => SpanGuard::noop(),
-        }
+        let inner = self.is_enabled().then(|| SpanGuardInner {
+            shared: Arc::clone(&self.shared),
+            name: name.to_owned(),
+            cat,
+            track,
+            start_seconds: self.shared.epoch.elapsed_seconds(),
+        });
+        SpanGuard { inner }
     }
 
     /// Records a begin marker on a worker track (pair with [`Recorder::end`]).
@@ -112,9 +111,9 @@ impl Recorder {
     }
 
     fn mark(&self, name: &str, cat: &'static str, track: u32, begin: bool) {
-        if let Some(inner) = &self.inner {
-            let t_seconds = inner.epoch.elapsed_seconds();
-            Inner::lock(&inner.events).push(TimelineEvent {
+        if self.is_enabled() {
+            let t_seconds = self.shared.epoch.elapsed_seconds();
+            self.shared.trace().events.push(TimelineEvent {
                 name: name.to_owned(),
                 cat,
                 begin,
@@ -124,21 +123,23 @@ impl Recorder {
         }
     }
 
-    /// Adds `delta` to a named counter (created at zero).
+    /// Adds `delta` to a named counter (created at zero). Recorded by
+    /// every recorder, enabled or not.
     pub fn accumulate(&self, name: &str, delta: f64) {
-        if let Some(inner) = &self.inner {
-            *Inner::lock(&inner.counters)
-                .entry(name.to_owned())
-                .or_insert(0.0) += delta;
-        }
+        *self
+            .shared
+            .trace()
+            .counters
+            .entry(name.to_owned())
+            .or_insert(0.0) += delta;
     }
 
     /// Records a timestamped sample of a counter (a Chrome `"C"` event),
     /// without touching the accumulated value.
     pub fn counter_sample(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            let t_seconds = inner.epoch.elapsed_seconds();
-            Inner::lock(&inner.counter_samples).push(CounterSample {
+        if self.is_enabled() {
+            let t_seconds = self.shared.epoch.elapsed_seconds();
+            self.shared.trace().counter_samples.push(CounterSample {
                 name: name.to_owned(),
                 t_seconds,
                 value,
@@ -150,9 +151,9 @@ impl Recorder {
     /// finished after `host_seconds` of wall time; its start is placed
     /// that long before now.
     pub fn kernel(&self, name: &str, blocks: usize, modeled_seconds: f64, host_seconds: f64) {
-        if let Some(inner) = &self.inner {
-            let now = inner.epoch.elapsed_seconds();
-            Inner::lock(&inner.kernels).push(KernelEvent {
+        if self.is_enabled() {
+            let now = self.shared.epoch.elapsed_seconds();
+            self.shared.trace().kernels.push(KernelEvent {
                 name: name.to_owned(),
                 blocks,
                 modeled_seconds,
@@ -162,26 +163,17 @@ impl Recorder {
         }
     }
 
-    /// Drains everything recorded so far into a [`RunTrace`]. A disabled
-    /// recorder yields the empty trace. Other clones of this recorder
-    /// keep working but start from empty collections.
+    /// Drains everything recorded so far into a [`RunTrace`]: the counters
+    /// always, the timeline when enabled. Other clones of this recorder
+    /// keep working but start from an empty trace.
     pub fn take_trace(&self) -> RunTrace {
-        match &self.inner {
-            Some(inner) => RunTrace::from_parts(
-                std::mem::take(&mut Inner::lock(&inner.spans)),
-                std::mem::take(&mut Inner::lock(&inner.counters)),
-                std::mem::take(&mut Inner::lock(&inner.counter_samples)),
-                std::mem::take(&mut Inner::lock(&inner.kernels)),
-                std::mem::take(&mut Inner::lock(&inner.events)),
-            ),
-            None => RunTrace::default(),
-        }
+        std::mem::take(&mut *self.shared.trace())
     }
 }
 
 #[derive(Debug)]
 struct SpanGuardInner {
-    recorder: Arc<Inner>,
+    shared: Arc<Shared>,
     name: String,
     cat: &'static str,
     track: u32,
@@ -196,10 +188,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    fn noop() -> Self {
-        Self { inner: None }
-    }
-
     /// Closes the span now (equivalent to dropping the guard).
     pub fn finish(self) {}
 }
@@ -207,9 +195,9 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(g) = self.inner.take() {
-            let end = g.recorder.epoch.elapsed_seconds();
-            Inner::lock(&g.recorder.spans).push(Span {
-                name: g.name.clone(),
+            let end = g.shared.epoch.elapsed_seconds();
+            g.shared.trace().spans.push(Span {
+                name: g.name,
                 cat: g.cat,
                 start_seconds: g.start_seconds,
                 duration_seconds: (end - g.start_seconds).max(0.0),
@@ -224,7 +212,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recorder_is_a_sink() {
+    fn disabled_recorder_keeps_counters_and_no_timeline() {
         let r = Recorder::disabled();
         assert!(!r.is_enabled());
         {
@@ -236,8 +224,11 @@ mod tests {
             r.end("block0", "block", 1);
         }
         let trace = r.take_trace();
-        assert_eq!(trace, RunTrace::default());
         assert!(!trace.has_timeline());
+        // The counter, and nothing else.
+        let mut counters_only = RunTrace::default();
+        counters_only.counters.insert("nets".to_owned(), 5.0);
+        assert_eq!(trace, counters_only);
     }
 
     #[test]

@@ -85,39 +85,23 @@ pub struct TimelineEvent {
 
 /// Everything one recorded routing run produced, aggregated.
 ///
-/// A `RunTrace` is attached to every `RoutingOutcome`; with a disabled
-/// [`Recorder`](crate::Recorder) it still carries the deterministic run
-/// summary counters (batches, pattern shorts, per-iteration rip-up counts)
-/// — only the timeline detail (spans, kernel events, counter samples,
-/// worker events) requires an enabled recorder.
+/// A `RunTrace` is attached to every `RoutingOutcome`. Every
+/// [`Recorder`](crate::Recorder) keeps counters, so the trace carries all
+/// of the run's counters (batches, pattern shorts, per-iteration rip-up
+/// counts, maze work, ...) whether or not the run was traced; only the
+/// timeline (spans, kernel events, counter samples, worker events)
+/// requires an enabled recorder.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTrace {
-    spans: Vec<Span>,
-    counters: BTreeMap<String, f64>,
-    counter_samples: Vec<CounterSample>,
-    kernels: Vec<KernelEvent>,
-    events: Vec<TimelineEvent>,
+    pub(crate) spans: Vec<Span>,
+    pub(crate) counters: BTreeMap<String, f64>,
+    pub(crate) counter_samples: Vec<CounterSample>,
+    pub(crate) kernels: Vec<KernelEvent>,
+    pub(crate) events: Vec<TimelineEvent>,
 }
 
 impl RunTrace {
-    /// Builds a trace from recorder parts (crate-internal).
-    pub(crate) fn from_parts(
-        spans: Vec<Span>,
-        counters: BTreeMap<String, f64>,
-        counter_samples: Vec<CounterSample>,
-        kernels: Vec<KernelEvent>,
-        events: Vec<TimelineEvent>,
-    ) -> Self {
-        Self {
-            spans,
-            counters,
-            counter_samples,
-            kernels,
-            events,
-        }
-    }
-
-    // --- Run summary, read from the counters the router always sets. ---
+    // --- Run summary, read from the counters the stages always record. ---
 
     /// Nets ripped up per rip-up-and-reroute iteration (the
     /// `rrr.iterN.nets_ripped` counters, `rrr.iterations` of them).
@@ -140,11 +124,6 @@ impl RunTrace {
     /// `pattern.batches` counter).
     pub fn pattern_batches(&self) -> usize {
         self.counter("pattern.batches").unwrap_or(0.0) as usize
-    }
-
-    /// Sets (or overwrites) a named counter.
-    pub fn set_counter(&mut self, name: &str, value: f64) {
-        self.counters.insert(name.to_owned(), value);
     }
 
     // --- Seconds. Sums fold from +0.0: an empty `Iterator::sum` is -0.0. ---
@@ -213,19 +192,14 @@ impl RunTrace {
     /// The deterministic portion of the trace, rendered one item per
     /// line: counters (sorted by name), kernel names with block counts,
     /// and the run summary. For a fixed configuration this string is
-    /// byte-identical across runs and across worker counts — timestamps,
-    /// host seconds and `sched.*` counters (scheduling artifacts such as
-    /// direct worker hand-offs, which legitimately vary with thread
-    /// interleaving) never appear in it.
+    /// byte-identical across runs and across worker counts — timestamps
+    /// and host seconds never appear in it.
     pub fn deterministic_signature(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "pattern.batches = {}", self.pattern_batches());
         let _ = writeln!(out, "pattern.shorts = {}", self.pattern_shorts());
         let _ = writeln!(out, "rrr.nets_ripped = {:?}", self.nets_ripped());
         for (name, value) in &self.counters {
-            if name.starts_with("sched.") {
-                continue;
-            }
             let _ = writeln!(out, "counter {name} = {value}");
         }
         for k in &self.kernels {
@@ -290,42 +264,43 @@ mod tests {
     use super::*;
 
     fn sample_trace() -> RunTrace {
-        let mut trace = RunTrace::from_parts(
-            vec![Span {
+        let counters = [
+            ("pattern.batches", 3.0),
+            ("pattern.shorts_after", 7.5),
+            ("rrr.iterations", 2.0),
+            ("rrr.iter0.nets_ripped", 12.0),
+            ("rrr.iter1.nets_ripped", 4.0),
+            ("pattern.kernel_launches", 3.0),
+        ];
+        RunTrace {
+            spans: vec![Span {
                 name: "pattern".into(),
                 cat: "stage",
                 start_seconds: 0.001,
                 duration_seconds: 0.5,
                 track: TRACK_MAIN,
             }],
-            BTreeMap::new(),
-            vec![CounterSample {
+            counters: counters.map(|(n, v)| (n.to_owned(), v)).into(),
+            counter_samples: vec![CounterSample {
                 name: "rrr.nets_ripped".into(),
                 t_seconds: 0.6,
                 value: 12.0,
             }],
-            vec![KernelEvent {
+            kernels: vec![KernelEvent {
                 name: "pattern".into(),
                 blocks: 64,
                 modeled_seconds: 1e-4,
                 host_seconds: 2e-3,
                 start_seconds: 0.01,
             }],
-            vec![TimelineEvent {
+            events: vec![TimelineEvent {
                 name: "block0".into(),
                 cat: "block",
                 begin: true,
                 t_seconds: 0.011,
                 track: 1,
             }],
-        );
-        trace.set_counter("pattern.batches", 3.0);
-        trace.set_counter("pattern.shorts_after", 7.5);
-        trace.set_counter("rrr.iterations", 2.0);
-        trace.set_counter("rrr.iter0.nets_ripped", 12.0);
-        trace.set_counter("rrr.iter1.nets_ripped", 4.0);
-        trace.set_counter("pattern.kernel_launches", 3.0);
-        trace
+        }
     }
 
     #[test]
@@ -374,19 +349,8 @@ mod tests {
     fn signature_sees_counter_changes() {
         let a = sample_trace();
         let mut b = sample_trace();
-        b.set_counter("pattern.kernel_launches", 4.0);
+        b.counters.insert("pattern.kernel_launches".into(), 4.0);
         assert_ne!(a.deterministic_signature(), b.deterministic_signature());
-    }
-
-    #[test]
-    fn signature_ignores_scheduling_artifact_counters() {
-        // `sched.*` counters (e.g. executor hand-offs) vary with thread
-        // interleaving; they are telemetry, not part of the contract.
-        let a = sample_trace();
-        let mut b = sample_trace();
-        b.set_counter("sched.handoffs", 17.0);
-        assert_eq!(a.deterministic_signature(), b.deterministic_signature());
-        assert_eq!(b.counter("sched.handoffs"), Some(17.0));
     }
 
     #[test]

@@ -15,10 +15,7 @@ cargo fmt --all -- --check
 echo "== build (release) =="
 cargo build --release
 
-echo "== test =="
-cargo test -q
-
-echo "== test (workspace) =="
+echo "== test (workspace, root package included) =="
 cargo test -q --workspace
 
 echo "== clippy =="
